@@ -287,8 +287,7 @@ def _certified_symbol_gap(sym, tol: float = 1e-6) -> float:
     vals = np.abs(1.0 - sym.values(ks))
     fixed = set(sym.unit_fixed_indices or ())
     if fixed:
-        mask = np.array([k not in fixed for k in range(1, k_head + 1)])
-        vals = vals[mask]
+        vals = vals[np.isin(ks, sorted(fixed), invert=True)]
     head_min = float(vals.min()) if vals.size else np.inf
     tail_min = gap_limit - float(sym.tail.bound(k_head))
     return max(0.0, min(head_min, tail_min))

@@ -263,12 +263,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     # separated exponent family: greedy certified eps_orbit-separated subset
     cap = family_size or max(4 * count, 16)
     cloud = orbit(op, x, horizon, tol=min(tol, 1e-8))
-    members: list[int] = []
-    for n_exp in cloud.labels:
-        if all(cloud.separated(n_exp, m, eps_orbit) for m in members):
-            members.append(n_exp)
-            if len(members) >= cap:
-                break
+    members = [cloud.labels[i] for i in cloud.greedy_net(eps_orbit, cap)]
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
     delta = math.inf

@@ -16,14 +16,18 @@ suite pairs them with closed-form oracles.
 
 Greedy nets scan points in label order (seeded from the first point,
 ties broken by smallest label), so prefix clouds give prefix nets and
-one pass yields the whole horizon curve.  Distances are cached; clouds
-over isometric diagonal operators additionally key the cache by the
-exponent difference, which collapses the O(h^2) pair table to O(h)
-distinct computations.
+one pass yields the whole horizon curve.  Orbits of isometric diagonal
+operators are translation invariant, so their net is an int64 array of
+exponents and each exponent difference is decided at most once per
+epsilon, on an int8 array over the differences 1..h-1; the greedy step
+is one gather over that array.  Matrix and family clouds are not
+translation invariant and decide the net pair by pair through the
+cloud's decision cache.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -108,22 +112,77 @@ class OrbitCloud:
             self._decisions[key] = hit
         return hit
 
+    def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
+        """Positions in ``labels`` of the greedy certified eps-separated net.
 
-def _diag_orbit_cloud(op: DiagonalOperator, x: SeqVector, horizon: int,
-                      tol: float, description: str) -> OrbitCloud:
-    vectors: dict[int, SeqVector] = {}
+        A point joins when it is certified separated from every current
+        member; the scan stops once the net holds ``cap`` members.
+        """
+        net: list = []
+        positions: list[int] = []
+        for i, lbl in enumerate(self.labels):
+            if all(self.separated(lbl, member, eps) for member in net):
+                net.append(lbl)
+                positions.append(i)
+                if cap is not None and len(net) >= cap:
+                    break
+        return positions
 
-    def vector_of(n):
-        if n not in vectors:
-            vectors[n] = power_apply(op, n, x)
-        return vectors[n]
 
-    def diff_vector(n, m):
-        # isometry: ||T^n x - T^m x|| = ||T^d x - x|| with d = |n - m|
-        return lin_comb([1.0, -1.0], [vector_of(abs(n - m)), x])
+# states of a difference in _DiagOrbitCloud's decision arrays
+_UNKNOWN, _SEPARATED, _NOT_SEPARATED = 0, 1, -1
 
-    return OrbitCloud(range(1, horizon + 1), vector_of, diff_vector, tol,
-                      diff_key=lambda a, b: abs(a - b), description=description)
+
+class _DiagOrbitCloud(OrbitCloud):
+    """Orbit ``T^1 x .. T^h x`` of an isometric diagonal operator.
+
+    Isometry makes the metric translation invariant,
+    ``||T^n x - T^m x|| = ||T^d x - x||`` with ``d = |n - m|``, so a
+    decision is keyed by ``d`` alone and the greedy net decides each
+    difference at most once per epsilon.
+    """
+
+    def __init__(self, op: DiagonalOperator, x: SeqVector, horizon: int,
+                 tol: float, description: str):
+        vectors: dict[int, SeqVector] = {}
+
+        def vector_of(n):
+            if n not in vectors:
+                vectors[n] = power_apply(op, n, x)
+            return vectors[n]
+
+        def diff_vector(n, m):
+            return lin_comb([1.0, -1.0], [vector_of(abs(n - m)), x])
+
+        super().__init__(range(1, horizon + 1), vector_of, diff_vector, tol,
+                         diff_key=lambda a, b: abs(a - b), description=description)
+        self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
+
+    def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
+        h = len(self.labels)
+        sep = self._sep.setdefault(eps, np.zeros(h, dtype=np.int8))
+        net = np.empty(h, dtype=np.int64)
+        size = 0
+        for n in range(1, h + 1):
+            members = net[:size]
+            known = sep[n - members]
+            state = known.min(initial=_SEPARATED)
+            if state == _NOT_SEPARATED:
+                continue
+            if state == _UNKNOWN:
+                # decide the open differences in net order, up to the first "no"
+                for m in members[known == _UNKNOWN].tolist():
+                    ok = self.separated(n, m, eps)
+                    sep[n - m] = _SEPARATED if ok else _NOT_SEPARATED
+                    if not ok:
+                        break
+                if not ok:
+                    continue
+            net[size] = n
+            size += 1
+            if cap is not None and size >= cap:
+                break
+        return (net[:size] - 1).tolist()
 
 
 def _matrix_orbit_cloud(op: MatrixOperator, x: FiniteVector, horizon: int,
@@ -149,7 +208,7 @@ def orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(op, DiagonalOperator):
-        return _diag_orbit_cloud(op, x, horizon, tol, "orbit")
+        return _DiagOrbitCloud(op, x, horizon, tol, "orbit")
     if isinstance(op, MatrixOperator):
         return _matrix_orbit_cloud(op, x, horizon, tol, "orbit")
     raise TypeError(f"unsupported operator type {type(op).__name__}")
@@ -237,17 +296,11 @@ def orbit_family(family, x, max_total_degree: int, tol: float = 1e-8) -> OrbitCl
 
 def _greedy_counts(cloud: OrbitCloud, eps: float, checkpoints: Sequence[int]) -> list[int]:
     """Sizes of the greedy certified eps-separated net at each prefix length."""
-    marks = {int(c) for c in checkpoints}
-    if max(marks) > len(cloud):
+    marks = sorted({int(c) for c in checkpoints})
+    if marks[-1] > len(cloud):
         raise ValueError("checkpoint beyond cloud horizon")
-    net: list = []
-    counts: dict[int, int] = {}
-    for i, lbl in enumerate(cloud.labels, start=1):
-        if all(cloud.separated(lbl, member, eps) for member in net):
-            net.append(lbl)
-        if i in marks:
-            counts[i] = len(net)
-    return [counts[c] for c in sorted(marks)]
+    positions = cloud.greedy_net(eps)
+    return [bisect_left(positions, c) for c in marks]
 
 
 def _check_eps(cloud: OrbitCloud, eps: float):
@@ -348,11 +401,7 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
         pack[i] = _greedy_counts(cloud, eps, horizons)
     verdict, stats = _verdict(pack)
     return CompactnessReport(tuple(epsilons), tuple(horizons), pack, pack.copy(),
-                             verdict, stats, cloud_description(cloud))
-
-
-def cloud_description(cloud: OrbitCloud) -> str:
-    return getattr(cloud, "description", "")
+                             verdict, stats, cloud.description)
 
 
 def compactness_diagnostic(op, x, epsilons: Sequence[float], horizons: Sequence[int],

@@ -113,6 +113,20 @@ def test_criterion_02_companion_saturation_at_calibrated_eps():
     assert ok
 
 
+ONSET_HORIZONS = [500, 1000, 2000, 4000, 8000]
+
+
+def test_criterion_02_companion_no_onset_to_8000():
+    # the reason above places saturation at eps = 0.1 "beyond ~2000"; the
+    # measured packing still equals the horizon at 8000
+    op = limit_one_operator(SymbolFamily("harmonic"))
+    cloud = difference_orbit(op, constant_one("c"), ONSET_HORIZONS[-1], tol=1e-8)
+    drep = cloud_diagnostic(cloud, [0.1], ONSET_HORIZONS)
+    ok = drep.packing[0].tolist() == ONSET_HORIZONS
+    _report("2-onset", ok, f"diff packing at eps=0.1: {drep.packing[0].tolist()}")
+    assert ok
+
+
 def test_criterion_03_mean_ergodicity_dichotomy():
     t0 = time.perf_counter()
     op_c = limit_one_operator(SymbolFamily("harmonic"))
@@ -281,6 +295,19 @@ def test_criterion_08_companion_asymmetry_at_calibrated_eps():
     _report("8-companion", ok,
             f"square-diff packing at eps=2.5 {rep_sq.packing[0].tolist()}, "
             f"orbit of 1-(a_k) verdict {rep_y.verdict}")
+    assert ok
+
+
+def test_criterion_08_companion_no_onset_to_8000():
+    # the reason above places saturation at eps = 0.1 "beyond ~5000"; the
+    # measured packing still equals the horizon at 8000
+    op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+    one = constant_one("c")
+    y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
+    rep_sq = cloud_diagnostic(orbit(op, y_sq, ONSET_HORIZONS[-1], tol=1e-8), [0.1],
+                              ONSET_HORIZONS)
+    ok = rep_sq.packing[0].tolist() == ONSET_HORIZONS
+    _report("8-onset", ok, f"square-diff packing at eps=0.1: {rep_sq.packing[0].tolist()}")
     assert ok
 
 

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_power_bounded
+from orbitlab import orbits
 from orbitlab.ergodic import fix_separation_check
 from orbitlab.operators import (DiagonalOperator, MatrixOperator,
                                 constant_symbol, harmonic_symbol,
                                 make_commuting_family, root_perturbed_symbol)
-from orbitlab.orbits import (cloud_diagnostic, compactness_diagnostic,
+from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
                              covering_estimate, difference_orbit,
                              difference_compactness_diagnostic, orbit,
                              orbit_family, packing_number)
-from orbitlab.seqspace import (FiniteVector, constant_one, from_prefix,
-                               lin_comb, sup_norm)
+from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one,
+                               from_prefix, lin_comb, sup_norm)
 
 
 def harmonic_op():
@@ -91,6 +93,48 @@ class TestPacking:
         cloud = orbit(harmonic_op(), constant_one(), 3, tol=1e-2)
         with pytest.raises(ValueError):
             packing_number(cloud, 0.03)
+
+
+_SYMBOLS = st.one_of(
+    st.builds(harmonic_symbol, st.floats(0.5, 2.0)),
+    st.builds(root_perturbed_symbol, st.integers(2, 5), st.floats(0.5, 2.0)))
+_SMALL = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_PROBES = st.one_of(
+    st.just(constant_one()),
+    st.builds(basis_vector, st.integers(1, 20)),
+    st.builds(from_prefix, st.lists(_SMALL, min_size=1, max_size=4), _SMALL))
+
+
+class TestDiagonalNet:
+    """The diagonal cloud's array step against the per-pair reference path."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(sym=_SYMBOLS, x=_PROBES, data=st.data())
+    def test_counts_match_per_pair_reference(self, sym, x, data):
+        tol = 1e-8
+        h = data.draw(st.integers(2, 300), label="horizon")
+        eps = data.draw(st.floats(4 * tol, 2.5, exclude_min=True), label="eps")
+        marks = data.draw(st.lists(st.integers(1, h), min_size=1, unique=True),
+                          label="checkpoints")
+        cap = data.draw(st.integers(1, h), label="cap")
+        cloud = orbit(DiagonalOperator(sym, "c"), x, h, tol=tol)
+        ref = OrbitCloud(cloud.labels, cloud.vector, cloud._diff_vector, tol)
+        assert (orbits._greedy_counts(cloud, eps, marks)
+                == orbits._greedy_counts(ref, eps, marks))
+        assert cloud.greedy_net(eps, cap) == ref.greedy_net(eps, cap)
+
+    def test_each_difference_decided_once(self, monkeypatch):
+        decisions = []
+        real = orbits.norm_exceeds
+
+        def counted(*args, **kwargs):
+            decisions.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, "norm_exceeds", counted)
+        cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
+        assert packing_number(cloud, 1.0) == 2000
+        assert len(decisions) == 1999
 
 
 class TestCovering:
