@@ -28,15 +28,14 @@ from .ergodic import (diagonal_mean_ergodic_verdict, decomposition_check,
                       mean_ergodic_projection)
 from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      OrbitLabError)
-from .gallery import SymbolFamily, c0_witness, limit_one_operator, \
-    one_minus_symbol_vector, root_limit_operator
+from .gallery import (SymbolFamily, c0_witness, limit_one_operator,
+                      one_minus_symbol_vector, operator_from_spec, probe_from_spec,
+                      root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
-from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
-                        harmonic_symbol, read_matrix_file, root_perturbed_symbol)
+from .operators import DiagonalOperator, MatrixOperator
 from .orbits import (cloud_diagnostic, compactness_diagnostic,
                      difference_compactness_diagnostic, orbit)
-from .seqspace import (FiniteVector, basis_vector, constant_one, from_prefix,
-                       lin_comb, sup_norm)
+from .seqspace import constant_one, lin_comb, sup_norm
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -76,9 +75,12 @@ def _assertion(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _report(kind: str, name: str, seed: int, tol: float, config: dict,
-            results: dict, assertions: list) -> dict:
-    return {
+def _emit(kind: str, name: str, seed: int, tol: float, config: dict, out_dir: str,
+          formats: tuple[str, ...], elapsed: float, results: dict, assertions: list,
+          tables: dict) -> int:
+    """Write the report, its CSV tables and the timing sidecar, print one
+    line per assertion and return the exit code."""
+    report = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "name": name,
@@ -87,13 +89,26 @@ def _report(kind: str, name: str, seed: int, tol: float, config: dict,
         "config": config,
         "results": results,
         "assertions": assertions,
+        "tables": sorted(f"{name}.{t}.csv" for t in tables),
     }
+    os.makedirs(out_dir, exist_ok=True)
+    if "json" in formats:
+        write_json_atomic(os.path.join(out_dir, f"{name}.json"), report)
+    if "csv" in formats:
+        for tname, rows in tables.items():
+            write_csv_atomic(os.path.join(out_dir, f"{name}.{tname}.csv"), rows)
+    write_json_atomic(os.path.join(out_dir, f"{name}.timing.json"),
+                      {"wall_seconds": elapsed})
+    for a in assertions:
+        status = "ok" if a["passed"] else "FAIL"
+        print(f"[{status}] {name}.{a['name']} {a['detail']}".rstrip())
+    return EXIT_OK if all(a["passed"] for a in assertions) else EXIT_ASSERTION
 
 
 # ---------------------------------------------------------------------------
 # Demos
 
-def _demo_limit_one(seed: int, tol: float):
+def _demo_limit_one(seed: int, tol: float, out_dir: str):
     op = limit_one_operator(SymbolFamily("harmonic"))
     one = constant_one("c")
     horizons = [100, 200, 400]
@@ -123,7 +138,7 @@ def _demo_limit_one(seed: int, tol: float):
     return results, assertions, tables
 
 
-def _demo_root_limit(seed: int, tol: float):
+def _demo_root_limit(seed: int, tol: float, out_dir: str):
     op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
     one = constant_one("c")
     horizons = [100, 200, 400]
@@ -149,15 +164,13 @@ def _demo_root_limit(seed: int, tol: float):
 
 
 def _demo_witness(seed: int, tol: float, out_dir: str):
-    op = limit_one_operator(SymbolFamily("harmonic"))
-    one = constant_one("c")
-    count, horizon = 20, 10_000
-    try:
-        audit = c0_witness(op, one, count, horizon, tol=1e-6, seed=seed)
-    except HorizonExhaustedError as exc:
-        audit = exc.audit
     operator_spec = {"kind": "harmonic", "rate": 1.0, "space": "c"}
     probe_spec = {"kind": "one"}
+    op = operator_from_spec(operator_spec)
+    try:
+        audit = c0_witness(op, probe_from_spec(probe_spec), 20, 10_000, tol=1e-6, seed=seed)
+    except HorizonExhaustedError as exc:
+        audit = exc.audit
     cert_path = os.path.join(out_dir, "witness.certificate.json")
     gallery.write_certificate(cert_path, audit, operator_spec, probe_spec)
     assertions = [
@@ -178,7 +191,7 @@ def _demo_witness(seed: int, tol: float, out_dir: str):
     return results, assertions, {}
 
 
-def _demo_ktz(seed: int, tol: float):
+def _demo_ktz(seed: int, tol: float, out_dir: str):
     op = MatrixOperator(np.diag([1.0, 0.9]).astype(np.complex128), "euclidean")
     horizon = 200
     rep = ktz_check(op, horizon=horizon, tol=1e-9)
@@ -202,7 +215,7 @@ def _demo_ktz(seed: int, tol: float):
     return results, assertions, {"decay": rows}
 
 
-def _demo_halfsum(seed: int, tol: float):
+def _demo_halfsum(seed: int, tol: float, out_dir: str):
     rng = np.random.default_rng(seed)
     checked = 0
     worst_interior = 0.0
@@ -235,44 +248,22 @@ def _demo_halfsum(seed: int, tol: float):
     return results, assertions, {"eigenvalues": eig_rows}
 
 
-DEMO_NAMES = ("example33", "example43", "witness", "ktz", "halfsum")
+_DEMOS = {"example33": _demo_limit_one, "example43": _demo_root_limit,
+          "witness": _demo_witness, "ktz": _demo_ktz, "halfsum": _demo_halfsum}
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def cmd_demo(name: str, seed: int, tol: float, out_dir: str,
              formats: tuple[str, ...] = ("json", "csv")) -> int:
-    if name not in DEMO_NAMES:
+    if name not in _DEMOS:
         print(f"error: unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}",
               file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    if name == "example33":
-        results, assertions, tables = _demo_limit_one(seed, tol)
-    elif name == "example43":
-        results, assertions, tables = _demo_root_limit(seed, tol)
-    elif name == "witness":
-        results, assertions, tables = _demo_witness(seed, tol, out_dir)
-    elif name == "ktz":
-        results, assertions, tables = _demo_ktz(seed, tol)
-    else:
-        results, assertions, tables = _demo_halfsum(seed, tol)
-    elapsed = time.perf_counter() - t0
-
-    config = {"demo": name, "seed": seed, "tol": tol}
-    report = _report("demo", name, seed, tol, config, results, assertions)
-    report["tables"] = sorted(f"{name}.{t}.csv" for t in tables)
-    if "json" in formats:
-        write_json_atomic(os.path.join(out_dir, f"{name}.json"), report)
-    if "csv" in formats:
-        for tname, rows in tables.items():
-            write_csv_atomic(os.path.join(out_dir, f"{name}.{tname}.csv"), rows)
-    write_json_atomic(os.path.join(out_dir, f"{name}.timing.json"),
-                      {"wall_seconds": elapsed})
-    failed = [a["name"] for a in assertions if not a["passed"]]
-    for a in assertions:
-        status = "ok" if a["passed"] else "FAIL"
-        print(f"[{status}] {name}.{a['name']} {a['detail']}".rstrip())
-    return EXIT_ASSERTION if failed else EXIT_OK
+    results, assertions, tables = _DEMOS[name](seed, tol, out_dir)
+    return _emit("demo", name, seed, tol, {"demo": name, "seed": seed, "tol": tol},
+                 out_dir, formats, time.perf_counter() - t0, results, assertions, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +277,22 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _parse_complex_pair(tok: str) -> complex:
+def _parse_complex_pair(tok: str) -> list[float]:
     re_s, sep, im_s = tok.partition(",")
     if not sep:
         raise ConfigError(f"complex entries are 're,im' pairs, got {tok!r}")
-    return complex(float(re_s), float(im_s))
+    return [float(re_s), float(im_s)]
+
+
+def _probe_spec(sec: dict) -> dict:
+    """An INI [probe] section in the spec form of certificates: its
+    ``re,im`` tokens become [re, im] pairs."""
+    spec = dict(sec)
+    if "values" in spec:
+        spec["values"] = [_parse_complex_pair(tok) for tok in spec["values"].split()]
+    if "limit" in spec:
+        spec["limit"] = _parse_complex_pair(spec["limit"])
+    return spec
 
 
 def load_config(path: str) -> dict:
@@ -314,56 +316,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _operator_from_config(cfg: dict, base_dir: str):
-    sec = cfg["operator"]
-    kind = sec.get("kind")
-    space = sec.get("space", "c")
-    if kind == "harmonic":
-        return DiagonalOperator(harmonic_symbol(float(sec.get("rate", 1.0))), space)
-    if kind == "root_perturbed":
-        return DiagonalOperator(
-            root_perturbed_symbol(int(sec.get("m", 2)),
-                                  float(sec.get("rate", 1.0))), space)
-    if kind == "constant":
-        return DiagonalOperator(constant_symbol(float(sec.get("angle", 0.0))), space)
-    if kind == "matrix":
-        path = sec.get("path")
-        if not path:
-            raise ConfigError("matrix operators need operator.path")
-        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        return read_matrix_file(full, sec.get("norm", "euclidean"))
-    raise ConfigError(f"unknown operator kind {kind!r}")
-
-
-def _probe_from_config(cfg: dict, op) -> object:
-    sec = cfg.get("probe", {"kind": "one"})
-    kind = sec.get("kind", "one")
-    if isinstance(op, MatrixOperator):
-        if kind == "basis":
-            i = int(sec.get("index", 1))
-            e = np.zeros(op.dim, dtype=np.complex128)
-            e[i - 1] = 1.0
-            return FiniteVector(e, op.norm_tag)
-        if kind == "prefix":
-            vals = [_parse_complex_pair(tok) for tok in sec["values"].split()]
-            if len(vals) != op.dim:
-                raise ConfigError(f"probe has {len(vals)} entries, operator dim {op.dim}")
-            return FiniteVector(np.array(vals), op.norm_tag)
-        return FiniteVector(np.ones(op.dim, dtype=np.complex128), op.norm_tag)
-    if kind == "one":
-        return constant_one("c")
-    if kind == "basis":
-        return basis_vector(int(sec.get("index", 1)))
-    if kind == "prefix":
-        vals = [_parse_complex_pair(tok) for tok in sec["values"].split()]
-        lim = _parse_complex_pair(sec.get("limit", "0,0"))
-        return from_prefix(vals, lim)
-    raise ConfigError(f"unknown probe kind {kind!r}")
+# diagnostics that exist in one operator world only
+_WORLD = {"ktz": "matrix", "spectrum": "matrix", "witness": "diagonal"}
 
 
 def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
     sec = cfg["diagnostic"]
     which = sec.get("op")
+    world = "matrix" if isinstance(op, MatrixOperator) else "diagonal"
+    if _WORLD.get(which, world) != world:
+        raise ConfigError(f"diagnostic op {which!r} needs a {_WORLD[which]} operator, "
+                          f"not a {world} one")
     results: dict = {}
     assertions: list = []
     tables: dict = {}
@@ -467,8 +430,8 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     base_dir = os.path.dirname(os.path.abspath(config_path))
     t0 = time.perf_counter()
     try:
-        op = _operator_from_config(cfg, base_dir)
-        probe = _probe_from_config(cfg, op)
+        op = operator_from_spec(cfg["operator"], base_dir)
+        probe = probe_from_spec(_probe_spec(cfg.get("probe", {})), op)
         results, assertions, tables = _run_diagnostic(cfg, op, probe, seed, tol)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -479,23 +442,8 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     except OrbitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    elapsed = time.perf_counter() - t0
-    config_echo = {s: dict(v) for s, v in cfg.items()}
-    report = _report("run", name, seed, tol, config_echo, results, assertions)
-    report["tables"] = sorted(f"{name}.{t}.csv" for t in tables)
-    os.makedirs(out, exist_ok=True)
-    if "json" in formats:
-        write_json_atomic(os.path.join(out, f"{name}.json"), report)
-    if "csv" in formats:
-        for tname, rows in tables.items():
-            write_csv_atomic(os.path.join(out, f"{name}.{tname}.csv"), rows)
-    write_json_atomic(os.path.join(out, f"{name}.timing.json"),
-                      {"wall_seconds": elapsed})
-    failed = [a["name"] for a in assertions if not a["passed"]]
-    for a in assertions:
-        status = "ok" if a["passed"] else "FAIL"
-        print(f"[{status}] {name}.{a['name']} {a['detail']}".rstrip())
-    return EXIT_ASSERTION if failed else EXIT_OK
+    return _emit("run", name, seed, tol, {s: dict(v) for s, v in cfg.items()}, out,
+                 formats, time.perf_counter() - t0, results, assertions, tables)
 
 
 def cmd_verify_certificate(path: str, out_dir: str | None) -> int:

@@ -26,20 +26,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (CertificateError, HorizonExhaustedError,
+from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
-from .operators import (DiagonalOperator, harmonic_symbol, power_apply,
-                        root_perturbed_symbol, constant_symbol)
+from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
+                        harmonic_symbol, power_apply, read_matrix_file,
+                        root_perturbed_symbol)
 from .orbits import (compactness_diagnostic, difference_compactness_diagnostic,
                      orbit)
-from .seqspace import (SeqVector, basis_vector, constant_one, from_prefix,
-                       lin_comb, norm_exceeds, sup_norm)
+from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
+                       from_prefix, lin_comb, norm_exceeds, sup_norm)
 
 __all__ = [
     "SymbolFamily",
@@ -83,13 +85,6 @@ class SymbolFamily:
             raise ValueError("root order m must be >= 1")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-
-    def build_operator(self, space_tag: str = "c") -> DiagonalOperator:
-        if self.kind == "harmonic":
-            return DiagonalOperator(harmonic_symbol(self.rate), space_tag)
-        if self.kind == "root_perturbed":
-            return DiagonalOperator(root_perturbed_symbol(self.m, self.rate), space_tag)
-        raise ValueError("custom families carry no constructor")
 
 
 def limit_one_operator(family: SymbolFamily) -> DiagonalOperator:
@@ -331,18 +326,9 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     norms_ok = all(v >= delta / bound_m - tol for v in norms)
 
     # sampled unconditional partial sums
-    rng = np.random.default_rng(seed)
-    sums: list[dict] = []
-    bound_ok = True
-    if achieved >= 1:
-        for _ in range(subset_samples):
-            size = int(rng.integers(1, achieved + 1))
-            subset = sorted(rng.choice(achieved, size=size, replace=False).tolist())
-            total = lin_comb([1.0] * len(subset), [ladder[j] for j in subset])
-            val, err = sup_norm(total, min(tol, 1e-8))
-            sums.append({"subset": subset, "value": val + err})
-            if val + err > subset_bound + tol:
-                bound_ok = False
+    sums = [{"subset": subset, "value": value} for subset, value
+            in _subset_sums(ladder, subset_samples, seed, min(tol, 1e-8))] if achieved else []
+    bound_ok = all(s["value"] <= subset_bound + tol for s in sums)
 
     notes = ("series of ladder entries cannot converge: norms are bounded "
              f"below by delta/M = {delta / bound_m:g}") if achieved else ""
@@ -365,6 +351,19 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
 # ---------------------------------------------------------------------------
 # Ladder statistics
+
+def _subset_sums(vectors: Sequence[SeqVector], samples: int, seed: int,
+                 tol: float) -> list[tuple[list[int], float]]:
+    """Seeded random nonempty subsets of ``vectors`` with certified sum norms."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        size = int(rng.integers(1, len(vectors) + 1))
+        subset = sorted(rng.choice(len(vectors), size=size, replace=False).tolist())
+        val, err = sup_norm(lin_comb([1.0] * size, [vectors[j] for j in subset]), tol)
+        out.append((subset, val + err))
+    return out
+
 
 @dataclass(frozen=True)
 class BpReport:
@@ -399,21 +398,14 @@ def bp_test(vectors: Sequence[SeqVector], subset_samples: int = 200,
         raise ValueError("bp_test needs at least two vectors")
     if subset_samples < 100:
         raise ValueError("subset_samples must be >= 100")
-    rng = np.random.default_rng(seed)
-    n = len(vectors)
     first_val, first_err = sup_norm(vectors[0], min(tol, 1e-8))
     first_partial = first_val + first_err
-    worst = 0.0
     defect = math.inf
     for v in vectors:
         val, err = sup_norm(v, min(tol, 1e-8))
         defect = min(defect, val - err)
-    for _ in range(subset_samples):
-        size = int(rng.integers(1, n + 1))
-        subset = sorted(rng.choice(n, size=size, replace=False).tolist())
-        total = lin_comb([1.0] * len(subset), [vectors[j] for j in subset])
-        val, err = sup_norm(total, min(tol, 1e-8))
-        worst = max(worst, val + err)
+    worst = max(value for _, value
+                in _subset_sums(vectors, subset_samples, seed, min(tol, 1e-8)))
     detected = bool(worst < 10.0 * first_partial and defect > tol)
     return BpReport(float(worst), float(defect), float(first_partial),
                     detected, subset_samples)
@@ -422,30 +414,65 @@ def bp_test(vectors: Sequence[SeqVector], subset_samples: int = 200,
 # ---------------------------------------------------------------------------
 # Certificates: versioned header, reconstruction spec, prefix integrity data
 
-def operator_from_spec(spec: dict) -> DiagonalOperator:
+def operator_from_spec(spec: dict, base_dir: str = "."):
+    """Operator of a spec dict: ``harmonic`` (rate 1.0), ``root_perturbed``
+    (m 2, rate 1.0) or ``constant`` (angle 0.0) on ``space`` c or c0 (default
+    c), or ``matrix`` read from ``path`` (relative to ``base_dir``) with
+    ``norm`` euclidean.  Bad specs raise ConfigError."""
     kind = spec.get("kind")
     space = spec.get("space", "c")
-    if kind == "harmonic":
-        return DiagonalOperator(harmonic_symbol(float(spec.get("rate", 1.0))), space)
-    if kind == "root_perturbed":
-        return DiagonalOperator(
-            root_perturbed_symbol(int(spec["m"]), float(spec.get("rate", 1.0))), space)
-    if kind == "constant":
-        return DiagonalOperator(constant_symbol(float(spec["angle"])), space)
-    raise CertificateError(f"unknown operator kind {kind!r}")
+    try:
+        if kind == "matrix":
+            if not spec.get("path"):
+                raise ConfigError("matrix operators need operator.path")
+            return read_matrix_file(os.path.join(base_dir, spec["path"]),
+                                    spec.get("norm", "euclidean"))
+        if space not in ("c", "c0"):
+            raise ConfigError(f"unknown space {space!r}; choose c or c0")
+        if kind == "harmonic":
+            symbol = harmonic_symbol(float(spec.get("rate", 1.0)))
+        elif kind == "root_perturbed":
+            symbol = root_perturbed_symbol(int(spec.get("m", 2)),
+                                           float(spec.get("rate", 1.0)))
+        elif kind == "constant":
+            symbol = constant_symbol(float(spec.get("angle", 0.0)))
+        else:
+            raise ConfigError(f"unknown operator kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return DiagonalOperator(symbol, space)
 
 
-def probe_from_spec(spec: dict) -> SeqVector:
-    kind = spec.get("kind")
-    if kind == "one":
-        return constant_one("c")
-    if kind == "basis":
-        return basis_vector(int(spec["index"]))
-    if kind == "prefix":
-        values = [complex(re, im) for re, im in spec["values"]]
-        lim = complex(*spec.get("limit", [0.0, 0.0]))
-        return from_prefix(values, lim)
-    raise CertificateError(f"unknown probe kind {kind!r}")
+def probe_from_spec(spec: dict, op=None):
+    """Probe of a spec dict: ``one`` (default), ``basis`` (index 1) or
+    ``prefix`` ([re, im] ``values``, ``limit`` [0, 0]).  For a matrix ``op``
+    it is the first ``dim`` coordinates of that sequence.  Bad specs raise
+    ConfigError."""
+    kind = spec.get("kind", "one")
+    dim = op.dim if isinstance(op, MatrixOperator) else None
+    # the matrix head is built next to the sequence, not read from it, so
+    # matrix runs never scan sequence coordinates
+    n = dim or 0
+    try:
+        if kind == "one":
+            x, head = constant_one("c"), np.ones(n)
+        elif kind == "basis":
+            index = int(spec.get("index", 1))
+            if index < 1 or (dim is not None and index > dim):
+                raise ConfigError(f"probe.index {index} is out of range")
+            x, head = basis_vector(index), np.arange(1, n + 1) == index
+        elif kind == "prefix":
+            if "values" not in spec:
+                raise ConfigError("prefix probes need probe.values")
+            values = [complex(re, im) for re, im in spec["values"]]
+            if dim is not None and len(values) != dim:
+                raise ConfigError(f"probe has {len(values)} entries, operator dim {dim}")
+            x, head = from_prefix(values, complex(*spec.get("limit", (0.0, 0.0)))), values
+        else:
+            raise ConfigError(f"unknown probe kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return x if dim is None else FiniteVector(head, op.norm_tag)
 
 
 def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
@@ -492,28 +519,32 @@ def verify_certificate(path, subset_samples: int = 200, tol: float = 1e-6,
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != CERTIFICATE_FORMAT:
-        raise CertificateError(f"not a {CERTIFICATE_FORMAT} file")
-    if int(doc.get("version", -1)) != CERTIFICATE_VERSION:
-        raise CertificateError(f"unsupported certificate version {doc.get('version')}")
-    op = operator_from_spec(doc["operator"])
-    x = probe_from_spec(doc["probe"])
-    pairs = [tuple(int(v) for v in p) for p in doc["pairs"]]
-    ladder = [_ladder_vector(op, x, s - t) for (s, t) in pairs]
-    if len(doc["prefix_check"]["entries"]) != len(pairs):
-        raise CertificateError("prefix data does not cover every ladder entry")
-    plen = int(doc["prefix_check"]["length"])
-    prefix_ok = True
-    for v, stored in zip(ladder, doc["prefix_check"]["entries"]):
-        got = v.prefix(plen)
-        want = np.array([complex(re, im) for re, im in stored["prefix"]])
-        lim = complex(*stored["limit"])
-        if (got.size != want.size or np.max(np.abs(got - want)) > 1e-12
-                or abs(v.limit - lim) > 1e-12):
-            prefix_ok = False
-    if not prefix_ok:
-        raise CertificateError("certificate prefixes do not match the reconstruction")
-    report: dict = {"prefix_ok": prefix_ok, "pairs": len(pairs)}
+    try:
+        if doc.get("format") != CERTIFICATE_FORMAT:
+            raise CertificateError(f"not a {CERTIFICATE_FORMAT} file")
+        if int(doc.get("version", -1)) != CERTIFICATE_VERSION:
+            raise CertificateError(f"unsupported certificate version {doc.get('version')}")
+        if doc["operator"].get("kind") == "matrix":
+            raise CertificateError("certificates name diagonal operators, not matrix files")
+        op = operator_from_spec(doc["operator"])
+        x = probe_from_spec(doc["probe"])
+        pairs = [tuple(int(v) for v in p) for p in doc["pairs"]]
+        ladder = [_ladder_vector(op, x, s - t) for (s, t) in pairs]
+        if len(doc["prefix_check"]["entries"]) != len(pairs):
+            raise CertificateError("prefix data does not cover every ladder entry")
+        plen = int(doc["prefix_check"]["length"])
+        for v, stored in zip(ladder, doc["prefix_check"]["entries"]):
+            got = v.prefix(plen)
+            want = np.array([complex(re, im) for re, im in stored["prefix"]])
+            lim = complex(*stored["limit"])
+            if (got.size != want.size or np.max(np.abs(got - want)) > 1e-12
+                    or abs(v.limit - lim) > 1e-12):
+                raise CertificateError("certificate prefixes do not match the reconstruction")
+    except KeyError as exc:
+        raise CertificateError(f"certificate field {exc} is missing") from exc
+    except (ConfigError, AttributeError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate: {exc}") from exc
+    report: dict = {"prefix_ok": True, "pairs": len(pairs)}
     if len(ladder) >= 2:
         bp = bp_test(ladder, subset_samples=subset_samples, tol=tol, seed=seed)
         report["bp"] = bp.to_json_dict()

@@ -33,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import DiagonalOperator, MatrixOperator, OperatorWord, power_apply
+from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, power_apply,
+                        word_apply)
 from .seqspace import (FiniteVector, NormResult, SeqVector, lin_comb,
                        norm_exceeds, sup_norm)
 
@@ -251,18 +252,14 @@ def orbit_family(family, x, max_total_degree: int, tol: float = 1e-8) -> OrbitCl
     gens = family.generators
     m = len(gens)
     labels = [OperatorWord(w) for w in _graded_lex_words(m, max_total_degree)]
+    vectors = {}
+
+    def vector_of(word):
+        if word not in vectors:
+            vectors[word] = word_apply(word, gens, x)
+        return vectors[word]
+
     if isinstance(gens[0], DiagonalOperator):
-        vectors: dict[OperatorWord, SeqVector] = {}
-
-        def vector_of(word):
-            if word not in vectors:
-                out = x
-                for g, e in zip(gens, word.exponents):
-                    if e:
-                        out = power_apply(g, e, out)
-                vectors[word] = out
-            return vectors[word]
-
         def norm_key(a: OperatorWord, b: OperatorWord):
             da = tuple(max(ea - eb, 0) for ea, eb in zip(a.exponents, b.exponents))
             db = tuple(max(eb - ea, 0) for ea, eb in zip(a.exponents, b.exponents))
@@ -276,17 +273,6 @@ def orbit_family(family, x, max_total_degree: int, tol: float = 1e-8) -> OrbitCl
 
         return OrbitCloud(labels, vector_of, diff_vector, tol, diff_key=norm_key,
                           description="family orbit")
-
-    vectors = {}
-
-    def vector_of(word):
-        if word not in vectors:
-            out = x
-            for g, e in zip(gens, word.exponents):
-                if e:
-                    out = power_apply(g, e, out)
-            vectors[word] = out
-        return vectors[word]
 
     def diff_vector(a, b):
         return FiniteVector(vector_of(a).coords - vector_of(b).coords, x.norm_tag)

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from orbitlab.cli import main
+from orbitlab.cli import _probe_spec, load_config, main
+from orbitlab.gallery import operator_from_spec, probe_from_spec
 from orbitlab.operators import MatrixOperator, write_matrix_file
 
 
@@ -181,6 +183,70 @@ horizon = 1500
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 0
         report = json.loads((out / "wit.json").read_text())
         assert report["results"]["audit"]["achieved_count"] == 1
+
+
+    @pytest.mark.parametrize("operator, probe, diagnostic", [
+        ("kind = matrix\npath = m3.txt", "kind = basis\nindex = 0", "op = halfsum"),
+        ("kind = matrix\npath = m3.txt", "kind = basis\nindex = 9", "op = halfsum"),
+        ("kind = matrix\npath = m3.txt", "kind = nosuch", "op = halfsum"),
+        ("kind = matrix\npath = m3.txt", "kind = prefix", "op = halfsum"),
+        ("kind = harmonic", "kind = basis\nindex = 0", "op = jdlg"),
+        ("kind = harmonic", "kind = prefix", "op = jdlg"),
+        ("kind = harmonic\nspace = x", "kind = one", "op = jdlg"),
+        ("kind = harmonic", "kind = one", "op = ktz"),
+        ("kind = harmonic", "kind = one", "op = spectrum"),
+        ("kind = matrix\npath = m3.txt", "kind = one", "op = witness"),
+    ], ids=["matrix-index-0", "matrix-index-9", "matrix-unknown-kind", "matrix-no-values",
+            "index-0", "no-values", "bad-space", "ktz-diagonal", "spectrum-diagonal",
+            "witness-matrix"])
+    def test_bad_spec_is_one_line_usage_error(self, tmp_path, capsys, operator, probe,
+                                              diagnostic):
+        write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.diag([1.0, 0.5, 0.25])))
+        cfg = self._write(tmp_path, f"[operator]\n{operator}\n[probe]\n{probe}\n"
+                                    f"[diagnostic]\n{diagnostic}\n")
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+OPERATOR_SPECS = [
+    ("kind = harmonic\nrate = 1.5", {"kind": "harmonic", "rate": 1.5}),
+    ("kind = root_perturbed\nm = 3\nrate = 2.0\nspace = c0",
+     {"kind": "root_perturbed", "m": 3, "rate": 2.0, "space": "c0"}),
+    ("kind = constant\nangle = 0.75", {"kind": "constant", "angle": 0.75}),
+]
+PROBE_SPECS = [
+    ("kind = one", {"kind": "one"}),
+    ("kind = basis\nindex = 2", {"kind": "basis", "index": 2}),
+    ("kind = prefix\nvalues = 1,0 0,0.5 -0.25,1\nlimit = 0.5,-0.5",
+     {"kind": "prefix", "values": [[1.0, 0.0], [0.0, 0.5], [-0.25, 1.0]],
+      "limit": [0.5, -0.5]}),
+]
+
+
+@pytest.mark.parametrize("op_ini, op_spec", OPERATOR_SPECS)
+@pytest.mark.parametrize("probe_ini, probe_spec", PROBE_SPECS)
+def test_ini_and_certificate_specs_build_the_same(tmp_path, op_ini, op_spec, probe_ini,
+                                                  probe_spec):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[operator]\n{op_ini}\n[probe]\n{probe_ini}\n"
+                    "[diagnostic]\nop = jdlg\n")
+    cfg = load_config(str(path))
+    ks = np.arange(1, 65)
+    op = operator_from_spec(cfg["operator"], str(tmp_path))
+    want_op = operator_from_spec(op_spec)
+    assert op.space_tag == want_op.space_tag
+    assert np.array_equal(op.symbol.angles(ks), want_op.symbol.angles(ks))
+    probe = probe_from_spec(_probe_spec(cfg["probe"]), op)
+    want = probe_from_spec(probe_spec)
+    assert np.array_equal(probe.prefix(64), want.prefix(64))
+    assert probe.limit == want.limit
+    # a matrix probe is the first dim coordinates of the sequence probe
+    write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.eye(3)))
+    mat = operator_from_spec({"kind": "matrix", "path": "m3.txt"}, str(tmp_path))
+    assert np.array_equal(probe_from_spec(_probe_spec(cfg["probe"]), mat).coords,
+                          want.prefix(3))
 
 
 class TestVerify:

@@ -203,6 +203,36 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             verify_certificate(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("pairs", None),
+        ("probe", {"kind": "basis"}),  # index defaults to 1: e_1 fails the prefixes
+        ("version", "one"),
+        ("operator", {"kind": "harmonic", "rate": 1.0, "space": "x"}),
+        ("operator", {"kind": "harmonic", "rate": -1.0}),
+        ("operator", {"kind": "matrix", "path": "absent.txt"}),
+    ], ids=["no-pairs", "no-index", "bad-version", "bad-space", "negative-rate", "matrix"])
+    def test_malformed_certificate_is_one_line_error(self, tmp_path, capsys, field, value):
+        import json
+        from orbitlab.cli import main
+        op = limit_one_operator(SymbolFamily("harmonic"))
+        audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6)
+        path = tmp_path / "cert.json"
+        write_certificate(path, audit, {"kind": "harmonic", "rate": 1.0, "space": "c"},
+                          {"kind": "one"})
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CertificateError):
+            verify_certificate(path)
+        capsys.readouterr()
+        assert main(["verify-certificate", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
     def test_separation_scale_override(self):
         op = limit_one_operator(SymbolFamily("harmonic"))
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6,
