@@ -24,13 +24,12 @@ import time
 import numpy as np
 
 from . import gallery, jdlg
-from .ergodic import (diagonal_mean_ergodic_verdict, decomposition_check,
-                      mean_ergodic_projection)
+from .ergodic import diagonal_mean_ergodic_verdict, decomposition_check
 from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      OrbitLabError)
 from .gallery import (SymbolFamily, c0_witness, limit_one_operator,
-                      one_minus_symbol_vector, operator_from_spec, probe_from_spec,
-                      root_limit_operator)
+                      one_minus_symbol_vector, operator_from_spec, probe_for,
+                      probe_from_spec, root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
 from .operators import DiagonalOperator, MatrixOperator
 from .orbits import (cloud_diagnostic, compactness_diagnostic,
@@ -351,8 +350,8 @@ def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
             results["verdict"] = {"is_mean_ergodic": v.is_mean_ergodic,
                                   "reason": v.reason, "evidence": v.evidence}
         else:
-            dec = mean_ergodic_projection(op, tol)
             parts = decomposition_check(op, probe, tol)
+            dec = parts.decomposition
             results["projection_residual"] = dec.residual
             results["cesaro_constant"] = dec.cesaro_constant
             results["decomposition_residual"] = parts.residual
@@ -431,7 +430,7 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     t0 = time.perf_counter()
     try:
         op = operator_from_spec(cfg["operator"], base_dir)
-        probe = probe_from_spec(_probe_spec(cfg.get("probe", {})), op)
+        probe = probe_for(probe_from_spec(_probe_spec(cfg.get("probe", {})), op), op)
         results, assertions, tables = _run_diagnostic(cfg, op, probe, seed, tol)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

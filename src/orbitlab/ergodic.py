@@ -25,7 +25,7 @@ import scipy.linalg
 from .errors import (DecompositionError, NotPowerBoundedError,
                      UnsupportedSymbolError)
 from .operators import (DiagonalOperator, MatrixOperator, matrix_norm,
-                        power_bound_estimate)
+                        power_bound_estimate, power_chunks)
 from .seqspace import (FiniteVector, SeqVector, TailCertificate, basis_vector,
                        constant_one, lin_comb, sup_norm)
 
@@ -108,12 +108,7 @@ def cesaro(op, x, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(op, MatrixOperator):
-        acc = np.zeros_like(x.coords)
-        cur = x.coords.copy()
-        for _ in range(n):
-            acc += cur
-            cur = op.entries @ cur
-        return FiniteVector(acc / n, x.norm_tag)
+        return FiniteVector(_power_sums(op.entries, x.coords, [n])[n] / n, x.norm_tag)
     if not isinstance(op, DiagonalOperator):
         raise TypeError(f"unsupported operator type {type(op).__name__}")
 
@@ -141,6 +136,18 @@ def cesaro(op, x, n: int):
         (abs(x.limit) * (n - 1) / 2.0, sym.tail),
     ])
     return SeqVector(coord, limit, tail, x.space_tag)
+
+
+def _power_sums(a: np.ndarray, start: np.ndarray, counts) -> dict:
+    """``{n: sum_{k<n} a^k start}`` for each n in ``counts``, added in the
+    order of a loop that starts from zero."""
+    sums, acc, done = {}, np.zeros_like(start), 0
+    for chunk in power_chunks(a, start, max(counts)):
+        run = np.cumsum(np.concatenate((acc[None], chunk)), axis=0)
+        sums.update((n, run[n - done]) for n in counts if done < n <= done + len(chunk))
+        done += len(chunk)
+        acc = run[-1]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +210,8 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8) -> ErgodicDec
             raise NotPowerBoundedError("eigenvalue cluster at 1 is defective")
 
     eye = np.eye(n, dtype=np.complex128)
-    residual = max(
-        matrix_norm(p @ p - p, op.norm_tag),
-        matrix_norm(a @ p - p, op.norm_tag),
-        matrix_norm(p @ a - p, op.norm_tag),
-    )
+    residual = float(matrix_norm(np.stack([p @ p - p, a @ p - p, p @ a - p]),
+                                 op.norm_tag).max())
     if residual > max(tol, 1e-7) * scale:
         raise DecompositionError(f"projection residual {residual:g} above tolerance")
 
@@ -227,13 +231,9 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8) -> ErgodicDec
         c_bound = 0.0
 
     samples = {}
+    sums = _power_sums(a, eye, (16, 64, 256))
     for nn in (16, 64, 256):
-        acc = np.zeros_like(a)
-        cur = eye.copy()
-        for _ in range(nn):
-            acc += cur
-            cur = a @ cur
-        diff = matrix_norm(acc / nn - p, op.norm_tag)
+        diff = matrix_norm(sums[nn] / nn - p, op.norm_tag)
         samples[nn] = diff
         if diff > c_bound / nn + max(tol, 1e-9) * scale:
             raise DecompositionError(
@@ -375,6 +375,7 @@ class DecompositionParts:
     fix_part: FiniteVector
     range_part: FiniteVector
     residual: float
+    decomposition: ErgodicDecomposition     # the projection the split used
 
 
 def decomposition_check(op: MatrixOperator, x: FiniteVector,
@@ -402,4 +403,4 @@ def decomposition_check(op: MatrixOperator, x: FiniteVector,
         resid = range_part.norm()
     if resid > tol * scale:
         raise DecompositionError(f"range part outside rg(I - T): residual {resid:g}")
-    return DecompositionParts(fix_part, range_part, float(resid))
+    return DecompositionParts(fix_part, range_part, float(resid), dec)

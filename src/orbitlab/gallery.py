@@ -475,6 +475,16 @@ def probe_from_spec(spec: dict, op=None):
     return x if dim is None else FiniteVector(head, op.norm_tag)
 
 
+def probe_for(x, op):
+    """``x`` as a probe for ``op``: on c0 a zero-limit probe is retagged c0,
+    any other raises ConfigError."""
+    if not isinstance(op, DiagonalOperator) or op.space_tag != "c0" or x.space_tag == "c0":
+        return x
+    if x.limit != 0:
+        raise ConfigError("an operator on c0 needs a probe with limit 0")
+    return SeqVector(x.coord, 0.0, x.tail, "c0")
+
+
 def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
                       probe_spec: dict) -> None:
     """Write a compact re-verifiable certificate of a witness ladder."""
@@ -527,7 +537,7 @@ def verify_certificate(path, subset_samples: int = 200, tol: float = 1e-6,
         if doc["operator"].get("kind") == "matrix":
             raise CertificateError("certificates name diagonal operators, not matrix files")
         op = operator_from_spec(doc["operator"])
-        x = probe_from_spec(doc["probe"])
+        x = probe_for(probe_from_spec(doc["probe"]), op)
         pairs = [tuple(int(v) for v in p) for p in doc["pairs"]]
         ladder = [_ladder_vector(op, x, s - t) for (s, t) in pairs]
         if len(doc["prefix_check"]["entries"]) != len(pairs):

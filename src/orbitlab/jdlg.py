@@ -24,8 +24,7 @@ import scipy.linalg
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
 from .ergodic import (PERIPHERAL_TOL, _sorted_schur_projection,
                       certify_power_bounded, mean_ergodic_projection)
-from .operators import (DiagonalOperator, MatrixOperator, matrix_norm,
-                        power_bound_estimate)
+from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
 from .seqspace import FiniteVector, SeqVector, constant_one, lin_comb, sup_norm
 
@@ -108,10 +107,7 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     rho_aws = float(np.max(np.abs(interior))) if interior.size else 0.0
 
     eye = np.eye(n, dtype=np.complex128)
-    residual = max(
-        matrix_norm(p @ p - p, op.norm_tag),
-        matrix_norm(a @ p - p @ a, op.norm_tag),
-    )
+    residual = float(matrix_norm(np.stack([p @ p - p, a @ p - p @ a]), op.norm_tag).max())
 
     rev_cols = scipy.linalg.orth(p) if sdim else np.zeros((n, 0))
     aws_cols = scipy.linalg.orth(eye - p) if sdim < n else np.zeros((n, 0))
@@ -125,14 +121,11 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     if sdim:
         r = rev_cols.conj().T @ a @ rev_cols
         rev_action = MatrixOperator(r, op.norm_tag)
-        r_inv = np.linalg.inv(r)
-        cur_p, cur_m = np.eye(sdim, dtype=np.complex128), np.eye(sdim, dtype=np.complex128)
+        eye_r = np.eye(sdim, dtype=np.complex128)
         worst = 1.0
-        for _ in range(group_horizon):
-            cur_p = r @ cur_p
-            cur_m = r_inv @ cur_m
-            worst = max(worst, matrix_norm(cur_p, op.norm_tag),
-                        matrix_norm(cur_m, op.norm_tag))
+        for g in (r, np.linalg.inv(r)):
+            for chunk in power_chunks(g, g @ eye_r, group_horizon):
+                worst = max(worst, matrix_norm(chunk, op.norm_tag).max())
         rev_power_bound = float(worst)
 
     # geometric decay on the stable part
@@ -140,14 +133,10 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     if aws_basis:
         r_eff = rho_aws + tol
         for idx, y in enumerate(aws_basis[: min(3, len(aws_basis))]):
-            cur = y.coords
-            worst_ratio = 0.0
-            for k in range(1, 201):
-                cur = a @ cur
-                nrm = FiniteVector(cur, op.norm_tag).norm()
-                if r_eff > 0:
-                    worst_ratio = max(worst_ratio, nrm / r_eff ** k)
-            decay[idx] = worst_ratio
+            nrms = [FiniteVector(v, op.norm_tag).norm()
+                    for chunk in power_chunks(a, a @ y.coords, 200) for v in chunk]
+            decay[idx] = max([0.0] + [nrm / r_eff ** k for k, nrm in enumerate(nrms, 1)
+                                      if r_eff > 0])
     diagnostics = {"aws_decay_constants": decay, "group_horizon": group_horizon}
     return JdlgSplit(MatrixOperator(p, op.norm_tag), rev_basis, aws_basis,
                      rev_action, rho_aws, rev_power_bound, residual, diagnostics)
@@ -170,22 +159,21 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9,
     when the decay curve is eventually decreasing to <= tol and the
     powers converge to the mean-ergodic projection in norm.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     cert = certify_power_bounded(op, max(tol, 1e-10), peri_tol)
     bad = [z for z in cert.peripheral if abs(z - 1) > peri_tol * 10 + 1e-12]
     if bad:
         raise PeripheralSpectrumError(
             f"peripheral spectrum not contained in {{1}}: {bad}")
     a = op.entries
-    eye = np.eye(op.dim, dtype=np.complex128)
-    diff = eye - a
-    cur = a.copy()
-    curve = np.empty(horizon)
-    for k in range(horizon):
-        if k:
-            cur = a @ cur
-        curve[k] = matrix_norm(cur @ diff, op.norm_tag)
+    diff = np.eye(op.dim, dtype=np.complex128) - a
+    curve = []
+    for chunk in power_chunks(a, a, horizon):  # T^1 .. T^horizon
+        curve.append(matrix_norm(chunk @ diff, op.norm_tag))
+    curve = np.concatenate(curve)
     dec = mean_ergodic_projection(op, max(tol, 1e-10))
-    limit_defect = matrix_norm(cur - dec.projection.entries, op.norm_tag)
+    limit_defect = matrix_norm(chunk[-1] - dec.projection.entries, op.norm_tag)
     tail = curve[horizon // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1]))
     passed = bool(eventually_decreasing and curve[-1] <= tol and limit_defect <= tol)

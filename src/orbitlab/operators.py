@@ -22,10 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, EmptyWordError, SpaceTagError,
-                     UnreachableToleranceError)
-from .seqspace import (FiniteVector, SeqVector, TailCertificate, lin_comb,
-                       sup_norm)
+from .errors import DimensionMismatchError, EmptyWordError, SpaceTagError
+from .seqspace import FiniteVector, SeqVector, TailCertificate, sup_norm
 
 __all__ = [
     "DiagonalSymbol",
@@ -244,11 +242,31 @@ class MatrixOperator:
         return MatrixOperator(np.eye(self.dim, dtype=np.complex128), self.norm_tag)
 
 
-def matrix_norm(a: np.ndarray, norm_tag: str) -> float:
-    """Induced operator norm of a matrix acting on (C^N, sup) or (C^N, l2)."""
+def matrix_norm(a: np.ndarray, norm_tag: str):
+    """Induced operator norm of a matrix acting on (C^N, sup) or (C^N, l2);
+    a float for one matrix, an array of norms for a stack of them."""
     if norm_tag == "sup":
-        return float(np.max(np.sum(np.abs(a), axis=1)))
-    return float(np.linalg.norm(a, 2))
+        norms = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    else:
+        norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    return float(norms) if a.ndim == 2 else norms
+
+
+# entries in one chunk of stacked powers (16 MB of complex128)
+POWER_CHUNK_ENTRIES = 1 << 20
+
+
+def power_chunks(a: np.ndarray, start: np.ndarray, count: int):
+    """Yield ``start, a start, a^2 start, ...`` (``count`` terms) in stacked
+    chunks of at most POWER_CHUNK_ENTRIES entries.  Each term is ``a @`` the
+    previous one, so it is bit for bit the term a plain loop forms."""
+    per = max(1, POWER_CHUNK_ENTRIES // start.size)
+    cur = start
+    for lo in range(0, count, per):
+        chunk = np.empty((min(per, count - lo),) + start.shape, dtype=np.complex128)
+        for i in range(len(chunk)):
+            chunk[i] = cur = a @ cur if lo or i else cur
+        yield chunk
 
 
 def apply(op, v):
@@ -341,39 +359,20 @@ def word_matrix(word: OperatorWord, generators: Sequence[MatrixOperator]) -> np.
     return out
 
 
-_FEASIBLE_SCAN = 1 << 22
-
-
-def _vector_norm(v, tol: float) -> float:
-    if isinstance(v, FiniteVector):
-        return v.norm()
-    try:
-        value, err = sup_norm(v, tol)
-    except UnreachableToleranceError:
-        # an exact cancellation can leave a pessimistic certificate; report
-        # the coarsest certifiable upper bound instead of failing
-        coarse = max(tol, float(v.tail.bound(_FEASIBLE_SCAN)))
-        value, err = sup_norm(v, coarse)
-    return value + err
-
-
-def _vector_sub(u, v):
-    if isinstance(u, FiniteVector):
-        return FiniteVector(u.coords - v.coords, u.norm_tag)
-    return lin_comb([1.0, -1.0], [u, v])
-
-
 def commutation_defect(generators: Sequence, probes: Sequence, tol: float = 1e-9) -> float:
     """Max over generator pairs and probes of ``||T_i T_j x - T_j T_i x||``."""
     if not probes:
         raise ValueError("at least one probe vector is required")
+    # multiplication operators commute coordinatewise: the defect is exactly 0
+    if all(isinstance(g, DiagonalOperator) for g in generators):
+        return 0.0
     worst = 0.0
     for i in range(len(generators)):
         for j in range(i + 1, len(generators)):
             for x in probes:
                 a = generators[i].apply(generators[j].apply(x))
                 b = generators[j].apply(generators[i].apply(x))
-                worst = max(worst, _vector_norm(_vector_sub(a, b), tol))
+                worst = max(worst, FiniteVector(a.coords - b.coords, a.norm_tag).norm())
     return worst
 
 
@@ -401,21 +400,19 @@ def power_bound_estimate(op, horizon: int, probes: Sequence = (),
         infs = tuple(sup_norm(x, tol).value for x in probes)
         return PowerBoundEstimate(1.0, True, infs, horizon)
 
-    norms = np.empty(horizon)
-    p = op.entries.copy()
-    probe_vals = [np.empty(horizon) for _ in probes]
-    for n in range(horizon):
-        if n:
-            p = op.entries @ p
-        norms[n] = matrix_norm(p, op.norm_tag)
-        for i, x in enumerate(probes):
-            probe_vals[i][n] = FiniteVector(p @ x.coords, x.norm_tag).norm()
+    norms = []
+    probe_vals = [[] for _ in probes]
+    for chunk in power_chunks(op.entries, op.entries, horizon):
+        norms.append(matrix_norm(chunk, op.norm_tag))
+        for vals, x in zip(probe_vals, probes):
+            vals += [FiniteVector(v, x.norm_tag).norm() for v in chunk @ x.coords]
+    norms = np.concatenate(norms)
     half = horizon // 2
     if half >= 1:
         flag = bool(norms[half:].max() <= norms[:half].max() * (1 + 1e-9) + 1e-12)
     else:
         flag = bool(norms.max() <= op.operator_norm() * (1 + 1e-9))
-    infs = tuple(float(vals.min()) for vals in probe_vals)
+    infs = tuple(min(vals) for vals in probe_vals)
     return PowerBoundEstimate(float(norms.max()), flag, infs, horizon)
 
 

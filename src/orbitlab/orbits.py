@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, power_apply,
-                        word_apply)
+                        power_chunks, word_apply)
 from .seqspace import (FiniteVector, NormResult, SeqVector, lin_comb,
                        norm_exceeds, sup_norm)
 
@@ -188,19 +188,14 @@ class _DiagOrbitCloud(OrbitCloud):
 
 def _matrix_orbit_cloud(op: MatrixOperator, x: FiniteVector, horizon: int,
                         tol: float, description: str) -> OrbitCloud:
-    vecs = [None] * (horizon + 1)
-    cur = x.coords
-    for n in range(1, horizon + 1):
-        cur = op.entries @ cur
-        vecs[n] = FiniteVector(cur, x.norm_tag)
-
-    def vector_of(n):
-        return vecs[n]
+    vecs = [None] + [FiniteVector(v, x.norm_tag)
+                     for chunk in power_chunks(op.entries, op.entries @ x.coords, horizon)
+                     for v in chunk]
 
     def diff_vector(n, m):
         return FiniteVector(vecs[n].coords - vecs[m].coords, x.norm_tag)
 
-    return OrbitCloud(range(1, horizon + 1), vector_of, diff_vector, tol,
+    return OrbitCloud(range(1, horizon + 1), vecs.__getitem__, diff_vector, tol,
                       description=description)
 
 

@@ -77,6 +77,30 @@ class TestRun:
         p.write_text(text)
         return p
 
+    def test_zero_limit_prefix_probe_runs_on_c0(self, tmp_path, capsys):
+        # a finitely supported vector has a compact orbit: its packing saturates
+        cfg = self._write(tmp_path, """
+[run]
+name = c0prefix
+
+[operator]
+kind = harmonic
+space = c0
+
+[probe]
+kind = prefix
+values = 1,0 0,1 -0.5,0
+
+[diagnostic]
+op = compactness
+epsilons = 0.5
+horizons = 50 100 200
+""")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 0
+        report = json.loads((out / "c0prefix.json").read_text())
+        assert report["results"]["diagnostic"]["verdict"] == "saturating"
+
     def test_compactness_csv_shape(self, tmp_path, capsys):
         cfg = self._write(tmp_path, """
 [run]
@@ -196,9 +220,15 @@ horizon = 1500
         ("kind = harmonic", "kind = one", "op = ktz"),
         ("kind = harmonic", "kind = one", "op = spectrum"),
         ("kind = matrix\npath = m3.txt", "kind = one", "op = witness"),
+        ("kind = harmonic\nspace = c0", "kind = one", "op = compactness"),
+        ("kind = harmonic\nspace = c0", "kind = prefix\nvalues = 1,0 0,1\nlimit = 0.5,0",
+         "op = compactness"),
+        ("kind = matrix\npath = m3.txt", "kind = one", "op = ktz\nhorizon = 0"),
+        ("kind = matrix\npath = m3.txt", "kind = one", "op = ktz\nhorizon = -3"),
     ], ids=["matrix-index-0", "matrix-index-9", "matrix-unknown-kind", "matrix-no-values",
             "index-0", "no-values", "bad-space", "ktz-diagonal", "spectrum-diagonal",
-            "witness-matrix"])
+            "witness-matrix", "c0-one", "c0-prefix-limit", "ktz-horizon-0",
+            "ktz-horizon-negative"])
     def test_bad_spec_is_one_line_usage_error(self, tmp_path, capsys, operator, probe,
                                               diagnostic):
         write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.diag([1.0, 0.5, 0.25])))

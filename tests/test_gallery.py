@@ -210,7 +210,9 @@ class TestCertificates:
         ("operator", {"kind": "harmonic", "rate": 1.0, "space": "x"}),
         ("operator", {"kind": "harmonic", "rate": -1.0}),
         ("operator", {"kind": "matrix", "path": "absent.txt"}),
-    ], ids=["no-pairs", "no-index", "bad-version", "bad-space", "negative-rate", "matrix"])
+        ("operator", {"kind": "harmonic", "rate": 1.0, "space": "c0"}),  # probe is one
+    ], ids=["no-pairs", "no-index", "bad-version", "bad-space", "negative-rate", "matrix",
+            "c0-one-probe"])
     def test_malformed_certificate_is_one_line_error(self, tmp_path, capsys, field, value):
         import json
         from orbitlab.cli import main
