@@ -36,12 +36,12 @@ from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
 from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
-                        harmonic_symbol, power_apply, read_matrix_file,
-                        root_perturbed_symbol)
+                        harmonic_symbol, power_apply, power_difference_rows,
+                        read_matrix_file, root_perturbed_symbol)
 from .orbits import (compactness_diagnostic, difference_compactness_diagnostic,
                      orbit)
-from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
-                       from_prefix, lin_comb, norm_exceeds, sup_norm)
+from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, basis_vector,
+                       constant_one, from_prefix, lin_comb, norm_exceeds, sup_norm)
 
 __all__ = [
     "SymbolFamily",
@@ -63,6 +63,9 @@ CERTIFICATE_FORMAT = "c0-ladder-certificate"
 CERTIFICATE_VERSION = 1
 _PREFIX_CHECK_LEN = 32
 _MAX_PRODUCT_LOG = 4096
+# candidate differences screened per head evaluation in the pair search
+_SCREEN_BLOCK = 1024
+_HEAD_KS = np.arange(1, _FIRST_BLOCK + 1)  # the first block of every norm scan
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,31 @@ def _certified_below(v: SeqVector, threshold: float, tol: float) -> bool:
         return False
 
 
+def _screen(op: DiagonalOperator, x: SeqVector, prod_vecs: Sequence[SeqVector],
+            ds: np.ndarray, eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Head proofs for the candidate differences ``ds`` of one selection step.
+
+    ``separated[i]`` proves ``||(T^d - I) x|| > eps`` and ``rejected[i]``
+    proves ``||(T^{1+d} - T) P|| > tau`` for some logged product ``P``,
+    each by a coordinate above the threshold in the first block of the
+    norm scan, which is exactly where ``norm_exceeds`` would answer True.
+    Looking further could prove what the scan's conservative straddle
+    rule answers the other way, so the screen stops there.
+    """
+    rows = power_difference_rows(op, ds, 0, x, _HEAD_KS)
+    separated = (np.abs(rows) > eps).any(axis=1)
+    rejected = np.zeros(ds.size, dtype=bool)
+    open_ = np.arange(ds.size)
+    for prod_vec in prod_vecs:
+        if not open_.size:
+            break
+        rows = power_difference_rows(op, 1 + ds[open_], 1, prod_vec, _HEAD_KS)
+        hit = (np.abs(rows) > tau).any(axis=1)
+        rejected[open_[hit]] = True
+        open_ = open_[~hit]
+    return separated, rejected
+
+
 def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
                tol: float = 1e-6, *, subset_samples: int = 200, seed: int = 2026,
                diag_horizons: Sequence[int] = (100, 200, 400),
@@ -217,7 +245,10 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
     The inductive selection scans exponent pairs by increasing
     difference and accepts a pair only when its action on every logged
-    subset product is certified below ``1 / (2^{m+1} M)``.  If the scan
+    subset product is certified below ``1 / (2^{m+1} M)``.  Candidates are
+    screened ``_SCREEN_BLOCK`` differences at a time on the first block of
+    coordinates; what the screen does not settle goes through the
+    certified norm scans, so the screen changes no decision.  If the scan
     exhausts the horizon before ``count`` entries are built, a
     HorizonExhaustedError carrying the partial audit is raised.
     """
@@ -287,24 +318,23 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
         found = None
-        for d in range(1, horizon):
-            if d in used_ds:
-                continue
-            t_exp, s_exp = 1, 1 + d
-            if s_exp > horizon:
-                break
-            if not cloud.separated(s_exp, t_exp, eps_orbit):
-                continue
-            ok = True
-            for prod_vec in prod_vecs:
-                test_vec = lin_comb([1.0, -1.0],
-                                    [power_apply(op, s_exp, prod_vec),
-                                     power_apply(op, t_exp, prod_vec)])
-                if not _certified_below(test_vec, tau, min(tol, tau / 8)):
-                    ok = False
+        for lo in range(1, horizon, _SCREEN_BLOCK):
+            ds = np.arange(lo, min(lo + _SCREEN_BLOCK, horizon))
+            separated, rejected = _screen(op, x, prod_vecs, ds, eps_orbit, tau)
+            for i, d in enumerate(ds.tolist()):
+                t_exp, s_exp = 1, 1 + d
+                if (d in used_ds
+                        or not (separated[i] or cloud.separated(s_exp, t_exp, eps_orbit))
+                        or rejected[i]):
+                    continue
+                if all(_certified_below(lin_comb([1.0, -1.0],
+                                                 [power_apply(op, s_exp, prod_vec),
+                                                  power_apply(op, t_exp, prod_vec)]),
+                                        tau, min(tol, tau / 8))
+                       for prod_vec in prod_vecs):
+                    found = (s_exp, t_exp)
                     break
-            if ok:
-                found = (s_exp, t_exp)
+            if found is not None:
                 break
         if found is None:
             exhausted = True
@@ -357,11 +387,15 @@ def _subset_sums(vectors: Sequence[SeqVector], samples: int, seed: int,
     """Seeded random nonempty subsets of ``vectors`` with certified sum norms."""
     rng = np.random.default_rng(seed)
     out = []
+    norms: dict[tuple[int, ...], float] = {}  # one certified norm per subset
     for _ in range(samples):
         size = int(rng.integers(1, len(vectors) + 1))
         subset = sorted(rng.choice(len(vectors), size=size, replace=False).tolist())
-        val, err = sup_norm(lin_comb([1.0] * size, [vectors[j] for j in subset]), tol)
-        out.append((subset, val + err))
+        key = tuple(subset)
+        if key not in norms:
+            val, err = sup_norm(lin_comb([1.0] * size, [vectors[j] for j in subset]), tol)
+            norms[key] = val + err
+        out.append((subset, norms[key]))
     return out
 
 

@@ -50,6 +50,16 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _power_angles(n, base):
+    """Angles of the n-th power symbol: ``n * base`` reduced mod 2 pi.
+
+    ``n`` may be an int array broadcast against ``base``; every power
+    symbol and every row of ``power_difference_rows`` forms its angles
+    here, so the two agree bit for bit.
+    """
+    return np.mod(n * base, _TWO_PI)
+
+
 @dataclass(frozen=True)
 class DiagonalSymbol:
     """Unimodular symbol ``a_k = exp(i * angle(k))`` stored as angles.
@@ -92,11 +102,11 @@ class DiagonalSymbol:
         base = self.angle
 
         def angle(ks, _n=n, _base=base):
-            return np.mod(_n * np.asarray(_base(ks), dtype=np.float64), _TWO_PI)
+            return _power_angles(_n, np.asarray(_base(ks), dtype=np.float64))
 
         return DiagonalSymbol(
             angle,
-            float(np.mod(n * self.limit_angle, _TWO_PI)),
+            float(_power_angles(n, self.limit_angle)),
             TailCertificate(abs(n) * self.tail.constant, self.tail.exponent),
             kind="custom",
             params=("power", self.kind, self.params, n),
@@ -286,6 +296,30 @@ def power_apply(op, n: int, v):
     if n == 0:
         return v
     return op.power(n).apply(v)
+
+
+def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
+                          ks) -> np.ndarray:
+    """Coordinates at ``ks`` of ``(T^s - T^t) y``, one row per exponent in
+    ``s`` (all exponents >= 0).
+
+    Row i equals ``lin_comb([1.0, -1.0], [power_apply(op, s[i], y),
+    power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles,
+    products and sums in the same order, broadcast over the rows.
+    """
+    s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
+    if t < 0 or (s < 0).any():
+        raise ValueError("power_difference_rows needs exponents >= 0")
+    ks = np.asarray(ks, dtype=np.int64)
+    yk = y.coords(ks)
+    base = np.asarray(op.symbol.angle(ks), dtype=np.float64)
+
+    def powers(n):  # power_apply(op, n, y).coords(ks); at n = 0 the factor is exactly 1
+        return np.exp(1j * _power_angles(n, base)) * yk
+
+    out = np.zeros((s.shape[0], ks.size), dtype=np.complex128)
+    out = out + complex(1.0) * powers(s)
+    return out + complex(-1.0) * powers(np.int64(t))
 
 
 @dataclass(frozen=True, order=True)

@@ -28,9 +28,10 @@ from orbitlab.gallery import (SymbolFamily, bp_test, c0_witness,
 from orbitlab.jdlg import half_sum, jdlg_split, ktz_check
 from orbitlab.operators import (MatrixOperator, OperatorWord, matrix_norm,
                                 power_apply, power_bound_estimate,
-                                telescope_expand, word_matrix)
+                                power_difference_rows, telescope_expand,
+                                word_matrix)
 from orbitlab.orbits import cloud_diagnostic, difference_orbit, orbit
-from orbitlab.seqspace import FiniteVector, constant_one, lin_comb
+from orbitlab.seqspace import FiniteVector, constant_one, lin_comb, sup_norm
 
 BATTERY_SEED = 20260809
 
@@ -365,6 +366,26 @@ def test_criterion_09_companion_honest_partial_ladder(tmp_path):
     _report("9-companion", ok,
             f"achieved {audit.achieved_count}, delta {audit.delta}, "
             f"norms {list(audit.ladder_norms)}")
+    assert ok
+
+
+def test_criterion_09_companion_best_pair_0392():
+    # the reason above quotes the best pair at 0.392: after the first entry
+    # (2, 1) the only logged product is P = (T^2 - T) 1, and every candidate
+    # (1 + d, 1) with 2 <= d < 10^4 is rejected at threshold 1/8.  The first
+    # 64 coordinates bound each ||(T^{1+d} - T) P|| from below; the smallest
+    # bound is attained, and certified exactly, at d = 5040.
+    op = limit_one_operator(SymbolFamily("harmonic"))
+    one = constant_one("c")
+    p = lin_comb([1.0, -1.0], [power_apply(op, 2, one), power_apply(op, 1, one)])
+    ds = np.arange(2, 10_000)
+    lower = np.abs(power_difference_rows(op, 1 + ds, 1, p, np.arange(1, 65))).max(axis=1)
+    best = int(ds[lower.argmin()])
+    val, err = sup_norm(lin_comb([1.0, -1.0], [power_apply(op, 1 + best, p),
+                                              power_apply(op, 1, p)]), 1e-8)
+    ok = (best == 5040 and err == 0.0 and val == lower.min()
+          and round(val, 3) == 0.392 and val > 1.0 / 8)
+    _report("9-best-pair", ok, f"best pair ({1 + best}, 1) at {val:.10f} > 1/8")
     assert ok
 
 
