@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import tempfile
@@ -308,10 +309,11 @@ def load_config(path: str) -> dict:
     run.setdefault("name", os.path.splitext(os.path.basename(path))[0])
     try:
         int(run["seed"])
-        if float(run["tol"]) <= 0:
+        tol = float(run["tol"])
+        if not (math.isfinite(tol) and tol > 0):
             raise ValueError
     except ValueError as exc:
-        raise ConfigError("run.seed must be an int and run.tol a positive float") from exc
+        raise ConfigError("run.seed must be an int and run.tol a finite positive float") from exc
     return cfg
 
 
@@ -498,10 +500,11 @@ def _formats(args) -> tuple[str, ...]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        print("error: --tol must be finite and positive", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "demo":
-        if args.tol <= 0:
-            print("error: --tol must be positive", file=sys.stderr)
-            return EXIT_USAGE
         return cmd_demo(args.name, args.seed, args.tol, args.out_dir, _formats(args))
     if args.command == "run":
         return cmd_run(args.config, args.out_dir, args.seed, args.tol, _formats(args))

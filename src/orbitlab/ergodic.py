@@ -103,7 +103,8 @@ def cesaro(op, x, n: int):
     Matrices sum directly; diagonal operators use the closed form per
     coordinate, ``x_k`` when ``a_k = 1`` and
     ``x_k (1 - a_k^n) / (n (1 - a_k))`` otherwise (the limit coordinate
-    is handled the same way with ``a_infinity``).
+    is handled the same way with ``a_infinity``).  That factor has modulus
+    <= 1 for unimodular ``a_k``, so the mean keeps the majorant of ``x``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -135,7 +136,7 @@ def cesaro(op, x, n: int):
         (1.0, x.tail),
         (abs(x.limit) * (n - 1) / 2.0, sym.tail),
     ])
-    return SeqVector(coord, limit, tail, x.space_tag)
+    return SeqVector(coord, limit, tail, x.space_tag, max(x.majorant, abs(limit)))
 
 
 def _power_sums(a: np.ndarray, start: np.ndarray, counts) -> dict:
@@ -354,20 +355,13 @@ def diagonal_mean_ergodic_verdict(op: DiagonalOperator,
     n_check = max(sample_ns)
     an = cesaro(op, one, n_check)
     if fixed:
-        parts = [an] + [basis_vector(k, "c0") for k in fixed]
         an = lin_comb([1.0] + [-1.0] * len(fixed),
-                      [v if i == 0 else _as_c(v) for i, v in enumerate(parts)])
+                      [an] + [basis_vector(k, "c") for k in fixed])
     val, err = sup_norm(an, 1e-6)
     evidence["cesaro_cross_check"] = {int(n_check): val + err}
     if gap > 0 and val - err > 2.0 / (n_check * gap) + 1e-9:
         raise DecompositionError("closed-form Cesaro bound violated; symbol metadata wrong")
     return MeanErgodicVerdict(True, "cesaro-converged", evidence)
-
-
-def _as_c(v: SeqVector) -> SeqVector:
-    if v.space_tag == "c":
-        return v
-    return SeqVector(v.coord, v.limit, v.tail, "c")
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,12 @@ from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
 from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
-                        harmonic_symbol, power_apply, power_difference_rows,
+                        harmonic_symbol, head_exceeds, power_apply,
                         read_matrix_file, root_perturbed_symbol)
 from .orbits import (compactness_diagnostic, difference_compactness_diagnostic,
                      orbit)
-from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, basis_vector,
-                       constant_one, from_prefix, lin_comb, norm_exceeds, sup_norm)
+from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
+                       from_prefix, lin_comb, norm_exceeds, sup_norm)
 
 __all__ = [
     "SymbolFamily",
@@ -65,7 +65,6 @@ _PREFIX_CHECK_LEN = 32
 _MAX_PRODUCT_LOG = 4096
 # candidate differences screened per head evaluation in the pair search
 _SCREEN_BLOCK = 1024
-_HEAD_KS = np.arange(1, _FIRST_BLOCK + 1)  # the first block of every norm scan
 
 
 @dataclass(frozen=True)
@@ -210,20 +209,15 @@ def _screen(op: DiagonalOperator, x: SeqVector, prod_vecs: Sequence[SeqVector],
 
     ``separated[i]`` proves ``||(T^d - I) x|| > eps`` and ``rejected[i]``
     proves ``||(T^{1+d} - T) P|| > tau`` for some logged product ``P``,
-    each by a coordinate above the threshold in the first block of the
-    norm scan, which is exactly where ``norm_exceeds`` would answer True.
-    Looking further could prove what the scan's conservative straddle
-    rule answers the other way, so the screen stops there.
+    each by ``head_exceeds``: the first-block True exit of ``norm_exceeds``.
     """
-    rows = power_difference_rows(op, ds, 0, x, _HEAD_KS)
-    separated = (np.abs(rows) > eps).any(axis=1)
+    separated = head_exceeds(op, ds, 0, x, eps)
     rejected = np.zeros(ds.size, dtype=bool)
     open_ = np.arange(ds.size)
     for prod_vec in prod_vecs:
         if not open_.size:
             break
-        rows = power_difference_rows(op, 1 + ds[open_], 1, prod_vec, _HEAD_KS)
-        hit = (np.abs(rows) > tau).any(axis=1)
+        hit = head_exceeds(op, 1 + ds[open_], 1, prod_vec, tau)
         rejected[open_[hit]] = True
         open_ = open_[~hit]
     return separated, rejected
@@ -516,7 +510,7 @@ def probe_for(x, op):
         return x
     if x.limit != 0:
         raise ConfigError("an operator on c0 needs a probe with limit 0")
-    return SeqVector(x.coord, 0.0, x.tail, "c0")
+    return x.retag("c0")
 
 
 def write_certificate(path, audit: WitnessAudit, operator_spec: dict,

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyWordError, SpaceTagError
-from .seqspace import FiniteVector, SeqVector, TailCertificate, sup_norm
+from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, TailCertificate,
+                       sup_norm)
 
 __all__ = [
     "DiagonalSymbol",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_HEAD_KS = np.arange(1, _FIRST_BLOCK + 1)  # the first block of every norm scan
 
 
 def _power_angles(n, base):
@@ -189,14 +191,15 @@ class DiagonalOperator:
         if self.space_tag == "c0" and v.space_tag != "c0":
             raise SpaceTagError("operator on c0 cannot act on a general c vector")
         sym = self.symbol
-        lim_val = sym.limit_value
+        limit = sym.limit_value * v.limit
 
         def coord(ks, _v=v, _sym=sym):
             return _sym.values(ks) * _v.coords(ks)
 
         # |a_k x_k - a_oo x_oo| <= |x_k - x_oo| + |x_oo| |a_k - a_oo|
         tail = TailCertificate.combine([(1.0, v.tail), (abs(v.limit), sym.tail)])
-        return SeqVector(coord, lim_val * v.limit, tail, v.space_tag)
+        # |a_k| = 1 keeps the majorant; |limit| absorbs the rounding of a_oo
+        return SeqVector(coord, limit, tail, v.space_tag, max(v.majorant, abs(limit)))
 
     def power(self, n: int) -> "DiagonalOperator":
         return DiagonalOperator(self.symbol.power(n), self.space_tag)
@@ -247,9 +250,6 @@ class MatrixOperator:
 
     def adjoint(self) -> "MatrixOperator":
         return MatrixOperator(self.entries.conj().T, self.norm_tag)
-
-    def identity_like(self) -> "MatrixOperator":
-        return MatrixOperator(np.eye(self.dim, dtype=np.complex128), self.norm_tag)
 
 
 def matrix_norm(a: np.ndarray, norm_tag: str):
@@ -322,6 +322,16 @@ def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
     return out + complex(-1.0) * powers(np.int64(t))
 
 
+def head_exceeds(op: DiagonalOperator, s, t: int, y: SeqVector,
+                 threshold: float) -> np.ndarray:
+    """Which ``(T^s[i] - T^t) y`` have a coordinate above ``threshold`` in
+    the first block of a norm scan: exactly ``norm_exceeds``'s first-block
+    True exit.  A False decides nothing, since looking further could prove
+    what the scan's conservative straddle rule answers the other way."""
+    rows = power_difference_rows(op, s, t, y, _HEAD_KS)
+    return (np.abs(rows) > threshold).any(axis=1)
+
+
 @dataclass(frozen=True, order=True)
 class OperatorWord:
     """Formal product ``prod_j T_j^{exponents[j]}`` over an ordered
@@ -337,9 +347,6 @@ class OperatorWord:
     @property
     def total_degree(self) -> int:
         return sum(self.exponents)
-
-    def is_identity(self) -> bool:
-        return self.total_degree == 0
 
 
 def telescope_expand(exponents: Sequence[int]) -> list[tuple[OperatorWord, int]]:

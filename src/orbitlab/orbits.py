@@ -20,21 +20,27 @@ one pass yields the whole horizon curve.  Orbits of isometric diagonal
 operators are translation invariant, so their net is an int64 array of
 exponents and each exponent difference is decided at most once per
 epsilon, on an int8 array over the differences 1..h-1; the greedy step
-is one gather over that array.  Matrix and family clouds are not
-translation invariant and decide the net pair by pair through the
-cloud's decision cache.
+is one gather over that array.  Open differences first meet a head
+screen: one evaluation of the first block of ``(T^d - I) x`` for a
+block of d proves separated every d with a coordinate above epsilon
+(the first-block True exit of ``norm_exceeds``), lazily, only as far as
+the net needs.  The per-d scan then decides what is left, in net order,
+up to the first "no", so no decision changes.  Matrix and family clouds
+are not translation invariant and decide the net pair by pair through
+the cloud's decision cache.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, power_apply,
-                        power_chunks, word_apply)
+from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, head_exceeds,
+                        power_apply, power_chunks, word_apply)
 from .seqspace import (FiniteVector, NormResult, SeqVector, lin_comb,
                        norm_exceeds, sup_norm)
 
@@ -72,6 +78,8 @@ class OrbitCloud:
         self._diff_vector = diff_vector
         self._diff_key = diff_key or (lambda a, b: (a, b) if a <= b else (b, a))
         self.tol = float(tol)
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"metric tolerance must be finite and positive, got {tol!r}")
         self.description = description
         self._values: dict = {}
         self._decisions: dict = {}
@@ -132,6 +140,8 @@ class OrbitCloud:
 
 # states of a difference in _DiagOrbitCloud's decision arrays
 _UNKNOWN, _SEPARATED, _NOT_SEPARATED = 0, 1, -1
+# differences head-screened per evaluation in a diagonal greedy net
+_SCREEN_BLOCK = 1024
 
 
 class _DiagOrbitCloud(OrbitCloud):
@@ -157,7 +167,17 @@ class _DiagOrbitCloud(OrbitCloud):
 
         super().__init__(range(1, horizon + 1), vector_of, diff_vector, tol,
                          diff_key=lambda a, b: abs(a - b), description=description)
+        self._op, self._x = op, x
         self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
+        self._screened: dict[float, int] = {}  # eps -> differences 1..this screened
+
+    def _screen_to(self, eps: float, sep: np.ndarray, dmax: int) -> None:
+        """Head-screen the differences up to ``dmax``, a block at a time."""
+        done = self._screened.get(eps, 0)
+        while done < dmax:
+            ds = np.arange(done + 1, min(done + _SCREEN_BLOCK, len(sep) - 1) + 1)
+            sep[ds[head_exceeds(self._op, ds, 0, self._x, eps)]] = _SEPARATED
+            done = self._screened[eps] = int(ds[-1])
 
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
         h = len(self.labels)
@@ -171,7 +191,10 @@ class _DiagOrbitCloud(OrbitCloud):
             if state == _NOT_SEPARATED:
                 continue
             if state == _UNKNOWN:
+                self._screen_to(eps, sep, n - 1)
+                known = sep[n - members]
                 # decide the open differences in net order, up to the first "no"
+                ok = True
                 for m in members[known == _UNKNOWN].tolist():
                     ok = self.separated(n, m, eps)
                     sep[n - m] = _SEPARATED if ok else _NOT_SEPARATED

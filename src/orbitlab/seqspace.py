@@ -1,11 +1,12 @@
 """Certified vectors in the sequence spaces c and c0, plus finite vectors.
 
 A vector in c is represented by a coordinate oracle (vectorised over the
-index), its limit, and a tail certificate bounding |x_k - limit| by a
-closed-form power law.  Sup-norms are computed to a guaranteed tolerance
-by scanning an explicit head of the sequence and bounding the tail with
-the certificate; every norm result carries the error bound actually
-achieved rather than pretending exactness.
+index), its limit, a tail certificate bounding |x_k - limit| by a
+closed-form power law, and a sup majorant bounding every |x_k|.
+Sup-norms are computed to a guaranteed tolerance by scanning an explicit
+head of the sequence and bounding the tail with the certificate and the
+majorant; every norm result carries the error bound actually achieved
+rather than pretending exactness.
 
 Coordinate oracles must be pure and deterministic: orbit diagnostics
 cache distances keyed by labels and rely on re-evaluation giving
@@ -15,7 +16,7 @@ identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,13 +116,15 @@ class SeqVector:
 
     ``coord`` maps an int64 array of indices (all >= 1) to a complex128
     array of the same shape.  ``space_tag`` is ``"c"`` or ``"c0"``; the
-    latter forces ``limit == 0``.
+    latter forces ``limit == 0``.  ``majorant`` certifies ``|x_k| <=
+    majorant`` for every k (inf when nothing better is known).
     """
 
     coord: Callable[[np.ndarray], np.ndarray]
     limit: complex
     tail: TailCertificate
     space_tag: str = "c"
+    majorant: float = math.inf
 
     def __post_init__(self):
         if self.space_tag not in ("c", "c0"):
@@ -130,6 +133,10 @@ class SeqVector:
         object.__setattr__(self, "limit", lim)
         if self.space_tag == "c0" and lim != 0:
             raise SpaceTagError("c0 vectors must have limit 0")
+        majorant = float(self.majorant)
+        if not majorant >= abs(lim):  # also rejects NaN
+            raise ValueError(f"majorant must be >= |limit| = {abs(lim):g}, got {majorant!r}")
+        object.__setattr__(self, "majorant", majorant)
 
     def coords(self, ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -144,14 +151,10 @@ class SeqVector:
         """First ``n`` coordinates as a complex array."""
         return self.coords(np.arange(1, n + 1))
 
-    def in_c0(self) -> bool:
-        """Whether the vector lies in c0 (zero limit), whatever its tag."""
-        return self.limit == 0
-
-    def as_c0(self) -> "SeqVector":
-        if self.limit != 0:
-            raise SpaceTagError("cannot retag a vector with nonzero limit as c0")
-        return SeqVector(self.coord, 0.0, self.tail, "c0")
+    def retag(self, space_tag: str) -> "SeqVector":
+        """The same vector, certificates included, tagged ``space_tag``;
+        retagging a vector with nonzero limit as c0 raises SpaceTagError."""
+        return replace(self, space_tag=space_tag)
 
 
 class NormResult(NamedTuple):
@@ -172,12 +175,13 @@ def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> Nor
     Scans coordinates in geometrically growing blocks.  After scanning
     up to index K the norm is bracketed by
 
-        max(head_max, |limit|)  <=  ||v||  <=  max(head_max, |limit| + bound(K))
+        max(head_max, |limit|)  <=  ||v||  <=  max(head_max, min(|limit| + bound(K), M))
 
-    and the scan stops as soon as the bracket width is <= tol (which
-    includes the exact case head_max >= |limit| + bound(K)).  The
-    returned ``value`` is the lower bracket end, so
-    ``|value - ||v||| <= error_bound <= tol``.
+    with M the vector's majorant, and the scan stops as soon as the
+    bracket width is <= tol (which includes the exact cases head_max >=
+    |limit| + bound(K) and M <= max(head_max, |limit|), where a bounded
+    vector closes at its first block).  The returned ``value`` is the
+    lower bracket end, so ``|value - ||v||| <= error_bound <= tol``.
 
     Raises UnreachableToleranceError when the certificate cannot close
     the bracket within ``max_terms`` coordinate evaluations.
@@ -196,7 +200,7 @@ def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> Nor
             head_max = max(head_max, float(vals.max()))
         b = float(v.tail.bound(hi))
         lower = max(head_max, lim)
-        upper = max(head_max, lim + b)
+        upper = max(head_max, min(lim + b, v.majorant))
         if upper - lower <= tol:
             return NormResult(lower, upper - lower)
         if hi >= max_terms:
@@ -234,7 +238,7 @@ def norm_exceeds(v: SeqVector, threshold: float, tol: float,
         if head_max > threshold:
             return True
         b = float(v.tail.bound(hi))
-        upper = max(head_max, lim + b)
+        upper = max(head_max, min(lim + b, v.majorant))
         if upper <= threshold:
             return False
         lower = max(head_max, lim)
@@ -255,7 +259,8 @@ def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVect
     """Pointwise linear combination ``sum_i coeffs[i] * vectors[i]``.
 
     The tail certificate is the triangle-inequality combination of the
-    input certificates with the weakest contributing exponent.
+    input certificates with the weakest contributing exponent, and the
+    majorant is ``sum |c_i| M_i`` over the nonzero coefficients.
     """
     if not coeffs or len(coeffs) != len(vectors):
         raise ValueError("coeffs and vectors must be nonempty lists of equal length")
@@ -272,7 +277,9 @@ def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVect
 
     limit = sum(c * v.limit for c, v in zip(cs, vs))
     tail = TailCertificate.combine([(abs(c), v.tail) for c, v in zip(cs, vs)])
-    return SeqVector(coord, limit, tail, tag)
+    majorant = sum(abs(c) * v.majorant for c, v in zip(cs, vs) if c != 0)
+    # taking |limit| in as well absorbs the rounding of the limit's own sum
+    return SeqVector(coord, limit, tail, tag, max(majorant, abs(limit)))
 
 
 def distance(u: SeqVector, v: SeqVector, tol: float) -> NormResult:
@@ -317,12 +324,12 @@ class FiniteVector:
 def constant_one(space_tag: str = "c") -> SeqVector:
     """The constant-one sequence (limit 1, exact certificate)."""
     return SeqVector(lambda ks: np.ones(np.shape(ks), dtype=np.complex128),
-                     1.0, TailCertificate.zero(), space_tag)
+                     1.0, TailCertificate.zero(), space_tag, 1.0)
 
 
 def zero_vector(space_tag: str = "c") -> SeqVector:
     return SeqVector(lambda ks: np.zeros(np.shape(ks), dtype=np.complex128),
-                     0.0, TailCertificate.zero(), space_tag)
+                     0.0, TailCertificate.zero(), space_tag, 0.0)
 
 
 def basis_vector(index: int, space_tag: str = "c0") -> SeqVector:
@@ -333,7 +340,7 @@ def basis_vector(index: int, space_tag: str = "c0") -> SeqVector:
     def coord(ks, _i=index):
         return np.where(np.asarray(ks) == _i, 1.0 + 0.0j, 0.0 + 0.0j)
 
-    return SeqVector(coord, 0.0, TailCertificate.zero(), space_tag)
+    return SeqVector(coord, 0.0, TailCertificate.zero(), space_tag, 1.0)
 
 
 def from_prefix(prefix: Sequence[complex], limit: complex,
@@ -341,9 +348,13 @@ def from_prefix(prefix: Sequence[complex], limit: complex,
     """Vector equal to ``prefix`` on its first indices and ``limit`` beyond.
 
     With the default exact certificate this is the generic way to build
-    eventually-constant test vectors.
+    eventually-constant test vectors.  Its coordinates past the prefix are
+    exactly ``limit`` whatever ``tail`` says, so its majorant is
+    ``max(max |prefix|, |limit|)``.
     """
     arr = np.asarray(list(prefix), dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise ValueError("prefix values must be finite")
     lim = complex(limit)
 
     def coord(ks, _arr=arr, _lim=lim):
@@ -355,21 +366,26 @@ def from_prefix(prefix: Sequence[complex], limit: complex,
 
     if tail is None:
         tail = TailCertificate.zero()
-    return SeqVector(coord, lim, tail, space_tag)
+    majorant = max(float(np.abs(arr).max(initial=0.0)), abs(lim))
+    return SeqVector(coord, lim, tail, space_tag, majorant)
 
 
 def validate_certificate(v: SeqVector, after: int = 16, samples: int = 10_000,
                          rng: np.random.Generator | None = None) -> float:
-    """Sampled soundness check of a tail certificate.
+    """Sampled soundness check of a vector's certificates.
 
     Draws ``samples`` indices k > ``after`` (log-uniformly up to 1e6)
-    and returns the worst slack ``|x_k - limit| - bound(after)``; a
-    sound certificate keeps this <= 0 up to rounding.
+    and returns the worst slack of the two promises: the tail slack
+    ``|x_k - limit| - bound(after)`` there, and the majorant slack
+    ``|x_k| - majorant`` there and at every k <= ``after``.  Sound
+    certificates keep this <= 0 up to rounding.
     """
     rng = rng or np.random.default_rng(0)
     ks = np.unique((10 ** rng.uniform(np.log10(after + 1), 6, size=samples)).astype(np.int64))
     ks = ks[ks > after]
     if ks.size == 0:
         return 0.0
-    devs = np.abs(v.coords(ks) - v.limit)
-    return float(np.max(devs - v.tail.bound(after)))
+    vals = v.coords(ks)
+    tail_slack = np.abs(vals - v.limit) - v.tail.bound(after)
+    majorant_slack = np.abs(np.concatenate([v.prefix(after), vals])) - v.majorant
+    return float(max(tail_slack.max(), majorant_slack.max()))

@@ -240,6 +240,26 @@ horizon = 1500
         assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("where, value", [
+    ("config", "nan"), ("config", "inf"), ("demo", "nan"), ("demo", "inf"),
+    ("run", "nan"), ("run", "inf")])
+def test_non_finite_tol_is_one_line_usage_error(tmp_path, capsys, where, value):
+    # these used to run every diagnostic and then die in json.dump (exit 1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\ntol = {value if where == 'config' else '1e-8'}\n"
+                   "[operator]\nkind = harmonic\n[probe]\nkind = one\n"
+                   "[diagnostic]\nop = compactness\nhorizons = 10 20 40\n")
+    out = tmp_path / "out"
+    argv = {"config": ["run", "--config", str(cfg)],
+            "run": ["run", "--config", str(cfg), "--tol", value],
+            "demo": ["demo", "example43", "--tol", value]}[where]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 OPERATOR_SPECS = [
     ("kind = harmonic\nrate = 1.5", {"kind": "harmonic", "rate": 1.5}),
     ("kind = root_perturbed\nm = 3\nrate = 2.0\nspace = c0",

@@ -124,17 +124,35 @@ class TestDiagonalNet:
         assert cloud.greedy_net(eps, cap) == ref.greedy_net(eps, cap)
 
     def test_each_difference_decided_once(self, monkeypatch):
-        decisions = []
-        real = orbits.norm_exceeds
+        screened, proved, scanned, scans = [], [], [], []
+        real_screen, real_scan = orbits.head_exceeds, orbits.norm_exceeds
 
-        def counted(*args, **kwargs):
-            decisions.append(args)
-            return real(*args, **kwargs)
+        def screen(op, s, t, y, threshold):
+            hit = real_screen(op, s, t, y, threshold)
+            screened.extend(np.asarray(s).tolist())
+            proved.extend(np.asarray(s)[hit].tolist())
+            return hit
 
-        monkeypatch.setattr(orbits, "norm_exceeds", counted)
+        def scan(*args, **kwargs):
+            scans.append(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, "head_exceeds", screen)
+        monkeypatch.setattr(orbits, "norm_exceeds", scan)
         cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
+        real_separated = cloud.separated
+
+        def separated(n, m, eps):
+            scanned.append(abs(n - m))
+            return real_separated(n, m, eps)
+
+        monkeypatch.setattr(cloud, "separated", separated)
         assert packing_number(cloud, 1.0) == 2000
-        assert len(decisions) == 1999
+        assert (cloud._sep[1.0][1:] != orbits._UNKNOWN).all()  # every d in 1..1999
+        assert len(screened) == len(set(screened))
+        assert len(scanned) == len(set(scanned)) == len(scans)
+        assert not set(proved) & set(scanned)
+        assert len(proved) + len(scanned) == 1999
 
 
 class TestCovering:
