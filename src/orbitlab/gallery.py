@@ -35,11 +35,10 @@ import numpy as np
 from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
-from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
-                        harmonic_symbol, head_exceeds, power_apply,
-                        read_matrix_file, root_perturbed_symbol)
-from .orbits import (compactness_diagnostic, difference_compactness_diagnostic,
-                     orbit)
+from .operators import (DiagonalOperator, MatrixOperator, PhaseRange, constant_symbol,
+                        harmonic_symbol, power_apply, read_matrix_file,
+                        root_perturbed_symbol)
+from .orbits import _SEPARATED, cloud_diagnostic, difference_orbit, orbit
 from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
                        from_prefix, lin_comb, norm_exceeds, sup_norm)
 
@@ -63,8 +62,6 @@ CERTIFICATE_FORMAT = "c0-ladder-certificate"
 CERTIFICATE_VERSION = 1
 _PREFIX_CHECK_LEN = 32
 _MAX_PRODUCT_LOG = 4096
-# candidate differences screened per head evaluation in the pair search
-_SCREEN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -203,21 +200,26 @@ def _certified_below(v: SeqVector, threshold: float, tol: float) -> bool:
         return False
 
 
-def _screen(op: DiagonalOperator, x: SeqVector, prod_vecs: Sequence[SeqVector],
-            ds: np.ndarray, eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Head proofs for the candidate differences ``ds`` of one selection step.
+def _screen(cloud, phases: PhaseRange, prod_vecs: Sequence[SeqVector], lo: int,
+            count: int, eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Head proofs for the candidate differences ``d = lo .. lo + count - 1``
+    of one selection step.
 
-    ``separated[i]`` proves ``||(T^d - I) x|| > eps`` and ``rejected[i]``
+    ``separated[i]`` proves ``||(T^d - I) x|| > eps``: the witness cloud's
+    states, head-screened from its cached head maxima.  ``rejected[i]``
     proves ``||(T^{1+d} - T) P|| > tau`` for some logged product ``P``,
-    each by ``head_exceeds``: the first-block True exit of ``norm_exceeds``.
+    from the head maxima of rows ``1 + d`` of the same phase range.  Both
+    are ``norm_exceeds``'s first-block True exit; a candidate neither
+    proves goes on to the cloud's decision, which also takes the
+    first-block False exit from the cached head maximum.
     """
-    separated = head_exceeds(op, ds, 0, x, eps)
-    rejected = np.zeros(ds.size, dtype=bool)
-    open_ = np.arange(ds.size)
+    separated = cloud.states(eps, lo + count - 1)[lo:lo + count] == _SEPARATED
+    rejected = np.zeros(count, dtype=bool)
+    open_ = np.arange(count)
     for prod_vec in prod_vecs:
         if not open_.size:
             break
-        hit = head_exceeds(op, 1 + ds[open_], 1, prod_vec, tau)
+        hit = phases.head_maxima(lo, count + 1, 1, prod_vec, 1 + open_) > tau
         rejected[open_[hit]] = True
         open_ = open_[~hit]
     return separated, rejected
@@ -240,9 +242,11 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     The inductive selection scans exponent pairs by increasing
     difference and accepts a pair only when its action on every logged
     subset product is certified below ``1 / (2^{m+1} M)``.  Candidates are
-    screened ``_SCREEN_BLOCK`` differences at a time on the first block of
-    coordinates; what the screen does not settle goes through the
-    certified norm scans, so the screen changes no decision.  If the scan
+    screened a block of differences at a time on the first block of
+    coordinates, from one range of first-block phases that the three
+    clouds built here and both halves of the screen share; the screen
+    takes both first-block exits of the certified scans and sends the
+    rest down them, so it changes no decision.  If the scan
     exhausts the horizon before ``count`` entries are built, a
     HorizonExhaustedError carrying the partial audit is raised.
     """
@@ -260,8 +264,11 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     if eps_orbit <= 0:
         raise ValueError("separation_eps must be positive")
 
-    orbit_rep = compactness_diagnostic(op, x, [eps_orbit], diag_horizons,
-                                       tol=min(tol, eps_orbit / 100, 1e-8))
+    phases = PhaseRange(op)  # first-block phases shared by every cloud and screen below
+    top = max(int(h) for h in diag_horizons)
+    orbit_rep = cloud_diagnostic(
+        orbit(op, x, top, tol=min(tol, eps_orbit / 100, 1e-8), phases=phases),
+        [eps_orbit], diag_horizons)
     if orbit_rep.verdict != "growing":
         raise NotApplicableError(
             f"orbit diagnostic verdict is {orbit_rep.verdict!r}; the witness "
@@ -271,8 +278,9 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     dn, _ = sup_norm(diff_probe, min(tol, 1e-8))
     if dn > 0:
         eps_diff = 1.25 * dn
-        diff_rep = difference_compactness_diagnostic(
-            op, x, [eps_diff], diag_horizons, tol=min(tol, eps_diff / 100, 1e-8))
+        diff_rep = cloud_diagnostic(
+            difference_orbit(op, x, top, tol=min(tol, eps_diff / 100, 1e-8), phases=phases),
+            [eps_diff], diag_horizons)
         if diff_rep.verdict != "saturating":
             raise NotApplicableError(
                 f"difference-orbit diagnostic verdict is {diff_rep.verdict!r}; "
@@ -282,15 +290,13 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
     # separated exponent family: greedy certified eps_orbit-separated subset
     cap = family_size or max(4 * count, 16)
-    cloud = orbit(op, x, horizon, tol=min(tol, 1e-8))
+    cloud = orbit(op, x, horizon, tol=min(tol, 1e-8), phases=phases)
     members = [cloud.labels[i] for i in cloud.greedy_net(eps_orbit, cap)]
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
-    delta = math.inf
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            val, err = cloud.distance(members[i], members[j])
-            delta = min(delta, val - err)
+    # the metric depends on |n - m| only: one member pair per distinct difference
+    pairs = {b - a: (a, b) for i, a in enumerate(members) for b in members[i + 1:]}
+    delta = min(val - err for val, err in (cloud.distance(a, b) for a, b in pairs.values()))
     delta = max(delta, 0.0)
 
     subset_bound = 1.0 + 2.0 * bound_m * x_norm
@@ -312,9 +318,9 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
         found = None
-        for lo in range(1, horizon, _SCREEN_BLOCK):
-            ds = np.arange(lo, min(lo + _SCREEN_BLOCK, horizon))
-            separated, rejected = _screen(op, x, prod_vecs, ds, eps_orbit, tau)
+        for lo in range(1, horizon, phases.block):
+            ds = np.arange(lo, min(lo + phases.block, horizon))
+            separated, rejected = _screen(cloud, phases, prod_vecs, lo, ds.size, eps_orbit, tau)
             for i, d in enumerate(ds.tolist()):
                 t_exp, s_exp = 1, 1 + d
                 if (d in used_ds

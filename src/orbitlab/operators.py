@@ -17,7 +17,7 @@ tests verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,14 +50,16 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _HEAD_KS = np.arange(1, _FIRST_BLOCK + 1)  # the first block of every norm scan
+# exponents per head screen block; a PhaseRange holds one block plus one
+_SCREEN_BLOCK = 1024
 
 
 def _power_angles(n, base):
     """Angles of the n-th power symbol: ``n * base`` reduced mod 2 pi.
 
     ``n`` may be an int array broadcast against ``base``; every power
-    symbol and every row of ``power_difference_rows`` forms its angles
-    here, so the two agree bit for bit.
+    symbol, every row of ``power_difference_rows`` and every PhaseRange
+    forms its angles here, so they agree bit for bit.
     """
     return np.mod(n * base, _TWO_PI)
 
@@ -109,7 +111,7 @@ class DiagonalSymbol:
         return DiagonalSymbol(
             angle,
             float(_power_angles(n, self.limit_angle)),
-            TailCertificate(abs(n) * self.tail.constant, self.tail.exponent),
+            replace(self.tail, constant=abs(n) * self.tail.constant),
             kind="custom",
             params=("power", self.kind, self.params, n),
         )
@@ -298,6 +300,21 @@ def power_apply(op, n: int, v):
     return op.power(n).apply(v)
 
 
+def _difference_rows(phases: np.ndarray, yk: np.ndarray, neg_t: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``phases * yk + neg_t``, formed in ``out`` (or a new array) as
+    ``lin_comb([1.0, -1.0], ...)`` forms them, bit for bit: its
+    ``0 + 1 * z`` only clears the sign of zero parts, as ``z + 0`` does."""
+    rows = np.multiply(phases, yk, out=out)
+    rows += 0.0
+    rows += neg_t
+    return rows
+
+
+def _negated_term(phase_t: np.ndarray, yk: np.ndarray) -> np.ndarray:
+    return complex(-1.0) * (phase_t * yk)
+
+
 def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
                           ks) -> np.ndarray:
     """Coordinates at ``ks`` of ``(T^s - T^t) y``, one row per exponent in
@@ -305,7 +322,7 @@ def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
 
     Row i equals ``lin_comb([1.0, -1.0], [power_apply(op, s[i], y),
     power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles,
-    products and sums in the same order, broadcast over the rows.
+    products and sums, broadcast over the rows.
     """
     s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
     if t < 0 or (s < 0).any():
@@ -314,22 +331,71 @@ def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
     yk = y.coords(ks)
     base = np.asarray(op.symbol.angle(ks), dtype=np.float64)
 
-    def powers(n):  # power_apply(op, n, y).coords(ks); at n = 0 the factor is exactly 1
-        return np.exp(1j * _power_angles(n, base)) * yk
+    def phases(n):  # at n = 0 the phase is exactly 1
+        return np.exp(1j * _power_angles(n, base))
 
-    out = np.zeros((s.shape[0], ks.size), dtype=np.complex128)
-    out = out + complex(1.0) * powers(s)
-    return out + complex(-1.0) * powers(np.int64(t))
+    return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
 
 
-def head_exceeds(op: DiagonalOperator, s, t: int, y: SeqVector,
-                 threshold: float) -> np.ndarray:
-    """Which ``(T^s[i] - T^t) y`` have a coordinate above ``threshold`` in
-    the first block of a norm scan: exactly ``norm_exceeds``'s first-block
-    True exit.  A False decides nothing, since looking further could prove
-    what the scan's conservative straddle rule answers the other way."""
-    rows = power_difference_rows(op, s, t, y, _HEAD_KS)
-    return (np.abs(rows) > threshold).any(axis=1)
+class PhaseRange:
+    """First-block phases ``exp(i * angle(T^n)_k)``, k = 1 .. _FIRST_BLOCK,
+    of one range of exponents n at a time.
+
+    Phases depend on the symbol and n only, not on the vector, threshold
+    or tolerance, so every head screen of one operator can read them from
+    here: the greedy nets of several clouds and both halves of the witness
+    pair search.  A screen block of differences ``d = lo .. lo + block - 1``
+    reads rows ``d`` and, for the products, rows ``1 + d``, so the range
+    holds up to ``block + 1`` exponents (about 1 MB at the default block).
+    Asking for another start replaces the held range.
+    """
+
+    def __init__(self, op: DiagonalOperator):
+        self.symbol = op.symbol
+        self.block = _SCREEN_BLOCK
+        self._base = np.asarray(op.symbol.angle(_HEAD_KS), dtype=np.float64)
+        self._table: np.ndarray | None = None
+        self._lo, self._filled = 0, 0
+
+    def phases(self, n) -> np.ndarray:
+        """Phases of the exponent ``n`` (or of an int column of them)."""
+        return np.exp(1j * _power_angles(n, self._base))
+
+    def range(self, lo: int, count: int) -> np.ndarray:
+        """Phases of the exponents ``lo .. lo + count - 1``, one row each; a
+        view of the held range, valid until another start is asked for."""
+        if not 1 <= count <= self.block + 1:
+            raise ValueError(f"a phase range holds 1 .. {self.block + 1} exponents, not {count}")
+        if self._table is None:
+            self._table = np.empty((self.block + 1, _FIRST_BLOCK), dtype=np.complex128)
+        if lo != self._lo:
+            self._lo, self._filled = lo, 0
+        if count > self._filled:
+            ns = np.arange(lo + self._filled, lo + count, dtype=np.int64).reshape(-1, 1)
+            np.exp(1j * _power_angles(ns, self._base), out=self._table[self._filled:count])
+            self._filled = count
+        return self._table[:count]
+
+    def rows(self, lo: int, count: int, t: int, y: SeqVector,
+             select: np.ndarray | None = None) -> np.ndarray:
+        """First-block coordinates of ``(T^n - T^t) y`` for the exponents
+        ``n = lo .. lo + count - 1``, or only for ``n = lo + select[i]``:
+        the rows of ``power_difference_rows(op, n, t, y, _HEAD_KS)`` bit
+        for bit."""
+        table = self.range(lo, count)
+        yk = y.coords(_HEAD_KS)
+        neg_t = _negated_term(self.phases(t), yk)
+        if select is None:
+            return _difference_rows(table, yk, neg_t)
+        picked = table[select]
+        return _difference_rows(picked, yk, neg_t, out=picked)
+
+    def head_maxima(self, lo: int, count: int, t: int, y: SeqVector,
+                    select: np.ndarray | None = None) -> np.ndarray:
+        """``max_k |((T^n - T^t) y)_k|`` over the rows of ``rows``: each is
+        the ``head_max`` that ``norm_exceeds`` finds on the first block of
+        that difference vector."""
+        return np.abs(self.rows(lo, count, t, y, select)).max(axis=1)
 
 
 @dataclass(frozen=True, order=True)

@@ -20,12 +20,16 @@ one pass yields the whole horizon curve.  Orbits of isometric diagonal
 operators are translation invariant, so their net is an int64 array of
 exponents and each exponent difference is decided at most once per
 epsilon, on an int8 array over the differences 1..h-1; the greedy step
-is one gather over that array.  Open differences first meet a head
-screen: one evaluation of the first block of ``(T^d - I) x`` for a
-block of d proves separated every d with a coordinate above epsilon
-(the first-block True exit of ``norm_exceeds``), lazily, only as far as
-the net needs.  The per-d scan then decides what is left, in net order,
-up to the first "no", so no decision changes.  Matrix and family clouds
+is one gather over that array.  Each difference's first block of
+``(T^d - I) x`` is evaluated once per cloud, lazily and a block of d at
+a time, from first-block phases of ``T^d`` that several clouds of one
+operator can share; its head maximum serves every epsilon.  A head
+maximum above epsilon proves d separated for the whole block at once.
+Any other d is decided by ``norm_exceeds`` with that head maximum in
+place of its first block, in net order up to the first "no": the
+block's own bracket settles almost every such d (the first-block False
+exit) without evaluating a coordinate, and the rest scan on from
+k = 65 exactly as before, so no decision changes.  Matrix and family clouds
 are not translation invariant and decide the net pair by pair through
 the cloud's decision cache.
 """
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, head_exceeds,
+from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, PhaseRange,
                         power_apply, power_chunks, word_apply)
 from .seqspace import (FiniteVector, NormResult, SeqVector, lin_comb,
                        norm_exceeds, sup_norm)
@@ -140,8 +144,6 @@ class OrbitCloud:
 
 # states of a difference in _DiagOrbitCloud's decision arrays
 _UNKNOWN, _SEPARATED, _NOT_SEPARATED = 0, 1, -1
-# differences head-screened per evaluation in a diagonal greedy net
-_SCREEN_BLOCK = 1024
 
 
 class _DiagOrbitCloud(OrbitCloud):
@@ -149,12 +151,16 @@ class _DiagOrbitCloud(OrbitCloud):
 
     Isometry makes the metric translation invariant,
     ``||T^n x - T^m x|| = ||T^d x - x||`` with ``d = |n - m|``, so a
-    decision is keyed by ``d`` alone and the greedy net decides each
-    difference at most once per epsilon.
+    decision is keyed by ``d`` alone and lives in one int8 state array
+    per epsilon.  The head maxima ``max_{k <= 64} |(T^d x - x)_k|`` do not
+    depend on epsilon: they are evaluated once per cloud, a block of d at
+    a time over ``phases`` (a PhaseRange of ``op``, which several clouds
+    of one operator may share), and every decision at every epsilon
+    starts from them.
     """
 
     def __init__(self, op: DiagonalOperator, x: SeqVector, horizon: int,
-                 tol: float, description: str):
+                 tol: float, description: str, phases: PhaseRange | None = None):
         vectors: dict[int, SeqVector] = {}
 
         def vector_of(n):
@@ -167,21 +173,52 @@ class _DiagOrbitCloud(OrbitCloud):
 
         super().__init__(range(1, horizon + 1), vector_of, diff_vector, tol,
                          diff_key=lambda a, b: abs(a - b), description=description)
-        self._op, self._x = op, x
+        if phases is None:
+            phases = PhaseRange(op)
+        elif phases.symbol is not op.symbol:
+            raise ValueError("the phase range belongs to another operator")
+        self._x, self._phases = x, phases
+        self._head = np.zeros(horizon)  # head maxima of d = 0 .. h-1 (d = 0 is exact)
+        self._headed = 0  # differences 1..this have their head maxima
         self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
         self._screened: dict[float, int] = {}  # eps -> differences 1..this screened
 
-    def _screen_to(self, eps: float, sep: np.ndarray, dmax: int) -> None:
-        """Head-screen the differences up to ``dmax``, a block at a time."""
+    def _heads_to(self, dmax: int) -> np.ndarray:
+        """Head maxima of the differences up to ``dmax`` (at least), one
+        block of the phase range at a time."""
+        while self._headed < min(dmax, len(self._head) - 1):
+            lo = self._headed + 1
+            count = min(self._phases.block, len(self._head) - lo)
+            self._head[lo:lo + count] = self._phases.head_maxima(lo, count, 0, self._x)
+            self._headed += count
+        return self._head
+
+    def states(self, eps: float, dmax: int = 0) -> np.ndarray:
+        """Decision states of the differences at ``eps``, every d up to
+        ``dmax`` head-screened: a head maximum above eps proves d separated
+        (``norm_exceeds``'s first-block True exit)."""
+        sep = self._sep.setdefault(eps, np.zeros(len(self.labels), dtype=np.int8))
         done = self._screened.get(eps, 0)
-        while done < dmax:
-            ds = np.arange(done + 1, min(done + _SCREEN_BLOCK, len(sep) - 1) + 1)
-            sep[ds[head_exceeds(self._op, ds, 0, self._x, eps)]] = _SEPARATED
-            done = self._screened[eps] = int(ds[-1])
+        if done < dmax:
+            head = self._heads_to(dmax)[done + 1:self._headed + 1]
+            sep[done + 1:self._headed + 1][head > eps] = _SEPARATED
+            self._screened[eps] = self._headed
+        return sep
+
+    def separated(self, l1, l2, eps: float) -> bool:
+        """Certified decision, made once per difference and epsilon; the
+        cached head maximum stands in for the scan's first block."""
+        d = abs(l1 - l2)
+        sep = self.states(eps)
+        if sep[d] == _UNKNOWN:
+            ok = norm_exceeds(self._diff_vector(l1, l2), eps, self.tol,
+                              head_max=self._heads_to(d)[d])
+            sep[d] = _SEPARATED if ok else _NOT_SEPARATED
+        return bool(sep[d] == _SEPARATED)
 
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
         h = len(self.labels)
-        sep = self._sep.setdefault(eps, np.zeros(h, dtype=np.int8))
+        sep = self.states(eps)
         net = np.empty(h, dtype=np.int64)
         size = 0
         for n in range(1, h + 1):
@@ -191,16 +228,10 @@ class _DiagOrbitCloud(OrbitCloud):
             if state == _NOT_SEPARATED:
                 continue
             if state == _UNKNOWN:
-                self._screen_to(eps, sep, n - 1)
-                known = sep[n - members]
+                known = self.states(eps, n - 1)[n - members]
                 # decide the open differences in net order, up to the first "no"
-                ok = True
-                for m in members[known == _UNKNOWN].tolist():
-                    ok = self.separated(n, m, eps)
-                    sep[n - m] = _SEPARATED if ok else _NOT_SEPARATED
-                    if not ok:
-                        break
-                if not ok:
+                if not all(self.separated(n, m, eps)
+                           for m in members[known == _UNKNOWN].tolist()):
                     continue
             net[size] = n
             size += 1
@@ -222,18 +253,24 @@ def _matrix_orbit_cloud(op: MatrixOperator, x: FiniteVector, horizon: int,
                       description=description)
 
 
-def orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
-    """Cloud of the points ``T^1 x .. T^horizon x`` with exponent labels."""
+def orbit(op, x, horizon: int, tol: float = 1e-8, *,
+          phases: PhaseRange | None = None) -> OrbitCloud:
+    """Cloud of the points ``T^1 x .. T^horizon x`` with exponent labels.
+
+    A diagonal cloud reads its head phases from ``phases``, a PhaseRange
+    of ``op`` shared with other clouds of it, or from its own.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(op, DiagonalOperator):
-        return _DiagOrbitCloud(op, x, horizon, tol, "orbit")
+        return _DiagOrbitCloud(op, x, horizon, tol, "orbit", phases)
     if isinstance(op, MatrixOperator):
         return _matrix_orbit_cloud(op, x, horizon, tol, "orbit")
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
-def difference_orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
+def difference_orbit(op, x, horizon: int, tol: float = 1e-8, *,
+                     phases: PhaseRange | None = None) -> OrbitCloud:
     """Cloud of ``T^n (I - T) x`` for ``1 <= n <= horizon``."""
     if isinstance(op, DiagonalOperator):
         y = lin_comb([1.0, -1.0], [x, op.apply(x)])
@@ -241,7 +278,7 @@ def difference_orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
         y = FiniteVector(x.coords - op.entries @ x.coords, x.norm_tag)
     else:
         raise TypeError(f"unsupported operator type {type(op).__name__}")
-    return orbit(op, y, horizon, tol)
+    return orbit(op, y, horizon, tol, phases=phases)
 
 
 def _graded_lex_words(m: int, max_total_degree: int):

@@ -59,39 +59,51 @@ class TailCertificate:
     """Closed-form tail bound ``bound(K) = constant * K**(-exponent)``.
 
     The certificate promises ``|x_k - limit| <= bound(K)`` for every
-    ``k > K``.  A positive exponent makes every tolerance reachable; a
-    nonpositive exponent is allowed at construction (it can still be a
-    true bound) but norm computations will refuse tolerances below the
-    constant.
+    ``k > K >= after``; for ``K < after`` it promises nothing and
+    ``bound(K)`` is inf.  ``zero(after=N)`` is the exact form of a vector
+    that equals its limit past index N (a finitely supported one).  A
+    positive exponent makes every tolerance reachable; a nonpositive
+    exponent is allowed at construction (it can still be a true bound) but
+    norm computations will refuse tolerances below the constant.
     """
 
     constant: float
     exponent: float
+    after: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.constant) or self.constant < 0:
             raise ValueError(f"certificate constant must be finite and >= 0, got {self.constant}")
         if not math.isfinite(self.exponent):
             raise ValueError("certificate exponent must be finite")
+        if int(self.after) != self.after or self.after < 0:
+            raise ValueError(f"certificate start must be an int >= 0, got {self.after!r}")
+        object.__setattr__(self, "after", int(self.after))
 
     def bound(self, k):
-        """Tail bound after index ``k`` (scalar or array)."""
+        """Tail bound after index ``k`` (scalar or array); inf below ``after``."""
         if self.constant == 0.0:
-            return np.zeros_like(np.asarray(k, dtype=float)) if np.ndim(k) else 0.0
-        return self.constant * np.asarray(k, dtype=float) ** (-self.exponent)
+            b = np.zeros_like(np.asarray(k, dtype=float)) if np.ndim(k) else 0.0
+        else:
+            b = self.constant * np.asarray(k, dtype=float) ** (-self.exponent)
+        if self.after:
+            b = np.where(np.asarray(k) < self.after, np.inf, b)
+            return b if np.ndim(k) else float(b)
+        return b
 
     def first_index_below(self, tol: float) -> int | None:
         """Smallest K with bound(K) <= tol, or None if unreachable."""
         if self.constant <= tol:
-            return 1
+            return max(1, self.after)
         if self.exponent <= 0:
             return None
         k = math.ceil((self.constant / tol) ** (1.0 / self.exponent))
-        return max(1, k)
+        return max(1, k, self.after)
 
     @staticmethod
-    def zero() -> "TailCertificate":
-        return TailCertificate(0.0, 1.0)
+    def zero(after: int = 0) -> "TailCertificate":
+        """Exact certificate: ``x_k == limit`` for every ``k > after``."""
+        return TailCertificate(0.0, 1.0, after)
 
     @staticmethod
     def combine(parts: Sequence[tuple[float, "TailCertificate"]]) -> "TailCertificate":
@@ -100,14 +112,16 @@ class TailCertificate:
         ``bound(K) = sum_i w_i * const_i * K**(-e)`` with ``e`` the
         weakest (smallest) exponent among the terms that actually
         contribute; terms with ``w_i * const_i == 0`` are ignored so a
-        zero vector does not degrade the exponent.
+        zero vector does not degrade the exponent.  The sum holds from the
+        largest ``after`` among the terms with ``w_i > 0``.
         """
         consts = [w * c.constant for w, c in parts]
         exps = [c.exponent for (w, c), wc in zip(parts, consts) if wc > 0.0]
         total = float(sum(c for c in consts))
+        after = max((c.after for w, c in parts if w > 0), default=0)
         if not exps or total == 0.0:
-            return TailCertificate.zero()
-        return TailCertificate(total, min(exps))
+            return TailCertificate.zero(after)
+        return TailCertificate(total, min(exps), after)
 
 
 @dataclass(frozen=True)
@@ -213,28 +227,38 @@ def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> Nor
 
 
 def norm_exceeds(v: SeqVector, threshold: float, tol: float,
-                 *, max_terms: int = MAX_SUP_TERMS) -> bool:
+                 *, max_terms: int = MAX_SUP_TERMS, head_max: float | None = None) -> bool:
     """Certified decision ``||v|| > threshold``.
 
     Equivalent to ``value - error_bound > threshold`` for a sup_norm at
     tolerance ``tol``, but exits as soon as either side is certain: a
     head coordinate above the threshold proves exceedance immediately,
     and an upper bracket at or below it proves the opposite.
+
+    ``head_max``, when given, is ``max |v_k|`` over the first block
+    ``k = 1 .. _FIRST_BLOCK``, computed by the caller for many vectors
+    at once; it stands in for evaluating that block, so a decision the
+    first block settles evaluates no coordinate at all, and any other
+    scan goes on from ``k = _FIRST_BLOCK + 1`` exactly as it would have.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if head_max is not None and max_terms < _FIRST_BLOCK:
+        raise ValueError(f"head_max covers {_FIRST_BLOCK} coordinates, more than max_terms")
     lim = abs(v.limit)
     if lim > threshold:
         return True
-    head_max = 0.0
+    given = head_max is not None
+    head_max = float(head_max) if given else 0.0
     k = 1
     block = _FIRST_BLOCK
     while True:
         hi = min(k + block - 1, max_terms)
-        ks = np.arange(k, hi + 1, dtype=np.int64)
-        vals = np.abs(v.coords(ks))
-        if vals.size:
-            head_max = max(head_max, float(vals.max()))
+        if not (given and k == 1):
+            ks = np.arange(k, hi + 1, dtype=np.int64)
+            vals = np.abs(v.coords(ks))
+            if vals.size:
+                head_max = max(head_max, float(vals.max()))
         if head_max > threshold:
             return True
         b = float(v.tail.bound(hi))
@@ -340,17 +364,17 @@ def basis_vector(index: int, space_tag: str = "c0") -> SeqVector:
     def coord(ks, _i=index):
         return np.where(np.asarray(ks) == _i, 1.0 + 0.0j, 0.0 + 0.0j)
 
-    return SeqVector(coord, 0.0, TailCertificate.zero(), space_tag, 1.0)
+    return SeqVector(coord, 0.0, TailCertificate.zero(index), space_tag, 1.0)
 
 
 def from_prefix(prefix: Sequence[complex], limit: complex,
                 tail: TailCertificate | None = None, space_tag: str = "c") -> SeqVector:
     """Vector equal to ``prefix`` on its first indices and ``limit`` beyond.
 
-    With the default exact certificate this is the generic way to build
-    eventually-constant test vectors.  Its coordinates past the prefix are
-    exactly ``limit`` whatever ``tail`` says, so its majorant is
-    ``max(max |prefix|, |limit|)``.
+    With the default certificate, exact past the prefix, this is the
+    generic way to build eventually-constant test vectors.  Its
+    coordinates past the prefix are exactly ``limit`` whatever ``tail``
+    says, so its majorant is ``max(max |prefix|, |limit|)``.
     """
     arr = np.asarray(list(prefix), dtype=np.complex128)
     if not np.isfinite(arr).all():
@@ -365,7 +389,7 @@ def from_prefix(prefix: Sequence[complex], limit: complex,
         return out
 
     if tail is None:
-        tail = TailCertificate.zero()
+        tail = TailCertificate.zero(arr.size)
     majorant = max(float(np.abs(arr).max(initial=0.0)), abs(lim))
     return SeqVector(coord, lim, tail, space_tag, majorant)
 

@@ -101,6 +101,31 @@ horizons = 50 100 200
         report = json.loads((out / "c0prefix.json").read_text())
         assert report["results"]["diagnostic"]["verdict"] == "saturating"
 
+    def test_basis_probe_past_the_first_block(self, tmp_path, capsys):
+        # T^n e_100 = a_100^n e_100 with |1 - a_100^d| = 2 sin(pi d / 200):
+        # points 17 apart are 0.5-separated, so the packing grows
+        cfg = self._write(tmp_path, """
+[run]
+name = basis100
+
+[operator]
+kind = harmonic
+
+[probe]
+kind = basis
+index = 100
+
+[diagnostic]
+op = compactness
+epsilons = 0.5
+horizons = 10 20 40
+""")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 0
+        report = json.loads((out / "basis100.json").read_text())["results"]["diagnostic"]
+        assert report["packing"] == [[1, 2, 3]]
+        assert report["verdict"] == "growing"
+
     def test_compactness_csv_shape(self, tmp_path, capsys):
         cfg = self._write(tmp_path, """
 [run]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_power_bounded
 from orbitlab import orbits
 from orbitlab.ergodic import fix_separation_check
-from orbitlab.operators import (DiagonalOperator, MatrixOperator,
+from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
                                 make_commuting_family, root_perturbed_symbol)
 from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
@@ -123,36 +125,68 @@ class TestDiagonalNet:
                 == orbits._greedy_counts(ref, eps, marks))
         assert cloud.greedy_net(eps, cap) == ref.greedy_net(eps, cap)
 
-    def test_each_difference_decided_once(self, monkeypatch):
-        screened, proved, scanned, scans = [], [], [], []
-        real_screen, real_scan = orbits.head_exceeds, orbits.norm_exceeds
-
-        def screen(op, s, t, y, threshold):
-            hit = real_screen(op, s, t, y, threshold)
-            screened.extend(np.asarray(s).tolist())
-            proved.extend(np.asarray(s)[hit].tolist())
-            return hit
-
-        def scan(*args, **kwargs):
-            scans.append(args)
-            return real_scan(*args, **kwargs)
-
-        monkeypatch.setattr(orbits, "head_exceeds", screen)
-        monkeypatch.setattr(orbits, "norm_exceeds", scan)
-        cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
+    @staticmethod
+    def _record_decisions(monkeypatch, cloud):
+        """Record head evaluations, per-d decisions and how each scan ended."""
+        rec = {"headed": [], "decided": [], "exits": [], "scans": []}
+        real_heads, real_scan = PhaseRange.head_maxima, orbits.norm_exceeds
         real_separated = cloud.separated
 
+        def heads(self, lo, count, t, y, select=None):
+            rec["headed"].extend(range(lo, lo + count))
+            return real_heads(self, lo, count, t, y, select)
+
+        def scan(v, threshold, tol, **kwargs):
+            evaluated = []
+            real_coord = v.coord
+            probe = dataclasses.replace(
+                v, coord=lambda ks: evaluated.extend(ks.tolist()) or real_coord(ks))
+            ok = real_scan(probe, threshold, tol, **kwargs)
+            # every scan starts from the cached head maximum, never from k = 1
+            assert kwargs.get("head_max") is not None
+            assert min(evaluated, default=65) == 65
+            rec["scans" if evaluated else "exits"].append(ok)
+            return ok
+
         def separated(n, m, eps):
-            scanned.append(abs(n - m))
+            rec["decided"].append(abs(n - m))
             return real_separated(n, m, eps)
 
+        monkeypatch.setattr(PhaseRange, "head_maxima", heads)
+        monkeypatch.setattr(orbits, "norm_exceeds", scan)
         monkeypatch.setattr(cloud, "separated", separated)
+        return rec
+
+    def test_each_difference_decided_once(self, monkeypatch):
+        cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
+        rec = self._record_decisions(monkeypatch, cloud)
         assert packing_number(cloud, 1.0) == 2000
-        assert (cloud._sep[1.0][1:] != orbits._UNKNOWN).all()  # every d in 1..1999
-        assert len(screened) == len(set(screened))
-        assert len(scanned) == len(set(scanned)) == len(scans)
-        assert not set(proved) & set(scanned)
-        assert len(proved) + len(scanned) == 1999
+        states = cloud.states(1.0)
+        assert (states[1:] != orbits._UNKNOWN).all()  # every d in 1..1999
+        assert sorted(rec["headed"]) == list(range(1, 2000))  # each head evaluated once
+        proved = set(np.flatnonzero(cloud._head > 1.0).tolist())
+        assert proved <= set(np.flatnonzero(states == orbits._SEPARATED).tolist())
+        assert len(rec["decided"]) == len(set(rec["decided"]))  # no d decided twice
+        assert not proved & set(rec["decided"])
+        assert len(rec["decided"]) == len(rec["exits"]) + len(rec["scans"])
+        assert len(proved) + len(rec["exits"]) + len(rec["scans"]) == 1999
+
+    def test_first_block_exits_and_further_scans(self, monkeypatch):
+        # a difference orbit whose net needs head proofs, first-block "no"
+        # exits and scans that go on past the first block
+        op = DiagonalOperator(root_perturbed_symbol(3, 1.3), "c")
+        x = from_prefix([0.8 + 0.1j, -0.3 + 0.6j, 0.5 - 0.5j], 0.7)
+        cloud = difference_orbit(op, x, 600, tol=1e-8)
+        ref = OrbitCloud(cloud.labels, cloud.vector, cloud._diff_vector, 1e-8)
+        want = ref.greedy_net(2.5)
+        rec = self._record_decisions(monkeypatch, cloud)
+        assert cloud.greedy_net(2.5) == want
+        assert len(rec["headed"]) == len(set(rec["headed"]))
+        proved = set(np.flatnonzero(cloud._head > 2.5).tolist())
+        assert len(rec["decided"]) == len(set(rec["decided"]))
+        assert not proved & set(rec["decided"])
+        assert len(rec["decided"]) == len(rec["exits"]) + len(rec["scans"])
+        assert rec["exits"] and rec["scans"] and not any(rec["exits"])
 
 
 class TestCovering:

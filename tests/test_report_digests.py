@@ -1,10 +1,16 @@
-"""Golden sha256 digests of the five demo reports.
+"""Golden sha256 digests of the five demo reports and of three ``run``
+reports.
 
-Every demo runs through ``orbitlab.cli.main`` at a fixed seed; each file
-it writes except the ``*.timing.json`` sidecar must hash to the digest
-recorded here, and the exit code must match.  The only path a report
-holds is the certificate path in ``witness.json`` (an assertion detail),
-so the out-dir is replaced by a fixed token before hashing.
+Every demo runs through ``orbitlab.cli.main`` at a fixed seed, and every
+run config below through ``orbitlab.cli.main run``; each file they write
+except the ``*.timing.json`` sidecar must hash to the digest recorded
+here, and the exit code must match.  The only path a report holds is the
+certificate path in ``witness.json`` (an assertion detail), so the
+out-dir is replaced by a fixed token before hashing.  The run configs
+cover the diagonal decision paths the demos miss: a two-epsilon
+difference-orbit net whose differences go through head proofs,
+first-block exits and longer scans; an orbit net on c0 with a basis
+probe; and a witness ladder at h = 410.
 
 A change that moves a report byte must update the digest and declare the
 moved values.  The matrix demos (``ktz``, ``halfsum``) go through LAPACK,
@@ -13,6 +19,7 @@ were taken with numpy 2.4 and its bundled OpenBLAS.
 """
 
 import hashlib
+import textwrap
 
 import pytest
 
@@ -46,6 +53,93 @@ DIGESTS = {
 }
 
 
+RUN_CONFIGS = {
+    "diff-root-prefix-2eps": """
+        [run]
+        name = diffroot
+        seed = 11
+        tol = 1e-8
+
+        [operator]
+        kind = root_perturbed
+        m = 3
+        rate = 1.3
+
+        [probe]
+        kind = prefix
+        values = 0.8,0.1 -0.3,0.6 0.5,-0.5
+        limit = 0.7,0
+
+        [diagnostic]
+        op = difference-compactness
+        epsilons = 2.2 2.5
+        horizons = 100 200 400
+        """,
+    "orbit-c0-basis": """
+        [run]
+        name = c0basis
+        seed = 12
+        tol = 1e-8
+
+        [operator]
+        kind = harmonic
+        space = c0
+        rate = 1.4
+
+        [probe]
+        kind = basis
+        index = 5
+
+        [diagnostic]
+        op = compactness
+        epsilons = 0.5
+        horizons = 100 200 400
+        """,
+    "witness-410": """
+        [run]
+        name = witness410
+        seed = 13
+        tol = 1e-8
+
+        [operator]
+        kind = harmonic
+        rate = 1.0
+
+        [probe]
+        kind = one
+
+        [diagnostic]
+        op = witness
+        count = 8
+        horizon = 410
+        """,
+}
+
+RUN_DIGESTS = {
+    "diff-root-prefix-2eps": (0, {
+        "diffroot.diagnostic.csv": "94beba99a8c85985863adec44ec7e7b8089a15d8d38920437a3c9051ee63979b",
+        "diffroot.json": "73deed0785cf819586fdb348619a25398aedb9ff83535d3b916f4373975259ee",
+    }),
+    "orbit-c0-basis": (0, {
+        "c0basis.diagnostic.csv": "0f09e3c3b9aa27dede69e1ea44d02403e1eef9fea585c9c3a3094d9995098521",
+        "c0basis.json": "679731c473e0e6524ab07d69373c4d7c3bd041700ea8282c8f5835c2c4c6e34e",
+    }),
+    "witness-410": (0, {
+        "witness410.json": "95ed6fc8c6acd4475fba9c7f7c84f4548edcd8d639ad44e1771ebcd5bcd7c8bc",
+    }),
+}
+
+
+def _digests(out):
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith(".timing.json"):
+            continue
+        data = path.read_bytes().replace(str(out).encode(), b"<OUT>")
+        files[path.name] = hashlib.sha256(data).hexdigest()
+    return files
+
+
 def test_every_demo_has_a_digest():
     assert sorted(DIGESTS) == sorted(cli.DEMO_NAMES)
 
@@ -54,10 +148,13 @@ def test_every_demo_has_a_digest():
 def test_demo_report_bytes(name, tmp_path):
     out = tmp_path / "out"
     rc = cli.main(["demo", name, "--seed", str(SEED), "--out-dir", str(out)])
-    files = {}
-    for path in sorted(out.iterdir()):
-        if path.name.endswith(".timing.json"):
-            continue
-        data = path.read_bytes().replace(str(out).encode(), b"<OUT>")
-        files[path.name] = hashlib.sha256(data).hexdigest()
-    assert (rc, files) == DIGESTS[name]
+    assert (rc, _digests(out)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_run_report_bytes(name, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(textwrap.dedent(RUN_CONFIGS[name]))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
+    assert (rc, _digests(out)) == RUN_DIGESTS[name]

@@ -135,6 +135,46 @@ class TestCertificates:
         assert validate_certificate(w, after=32) <= 1e-12
 
 
+class TestSupportCertificates:
+    """Finitely supported vectors past the first block: their certificates
+    are exact only after their support, so a scan cannot stop before it."""
+
+    def test_basis_vector_past_the_first_block(self):
+        e = basis_vector(100, "c")
+        assert sup_norm(e, 1e-8) == (1.0, 0.0)
+        assert norm_exceeds(e, 0.5, 1e-8)
+        assert not norm_exceeds(e, 1.0, 1e-8)
+
+    def test_prefix_past_the_first_block(self):
+        assert sup_norm(from_prefix([0] * 70 + [5.0], 0.0), 1e-8) == (5.0, 0.0)
+
+    def test_bound_is_infinite_before_the_support_ends(self):
+        t = TailCertificate(2.0, 1.0, 10)
+        assert t.bound(9) == np.inf and t.bound(10) == 0.2
+        assert np.array_equal(t.bound(np.array([5, 10, 20])), [np.inf, 0.2, 0.1])
+        assert t.first_index_below(0.1) == 20 and t.first_index_below(5.0) == 10
+        assert TailCertificate.zero(7).bound(7) == 0.0
+
+    def test_combine_takes_the_largest_start(self):
+        parts = [(1.0, TailCertificate.zero(100)), (0.5, TailCertificate(2.0, 1.0, 3)),
+                 (0.0, TailCertificate.zero(500))]  # a zero weight brings nothing in
+        assert TailCertificate.combine(parts) == TailCertificate(1.0, 1.0, 100)
+        assert lin_comb([1.0, 2.0], [basis_vector(90, "c"),
+                                     from_prefix([1.0] * 120, 0.0)]).tail.after == 120
+
+    @pytest.mark.parametrize("after", [-1, 2.5])
+    def test_start_is_validated(self, after):
+        with pytest.raises(ValueError):
+            TailCertificate(1.0, 1.0, after)
+
+    @pytest.mark.parametrize("v", [basis_vector(100, "c"), from_prefix([0] * 70 + [5.0], 0.0),
+                                   lin_comb([1.0, -1.0], [basis_vector(200, "c"),
+                                                          from_prefix([0.5] * 90, 0.0)])])
+    def test_sound_from_every_start(self, v):
+        for after in (1, 16, 64, 99, 100, 300):
+            assert validate_certificate(v, after=after, samples=2000) <= 0.0
+
+
 def _random_vectors(draw, count):
     vs = []
     for _ in range(count):

@@ -9,7 +9,7 @@ the per-candidate pair search that the screen replaced.
 import numpy as np
 import pytest
 
-from orbitlab import gallery, orbits
+from orbitlab import gallery, operators, orbits
 from orbitlab.errors import HorizonExhaustedError, NotApplicableError
 from orbitlab.gallery import _subset_sums, c0_witness
 from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symbol,
@@ -83,7 +83,7 @@ def _selection_log(op, x):
 ])
 def test_selection_log_is_independent_of_block(monkeypatch, block, rate, probe, log):
     if block is not None:
-        monkeypatch.setattr(gallery, "_SCREEN_BLOCK", block)
+        monkeypatch.setattr(operators, "_SCREEN_BLOCK", block)
     op = DiagonalOperator(harmonic_symbol(rate), "c")
     x = constant_one() if probe == "one" else from_prefix([0.5, 1j], 1.0)
     assert _selection_log(op, x) == log
@@ -92,7 +92,7 @@ def test_selection_log_is_independent_of_block(monkeypatch, block, rate, probe, 
 @pytest.mark.parametrize("block", [None, 1, 7])
 def test_root_perturbed_still_not_applicable(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(gallery, "_SCREEN_BLOCK", block)
+        monkeypatch.setattr(operators, "_SCREEN_BLOCK", block)
     op = DiagonalOperator(root_perturbed_symbol(3), "c")
     with pytest.raises(NotApplicableError):
         c0_witness(op, constant_one(), 4, 3000, tol=1e-6)
