@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .gallery import (SymbolFamily, c0_witness, limit_one_operator,
                       one_minus_symbol_vector, operator_from_spec, probe_for,
                       probe_from_spec, root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
-from .operators import DiagonalOperator, MatrixOperator
+from .operators import DiagonalOperator, MatrixOperator, PhaseRange
 from .orbits import (cloud_diagnostic, compactness_diagnostic,
                      difference_compactness_diagnostic, orbit)
 from .seqspace import constant_one, lin_comb, sup_norm
@@ -112,9 +113,10 @@ def _demo_limit_one(seed: int, tol: float, out_dir: str):
     op = limit_one_operator(SymbolFamily("harmonic"))
     one = constant_one("c")
     horizons = [100, 200, 400]
-    grow = compactness_diagnostic(op, one, [1.0], horizons, tol=1e-8)
+    phases = PhaseRange(op)  # first-block phases shared by both clouds
+    grow = compactness_diagnostic(op, one, [1.0], horizons, tol=1e-8, phases=phases)
     probe = lin_comb([1.0, -1.0], [one, op.apply(one)])
-    sat = cloud_diagnostic(orbit(op, probe, 400, tol=1e-8), [1.0], horizons)
+    sat = cloud_diagnostic(orbit(op, probe, 400, tol=1e-8, phases=phases), [1.0], horizons)
     verdict = diagonal_mean_ergodic_verdict(op)
     assertions = [
         _assertion("orbit_of_one_grows", grow.verdict == "growing", grow.verdict),
@@ -144,9 +146,10 @@ def _demo_root_limit(seed: int, tol: float, out_dir: str):
     horizons = [100, 200, 400]
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
     ns, _ = sup_norm(y_sq, 1e-9)
-    sat = cloud_diagnostic(orbit(op, y_sq, 400, tol=1e-8), [1.25 * ns], horizons)
+    phases = PhaseRange(op)  # first-block phases shared by both clouds
+    sat = cloud_diagnostic(orbit(op, y_sq, 400, tol=1e-8, phases=phases), [1.25 * ns], horizons)
     y = one_minus_symbol_vector(op)
-    grow = cloud_diagnostic(orbit(op, y, 400, tol=1e-8), [1.0], horizons)
+    grow = cloud_diagnostic(orbit(op, y, 400, tol=1e-8, phases=phases), [1.0], horizons)
     assertions = [
         _assertion("difference_square_probe_saturates", sat.verdict == "saturating",
                    sat.verdict),
@@ -498,8 +501,14 @@ def _formats(args) -> tuple[str, ...]:
     return ("json", "csv")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use (not at import) and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         print("error: --tol must be finite and positive", file=sys.stderr)

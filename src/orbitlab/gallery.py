@@ -206,12 +206,12 @@ def _screen(cloud, phases: PhaseRange, prod_vecs: Sequence[SeqVector], lo: int,
     of one selection step.
 
     ``separated[i]`` proves ``||(T^d - I) x|| > eps``: the witness cloud's
-    states, head-screened from its cached head maxima.  ``rejected[i]``
-    proves ``||(T^{1+d} - T) P|| > tau`` for some logged product ``P``,
-    from the head maxima of rows ``1 + d`` of the same phase range.  Both
-    are ``norm_exceeds``'s first-block True exit; a candidate neither
-    proves goes on to the cloud's decision, which also takes the
-    first-block False exit from the cached head maximum.
+    states, decided in bulk from its cached first-block brackets.
+    ``rejected[i]`` proves ``||(T^{1+d} - T) P|| > tau`` for some logged
+    product ``P``, from the head maxima of rows ``1 + d`` of the same
+    phase range (``norm_exceeds``'s first-block True exit).  A candidate
+    that is not proved separated goes on to the cloud's decision, which
+    is already made unless the first block left it open.
     """
     separated = cloud.states(eps, lo + count - 1)[lo:lo + count] == _SEPARATED
     rejected = np.zeros(count, dtype=bool)
@@ -294,7 +294,8 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     members = [cloud.labels[i] for i in cloud.greedy_net(eps_orbit, cap)]
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
-    # the metric depends on |n - m| only: one member pair per distinct difference
+    # the metric depends on |n - m| only: one member pair per distinct
+    # difference, each read from its first-block bracket where that closes
     pairs = {b - a: (a, b) for i, a in enumerate(members) for b in members[i + 1:]}
     delta = min(val - err for val, err in (cloud.distance(a, b) for a, b in pairs.values()))
     delta = max(delta, 0.0)

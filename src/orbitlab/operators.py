@@ -337,6 +337,51 @@ def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
     return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
 
 
+def difference_certificates(op: DiagonalOperator, ds, y: SeqVector,
+                            k: int = _FIRST_BLOCK) -> np.ndarray:
+    """Rows ``|limit|``, ``tail.bound(k)`` and ``majorant`` of ``(T^d - I) y``
+    for each exponent ``d >= 1`` in ``ds``, without building a vector.
+
+    Column i equals what ``lin_comb([1.0, -1.0], [power_apply(op, d, y),
+    y])`` certifies for ``d = ds[i]``, bit for bit: the limit phase of
+    ``T^d`` as ``DiagonalSymbol.power`` forms it, each complex product and
+    modulus as the scalar ``complex`` arithmetic forms it (separate float
+    operations and ``hypot``; numpy's complex multiply and ``abs`` may
+    round differently), and the tail constants, exponents and starts
+    as ``TailCertificate.combine`` sums and picks them for ``apply`` and
+    then ``lin_comb``.
+    """
+    if op.space_tag == "c0" and y.space_tag != "c0":
+        raise SpaceTagError("operator on c0 cannot act on a general c vector")
+    ds = np.asarray(ds, dtype=np.int64)
+    if (ds < 1).any():
+        raise ValueError("difference_certificates needs exponents >= 1")
+    sym, xl = op.symbol, y.limit
+    xc, xe = y.tail.constant, y.tail.exponent
+    a = np.exp(1j * _power_angles(ds, sym.limit_angle))  # limit value of the symbol of T^d
+    ur = a.real * xl.real - a.imag * xl.imag  # limit of T^d y
+    ui = a.real * xl.imag + a.imag * xl.real
+    lim = np.hypot(ur - xl.real, ui - xl.imag)
+    majorant = np.maximum(np.maximum(y.majorant, np.hypot(ur, ui)) + y.majorant, lim)
+    # T^d y: terms y (weight 1) and the symbol's tail d * c (weight |limit|)
+    sym_term = abs(xl) * (ds * sym.tail.constant)
+    u_const = xc + sym_term
+    u_exp = np.where(sym_term > 0.0, min(xe, sym.tail.exponent) if xc > 0.0
+                     else sym.tail.exponent, xe)
+    after = max(y.tail.after, sym.tail.after if abs(xl) > 0.0 else 0)
+    # (T^d - I) y: terms T^d y and y, weight 1 each; T^d y's exponent is the
+    # weakest whenever it contributes, since its constant includes y's
+    const = u_const + xc
+    bound = np.zeros(ds.shape)
+    if after > k:
+        bound[:] = np.inf
+    else:
+        for e in np.unique(u_exp[const > 0.0]).tolist():
+            pick = (const > 0.0) & (u_exp == e)
+            bound[pick] = const[pick] * TailCertificate(1.0, e).bound(k)
+    return np.stack([lim, bound, majorant])
+
+
 class PhaseRange:
     """First-block phases ``exp(i * angle(T^n)_k)``, k = 1 .. _FIRST_BLOCK,
     of one range of exponents n at a time.

@@ -17,20 +17,21 @@ suite pairs them with closed-form oracles.
 Greedy nets scan points in label order (seeded from the first point,
 ties broken by smallest label), so prefix clouds give prefix nets and
 one pass yields the whole horizon curve.  Orbits of isometric diagonal
-operators are translation invariant, so their net is an int64 array of
-exponents and each exponent difference is decided at most once per
-epsilon, on an int8 array over the differences 1..h-1; the greedy step
-is one gather over that array.  Each difference's first block of
-``(T^d - I) x`` is evaluated once per cloud, lazily and a block of d at
-a time, from first-block phases of ``T^d`` that several clouds of one
-operator can share; its head maximum serves every epsilon.  A head
-maximum above epsilon proves d separated for the whole block at once.
-Any other d is decided by ``norm_exceeds`` with that head maximum in
-place of its first block, in net order up to the first "no": the
-block's own bracket settles almost every such d (the first-block False
-exit) without evaluating a coordinate, and the rest scan on from
-k = 65 exactly as before, so no decision changes.  Matrix and family clouds
-are not translation invariant and decide the net pair by pair through
+operators are translation invariant, so each exponent difference d is
+decided at most once per epsilon, on an int8 array over d = 1..h-1.  The
+first-block bracket of each ``(T^d - I) x`` is evaluated once per cloud,
+a block of d at a time and with no vector built: its head maximum from
+first-block phases of ``T^d`` that clouds of one operator share, its
+``|limit|``, tail bound and majorant in closed form
+(``operators.difference_certificates``).  ``seqspace.exceeds_exit``, the
+test ``norm_exceeds`` applies after each block, decides the whole block
+at every epsilon; a d it leaves open goes to ``norm_exceeds``, which
+scans on from k = 65, in net order up to the first "no", so no decision
+changes.  The net grows a member at a time: a joining member blocks every
+candidate a decided "no" away, the next candidate is the first unblocked
+one, and free candidates closer together than the smallest difference
+that is not separated join as one batch.  Matrix and family clouds are
+not translation invariant and decide the net pair by pair through
 the cloud's decision cache.
 """
 
@@ -44,9 +45,9 @@ from typing import Sequence
 import numpy as np
 
 from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, PhaseRange,
-                        power_apply, power_chunks, word_apply)
-from .seqspace import (FiniteVector, NormResult, SeqVector, lin_comb,
-                       norm_exceeds, sup_norm)
+                        difference_certificates, power_apply, power_chunks, word_apply)
+from .seqspace import (FiniteVector, NormResult, SeqVector, exceeds_exit, lin_comb,
+                       norm_bracket, norm_exceeds, sup_norm)
 
 __all__ = [
     "OrbitCloud",
@@ -142,7 +143,8 @@ class OrbitCloud:
         return positions
 
 
-# states of a difference in _DiagOrbitCloud's decision arrays
+# states of a difference in _DiagOrbitCloud's decision arrays, as
+# seqspace.exceeds_exit numbers them
 _UNKNOWN, _SEPARATED, _NOT_SEPARATED = 0, 1, -1
 
 
@@ -152,11 +154,8 @@ class _DiagOrbitCloud(OrbitCloud):
     Isometry makes the metric translation invariant,
     ``||T^n x - T^m x|| = ||T^d x - x||`` with ``d = |n - m|``, so a
     decision is keyed by ``d`` alone and lives in one int8 state array
-    per epsilon.  The head maxima ``max_{k <= 64} |(T^d x - x)_k|`` do not
-    depend on epsilon: they are evaluated once per cloud, a block of d at
-    a time over ``phases`` (a PhaseRange of ``op``, which several clouds
-    of one operator may share), and every decision at every epsilon
-    starts from them.
+    per epsilon.  The first-block brackets of the differences do not
+    depend on epsilon; every decision and distance starts from them.
     """
 
     def __init__(self, op: DiagonalOperator, x: SeqVector, horizon: int,
@@ -177,66 +176,126 @@ class _DiagOrbitCloud(OrbitCloud):
             phases = PhaseRange(op)
         elif phases.symbol is not op.symbol:
             raise ValueError("the phase range belongs to another operator")
-        self._x, self._phases = x, phases
-        self._head = np.zeros(horizon)  # head maxima of d = 0 .. h-1 (d = 0 is exact)
-        self._headed = 0  # differences 1..this have their head maxima
+        self._op, self._x, self._phases = op, x, phases
+        # first-block brackets of d = 0 .. h-1: head maximum, |limit|, tail
+        # bound at k = 64, majorant (column d = 0 is never read)
+        self._brackets = np.zeros((4, horizon))
+        self._headed = 0  # differences 1..this have their brackets
         self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
-        self._screened: dict[float, int] = {}  # eps -> differences 1..this screened
+        self._screened: dict[float, int] = {}  # eps -> differences 1..this decided in bulk
 
-    def _heads_to(self, dmax: int) -> np.ndarray:
-        """Head maxima of the differences up to ``dmax`` (at least), one
-        block of the phase range at a time."""
-        while self._headed < min(dmax, len(self._head) - 1):
+    def _bracket_to(self, dmax: int) -> np.ndarray:
+        """First-block brackets of the differences up to ``dmax`` (at least),
+        one block of the phase range at a time."""
+        h = self._brackets.shape[1]
+        while self._headed < min(dmax, h - 1):
             lo = self._headed + 1
-            count = min(self._phases.block, len(self._head) - lo)
-            self._head[lo:lo + count] = self._phases.head_maxima(lo, count, 0, self._x)
+            count = min(self._phases.block, h - lo)
+            block = self._brackets[:, lo:lo + count]
+            block[0] = self._phases.head_maxima(lo, count, 0, self._x)
+            block[1:] = difference_certificates(self._op, np.arange(lo, lo + count), self._x)
             self._headed += count
-        return self._head
+        return self._brackets
 
     def states(self, eps: float, dmax: int = 0) -> np.ndarray:
         """Decision states of the differences at ``eps``, every d up to
-        ``dmax`` head-screened: a head maximum above eps proves d separated
-        (``norm_exceeds``'s first-block True exit)."""
+        ``dmax`` decided in bulk where its first block decides it: the
+        four first-block exits of ``norm_exceeds`` (``exceeds_exit``) over
+        the cached brackets.  The rest stay unknown."""
         sep = self._sep.setdefault(eps, np.zeros(len(self.labels), dtype=np.int8))
         done = self._screened.get(eps, 0)
         if done < dmax:
-            head = self._heads_to(dmax)[done + 1:self._headed + 1]
-            sep[done + 1:self._headed + 1][head > eps] = _SEPARATED
+            brackets = self._bracket_to(dmax)[:, done + 1:self._headed + 1]
+            sep[done + 1:self._headed + 1] = exceeds_exit(*brackets, eps, self.tol)
             self._screened[eps] = self._headed
         return sep
 
     def separated(self, l1, l2, eps: float) -> bool:
-        """Certified decision, made once per difference and epsilon; the
-        cached head maximum stands in for the scan's first block."""
+        """Certified decision, made once per difference and epsilon; only
+        a difference its first block leaves open builds its vector and
+        scans on."""
         d = abs(l1 - l2)
-        sep = self.states(eps)
+        sep = self.states(eps, d)
         if sep[d] == _UNKNOWN:
             ok = norm_exceeds(self._diff_vector(l1, l2), eps, self.tol,
-                              head_max=self._heads_to(d)[d])
+                              head_max=self._brackets[0, d])
             sep[d] = _SEPARATED if ok else _NOT_SEPARATED
         return bool(sep[d] == _SEPARATED)
 
+    def distance(self, l1, l2) -> NormResult:
+        """Certified distance; ``sup_norm``'s first-block return from the
+        cached bracket where it is within tol, the full scan otherwise."""
+        d = abs(l1 - l2)
+        if d:
+            lower, upper = norm_bracket(*self._bracket_to(d)[:, d])
+            if upper - lower <= self.tol:
+                return NormResult(float(lower), float(upper - lower))
+        return super().distance(l1, l2)
+
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
+        """``OrbitCloud.greedy_net``, stepping by member instead of by point.
+
+        ``blocked[n]``: some member is a decided "no" away from candidate
+        n; ``pending[n]``: some member was an open difference away when it
+        joined, so n gets the reference check.  Every member has marked
+        its differences 1..``done``, which settles each candidate up to
+        ``done + 1``.
+        """
         h = len(self.labels)
+        limit = h if cap is None else max(cap, 1)
         sep = self.states(eps)
+        blocked = np.zeros(h + 1, dtype=bool)
+        pending = np.zeros(h + 1, dtype=bool)
         net = np.empty(h, dtype=np.int64)
         size = 0
-        for n in range(1, h + 1):
-            members = net[:size]
-            known = sep[n - members]
-            state = known.min(initial=_SEPARATED)
-            if state == _NOT_SEPARATED:
-                continue
-            if state == _UNKNOWN:
-                known = self.states(eps, n - 1)[n - members]
-                # decide the open differences in net order, up to the first "no"
-                if not all(self.separated(n, m, eps)
-                           for m in members[known == _UNKNOWN].tolist()):
-                    continue
-            net[size] = n
-            size += 1
-            if cap is not None and size >= cap:
+        done = self._screened.get(eps, 0)
+
+        def gap_after(done):  # smallest difference that is not separated
+            rest = np.flatnonzero(sep[1:done + 1] != _SEPARATED)
+            return int(rest[0]) + 1 if rest.size else done + 1
+
+        def mark(m, lo, hi):  # member m's differences lo..hi
+            hi = min(hi, h - m)
+            if lo <= hi:
+                states = sep[lo:hi + 1]
+                blocked[m + lo:m + hi + 1] |= states == _NOT_SEPARATED
+                pending[m + lo:m + hi + 1] |= states == _UNKNOWN
+
+        gap = gap_after(done)
+        n = 1
+        while n <= h and size < limit:
+            free = np.flatnonzero(~blocked[n:]) + n
+            if not free.size:
                 break
+            n = int(free[0])
+            if n - 1 > done:  # its difference to the first member is not decided yet
+                self.states(eps, n - 1)
+                new = self._screened[eps]
+                gap = gap_after(new)
+                if gap <= new:
+                    for m in net[:size].tolist():
+                        mark(m, max(done + 1, gap), new)
+                done = new
+                continue
+            if pending[n]:
+                members = net[:size]
+                known = sep[n - members]
+                if (known.min() == _NOT_SEPARATED
+                        or not all(self.separated(n, m, eps)
+                                   for m in members[known == _UNKNOWN].tolist())):
+                    n += 1
+                    continue
+                joining = free[:1]
+            else:
+                joining = free[(free <= done + 1) & (free < n + gap)]
+                stop = np.flatnonzero(pending[joining])  # the first pending one gets its check
+                joining = joining[:stop[0] if stop.size else None][:limit - size]
+            net[size:size + joining.size] = joining
+            size += joining.size
+            if gap <= done:
+                for m in joining.tolist():
+                    mark(m, gap, done)
+            n = int(joining[-1]) + 1
         return (net[:size] - 1).tolist()
 
 
@@ -446,9 +505,11 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
 
 
 def compactness_diagnostic(op, x, epsilons: Sequence[float], horizons: Sequence[int],
-                           tol: float = 1e-8) -> CompactnessReport:
-    """Orbit compactness diagnostic of ``{T^n x}`` up to ``max(horizons)``."""
-    cloud = orbit(op, x, max(int(h) for h in horizons), tol)
+                           tol: float = 1e-8, *,
+                           phases: PhaseRange | None = None) -> CompactnessReport:
+    """Orbit compactness diagnostic of ``{T^n x}`` up to ``max(horizons)``;
+    ``phases`` as for ``orbit``."""
+    cloud = orbit(op, x, max(int(h) for h in horizons), tol, phases=phases)
     rep = cloud_diagnostic(cloud, epsilons, horizons)
     rep.description = "orbit"
     return rep

@@ -30,6 +30,8 @@ __all__ = [
     "NormResult",
     "sup_norm",
     "norm_exceeds",
+    "norm_bracket",
+    "exceeds_exit",
     "lin_comb",
     "distance",
     "constant_one",
@@ -183,6 +185,36 @@ def _merged_tags(tags: Sequence[str]) -> str:
     return tags[0]
 
 
+def norm_bracket(head_max, lim, bound, majorant):
+    """The bracket ``lower <= ||v|| <= upper`` after a scan up to index K.
+
+    ``head_max`` is ``max |v_k|`` over k <= K, ``lim`` is ``|limit|``,
+    ``bound`` the tail bound at K and ``majorant`` the sup majorant M:
+
+        lower = max(head_max, lim),  upper = max(head_max, min(lim + bound, M)).
+
+    Scalars or arrays (elementwise), so many vectors bracket at once.
+    """
+    return (np.maximum(head_max, lim),
+            np.maximum(head_max, np.minimum(lim + bound, majorant)))
+
+
+def exceeds_exit(head_max, lim, bound, majorant, threshold: float, tol: float):
+    """The exit test ``norm_exceeds`` applies after each block of its scan.
+
+    1 where ``||v|| > threshold`` is proved (``lim`` or ``head_max`` above
+    it); -1 where the bracket's upper end is at or below the threshold, or
+    the bracket is within ``tol`` and still straddles it (then the lower
+    end is at or below the threshold, so "not exceeded" is the
+    conservative, sound answer); 0 where the scan must go on.  Arguments
+    as for ``norm_bracket``; scalars or arrays.
+    """
+    lower, upper = norm_bracket(head_max, lim, bound, majorant)
+    yes = (lim > threshold) | (head_max > threshold)
+    no = (upper <= threshold) | (upper - lower <= tol)
+    return np.where(yes, 1, np.where(no, -1, 0))
+
+
 def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> NormResult:
     """Certified sup-norm of a sequence vector.
 
@@ -212,11 +244,9 @@ def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> Nor
         vals = np.abs(v.coords(ks))
         if vals.size:
             head_max = max(head_max, float(vals.max()))
-        b = float(v.tail.bound(hi))
-        lower = max(head_max, lim)
-        upper = max(head_max, min(lim + b, v.majorant))
+        lower, upper = norm_bracket(head_max, lim, float(v.tail.bound(hi)), v.majorant)
         if upper - lower <= tol:
-            return NormResult(lower, upper - lower)
+            return NormResult(float(lower), float(upper - lower))
         if hi >= max_terms:
             raise UnreachableToleranceError(
                 f"certificate (constant={v.tail.constant:g}, exponent={v.tail.exponent:g}) "
@@ -233,7 +263,11 @@ def norm_exceeds(v: SeqVector, threshold: float, tol: float,
     Equivalent to ``value - error_bound > threshold`` for a sup_norm at
     tolerance ``tol``, but exits as soon as either side is certain: a
     head coordinate above the threshold proves exceedance immediately,
-    and an upper bracket at or below it proves the opposite.
+    and an upper bracket at or below it proves the opposite.  The test
+    after each block is ``exceeds_exit``; diagonal orbit clouds apply the
+    same function to the first block of a whole block of difference
+    vectors at once, from closed-form certificates, and call this scan
+    only for the vectors it leaves open.
 
     ``head_max``, when given, is ``max |v_k|`` over the first block
     ``k = 1 .. _FIRST_BLOCK``, computed by the caller for many vectors
@@ -259,17 +293,10 @@ def norm_exceeds(v: SeqVector, threshold: float, tol: float,
             vals = np.abs(v.coords(ks))
             if vals.size:
                 head_max = max(head_max, float(vals.max()))
-        if head_max > threshold:
-            return True
-        b = float(v.tail.bound(hi))
-        upper = max(head_max, min(lim + b, v.majorant))
-        if upper <= threshold:
-            return False
-        lower = max(head_max, lim)
-        if upper - lower <= tol:
-            # bracket is tight but still straddles: lower <= threshold here,
-            # so the conservative (sound) answer is "not exceeded"
-            return False
+        state = exceeds_exit(head_max, lim, float(v.tail.bound(hi)), v.majorant,
+                             threshold, tol)
+        if state:
+            return bool(state > 0)
         if hi >= max_terms:
             raise UnreachableToleranceError(
                 f"cannot decide ||v|| > {threshold:g} at tolerance {tol:g} "

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from orbitlab import cli
 from orbitlab.cli import _probe_spec, load_config, main
 from orbitlab.gallery import operator_from_spec, probe_from_spec
 from orbitlab.operators import MatrixOperator, write_matrix_file
@@ -15,6 +16,20 @@ def run_cli(*args):
 class TestDemo:
     def test_unknown_demo_is_usage_error(self, capsys):
         assert run_cli("demo", "nosuchdemo") == 2
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            assert [run_cli("demo", "nosuchdemo") for _ in range(3)] == [2, 2, 2]
+            with pytest.raises(SystemExit) as exc:
+                run_cli("demo")  # a usage error from the reused parser
+            assert exc.value.code == 2
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
     def test_ktz_demo(self, tmp_path, capsys):
         code = run_cli("demo", "ktz", "--out-dir", str(tmp_path))

@@ -14,7 +14,7 @@ from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnosti
                              covering_estimate, difference_orbit,
                              difference_compactness_diagnostic, orbit,
                              orbit_family, packing_number)
-from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one,
+from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one, exceeds_exit,
                                from_prefix, lin_comb, sup_norm)
 
 
@@ -127,14 +127,18 @@ class TestDiagonalNet:
 
     @staticmethod
     def _record_decisions(monkeypatch, cloud):
-        """Record head evaluations, per-d decisions and how each scan ended."""
-        rec = {"headed": [], "decided": [], "exits": [], "scans": []}
+        """Record first-block brackets, per-d decisions and every scan."""
+        rec = {"headed": [], "certified": [], "decided": [], "scans": []}
         real_heads, real_scan = PhaseRange.head_maxima, orbits.norm_exceeds
-        real_separated = cloud.separated
+        real_certs, real_separated = orbits.difference_certificates, cloud.separated
 
         def heads(self, lo, count, t, y, select=None):
             rec["headed"].extend(range(lo, lo + count))
             return real_heads(self, lo, count, t, y, select)
+
+        def certs(op, ds, y, k=64):
+            rec["certified"].extend(np.asarray(ds).tolist())
+            return real_certs(op, ds, y, k)
 
         def scan(v, threshold, tol, **kwargs):
             evaluated = []
@@ -142,10 +146,11 @@ class TestDiagonalNet:
             probe = dataclasses.replace(
                 v, coord=lambda ks: evaluated.extend(ks.tolist()) or real_coord(ks))
             ok = real_scan(probe, threshold, tol, **kwargs)
-            # every scan starts from the cached head maximum, never from k = 1
+            # only a difference its first block leaves open is scanned, and
+            # the scan starts from the cached head maximum, at k = 65
             assert kwargs.get("head_max") is not None
-            assert min(evaluated, default=65) == 65
-            rec["scans" if evaluated else "exits"].append(ok)
+            assert min(evaluated, default=0) == 65
+            rec["scans"].append(ok)
             return ok
 
         def separated(n, m, eps):
@@ -153,9 +158,19 @@ class TestDiagonalNet:
             return real_separated(n, m, eps)
 
         monkeypatch.setattr(PhaseRange, "head_maxima", heads)
+        monkeypatch.setattr(orbits, "difference_certificates", certs)
         monkeypatch.setattr(orbits, "norm_exceeds", scan)
         monkeypatch.setattr(cloud, "separated", separated)
         return rec
+
+    @staticmethod
+    def _kinds(cloud, eps):
+        """Masks over d = 1 .. h-1 of the head proofs, the other bulk
+        first-block exits, and the differences the first block leaves open."""
+        brackets = cloud._brackets[:, 1:cloud._headed + 1]
+        exits = exceeds_exit(*brackets, eps, cloud.tol)
+        proved = brackets[0] > eps
+        return proved, (exits != 0) & ~proved, exits == 0
 
     def test_each_difference_decided_once(self, monkeypatch):
         cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
@@ -163,17 +178,19 @@ class TestDiagonalNet:
         assert packing_number(cloud, 1.0) == 2000
         states = cloud.states(1.0)
         assert (states[1:] != orbits._UNKNOWN).all()  # every d in 1..1999
-        assert sorted(rec["headed"]) == list(range(1, 2000))  # each head evaluated once
-        proved = set(np.flatnonzero(cloud._head > 1.0).tolist())
-        assert proved <= set(np.flatnonzero(states == orbits._SEPARATED).tolist())
+        # each first-block bracket is evaluated once
+        assert sorted(rec["headed"]) == list(range(1, 2000))
+        assert sorted(rec["certified"]) == list(range(1, 2000))
+        proved, bulk, open_ = self._kinds(cloud, 1.0)
+        assert (states[1:][proved] == orbits._SEPARATED).all()
         assert len(rec["decided"]) == len(set(rec["decided"]))  # no d decided twice
-        assert not proved & set(rec["decided"])
-        assert len(rec["decided"]) == len(rec["exits"]) + len(rec["scans"])
-        assert len(proved) + len(rec["exits"]) + len(rec["scans"]) == 1999
+        assert sorted(rec["decided"]) == (np.flatnonzero(open_) + 1).tolist()
+        assert len(rec["decided"]) == len(rec["scans"])
+        assert proved.sum() + bulk.sum() + len(rec["scans"]) == 1999
 
     def test_first_block_exits_and_further_scans(self, monkeypatch):
-        # a difference orbit whose net needs head proofs, first-block "no"
-        # exits and scans that go on past the first block
+        # a difference orbit whose net needs head proofs, bulk first-block
+        # "no" exits and scans that go on past the first block
         op = DiagonalOperator(root_perturbed_symbol(3, 1.3), "c")
         x = from_prefix([0.8 + 0.1j, -0.3 + 0.6j, 0.5 - 0.5j], 0.7)
         cloud = difference_orbit(op, x, 600, tol=1e-8)
@@ -182,11 +199,14 @@ class TestDiagonalNet:
         rec = self._record_decisions(monkeypatch, cloud)
         assert cloud.greedy_net(2.5) == want
         assert len(rec["headed"]) == len(set(rec["headed"]))
-        proved = set(np.flatnonzero(cloud._head > 2.5).tolist())
+        assert rec["certified"] == rec["headed"]
+        proved, bulk, open_ = self._kinds(cloud, 2.5)
+        states = cloud.states(2.5)[1:cloud._headed + 1]
+        assert (states[bulk] == orbits._NOT_SEPARATED).all()
         assert len(rec["decided"]) == len(set(rec["decided"]))
-        assert not proved & set(rec["decided"])
-        assert len(rec["decided"]) == len(rec["exits"]) + len(rec["scans"])
-        assert rec["exits"] and rec["scans"] and not any(rec["exits"])
+        assert set(rec["decided"]) <= set((np.flatnonzero(open_) + 1).tolist())
+        assert len(rec["decided"]) == len(rec["scans"])
+        assert proved.any() and bulk.any() and rec["scans"]
 
 
 class TestCovering:

@@ -1,4 +1,4 @@
-"""Golden sha256 digests of the five demo reports and of three ``run``
+"""Golden sha256 digests of the five demo reports and of four ``run``
 reports.
 
 Every demo runs through ``orbitlab.cli.main`` at a fixed seed, and every
@@ -9,8 +9,10 @@ certificate path in ``witness.json`` (an assertion detail), so the
 out-dir is replaced by a fixed token before hashing.  The run configs
 cover the diagonal decision paths the demos miss: a two-epsilon
 difference-orbit net whose differences go through head proofs,
-first-block exits and longer scans; an orbit net on c0 with a basis
-probe; and a witness ladder at h = 410.
+first-block exits and longer scans; a saturating difference-orbit net at
+h = 600 whose open differences scan past the first block (over a hundred
+of them); an orbit net on c0 with a basis probe; and a witness ladder at
+h = 410.
 
 A change that moves a report byte must update the digest and declare the
 moved values.  The matrix demos (``ktz``, ``halfsum``) go through LAPACK,
@@ -95,6 +97,27 @@ RUN_CONFIGS = {
         epsilons = 0.5
         horizons = 100 200 400
         """,
+    "diff-root4-prefix-past-first-block": """
+        [run]
+        name = diffroot4
+        seed = 14
+        tol = 1e-8
+
+        [operator]
+        kind = root_perturbed
+        m = 4
+        rate = 1.3
+
+        [probe]
+        kind = prefix
+        values = 0.8,0.1 -0.3,0.6 0.5,-0.5
+        limit = 0.7,0
+
+        [diagnostic]
+        op = difference-compactness
+        epsilons = 2.5
+        horizons = 150 300 600
+        """,
     "witness-410": """
         [run]
         name = witness410
@@ -123,6 +146,10 @@ RUN_DIGESTS = {
     "orbit-c0-basis": (0, {
         "c0basis.diagnostic.csv": "0f09e3c3b9aa27dede69e1ea44d02403e1eef9fea585c9c3a3094d9995098521",
         "c0basis.json": "679731c473e0e6524ab07d69373c4d7c3bd041700ea8282c8f5835c2c4c6e34e",
+    }),
+    "diff-root4-prefix-past-first-block": (0, {
+        "diffroot4.diagnostic.csv": "4042b65459ce4b10d0c4bd2eb47e1250c7abe836f477ee4164796dc18b024dd7",
+        "diffroot4.json": "ecd089f990151184dd75fba73ec7959a8c9e639c66d543484fb3b8614cc3f342",
     }),
     "witness-410": (0, {
         "witness410.json": "95ed6fc8c6acd4475fba9c7f7c84f4548edcd8d639ad44e1771ebcd5bcd7c8bc",
