@@ -104,6 +104,7 @@ class DiagonalSymbol:
         if n == 0:
             return constant_symbol(0.0)
         base = self.angle
+        # difference_certificates repeats the limit angle and tail constant: keep them in step
 
         def angle(ks, _n=n, _base=base):
             return _power_angles(_n, np.asarray(_base(ks), dtype=np.float64))
@@ -198,6 +199,7 @@ class DiagonalOperator:
         def coord(ks, _v=v, _sym=sym):
             return _sym.values(ks) * _v.coords(ks)
 
+        # difference_certificates repeats this limit, tail and majorant: keep them in step
         # |a_k x_k - a_oo x_oo| <= |x_k - x_oo| + |x_oo| |a_k - a_oo|
         tail = TailCertificate.combine([(1.0, v.tail), (abs(v.limit), sym.tail)])
         # |a_k| = 1 keeps the majorant; |limit| absorbs the rounding of a_oo
@@ -337,10 +339,11 @@ def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
     return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
 
 
-def difference_certificates(op: DiagonalOperator, ds, y: SeqVector,
-                            k: int = _FIRST_BLOCK) -> np.ndarray:
-    """Rows ``|limit|``, ``tail.bound(k)`` and ``majorant`` of ``(T^d - I) y``
-    for each exponent ``d >= 1`` in ``ds``, without building a vector.
+def difference_certificates(op: DiagonalOperator, ds, y: SeqVector) -> np.ndarray:
+    """Rows ``|limit|``, ``tail.bound(_FIRST_BLOCK)`` and ``majorant`` of
+    ``(T^d - I) y`` for each exponent ``d >= 1`` in ``ds``, without building
+    a vector: with the first-block head maxima from ``PhaseRange`` they make
+    the bracket ``norm_exceeds`` tests after its first block.
 
     Column i equals what ``lin_comb([1.0, -1.0], [power_apply(op, d, y),
     y])`` certifies for ``d = ds[i]``, bit for bit: the limit phase of
@@ -350,6 +353,13 @@ def difference_certificates(op: DiagonalOperator, ds, y: SeqVector,
     round differently), and the tail constants, exponents and starts
     as ``TailCertificate.combine`` sums and picks them for ``apply`` and
     then ``lin_comb``.
+
+    It is a copy of that scalar algebra, not a call to it: the scalar
+    steps run on every vector a closure builds, where numpy's 0-d
+    arithmetic would cost more and its complex products would round
+    differently.  ``DiagonalSymbol.power``, ``DiagonalOperator.apply``,
+    ``lin_comb`` and ``TailCertificate.combine`` point back here; a
+    change to one of them must be made here too.
     """
     if op.space_tag == "c0" and y.space_tag != "c0":
         raise SpaceTagError("operator on c0 cannot act on a general c vector")
@@ -373,12 +383,12 @@ def difference_certificates(op: DiagonalOperator, ds, y: SeqVector,
     # weakest whenever it contributes, since its constant includes y's
     const = u_const + xc
     bound = np.zeros(ds.shape)
-    if after > k:
+    if after > _FIRST_BLOCK:
         bound[:] = np.inf
     else:
         for e in np.unique(u_exp[const > 0.0]).tolist():
             pick = (const > 0.0) & (u_exp == e)
-            bound[pick] = const[pick] * TailCertificate(1.0, e).bound(k)
+            bound[pick] = const[pick] * TailCertificate(1.0, e).bound(_FIRST_BLOCK)
     return np.stack([lim, bound, majorant])
 
 

@@ -117,6 +117,7 @@ class TailCertificate:
         zero vector does not degrade the exponent.  The sum holds from the
         largest ``after`` among the terms with ``w_i > 0``.
         """
+        # operators.difference_certificates repeats this rule over arrays: keep them in step
         consts = [w * c.constant for w, c in parts]
         exps = [c.exponent for (w, c), wc in zip(parts, consts) if wc > 0.0]
         total = float(sum(c for c in consts))
@@ -193,10 +194,12 @@ def norm_bracket(head_max, lim, bound, majorant):
 
         lower = max(head_max, lim),  upper = max(head_max, min(lim + bound, M)).
 
-    Scalars or arrays (elementwise), so many vectors bracket at once.
+    Scalars or arrays (elementwise), so many vectors bracket at once;
+    plain floats take the builtins, which cost less than numpy's 0-d ufuncs
+    on the one-vector scans.
     """
-    return (np.maximum(head_max, lim),
-            np.maximum(head_max, np.minimum(lim + bound, majorant)))
+    top, bottom = (np.maximum, np.minimum) if isinstance(head_max, np.ndarray) else (max, min)
+    return top(head_max, lim), top(head_max, bottom(lim + bound, majorant))
 
 
 def exceeds_exit(head_max, lim, bound, majorant, threshold: float, tol: float):
@@ -212,7 +215,9 @@ def exceeds_exit(head_max, lim, bound, majorant, threshold: float, tol: float):
     lower, upper = norm_bracket(head_max, lim, bound, majorant)
     yes = (lim > threshold) | (head_max > threshold)
     no = (upper <= threshold) | (upper - lower <= tol)
-    return np.where(yes, 1, np.where(no, -1, 0))
+    if isinstance(yes, np.ndarray):
+        return np.where(yes, 1, np.where(no, -1, 0))
+    return 1 if yes else -1 if no else 0
 
 
 def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> NormResult:
@@ -246,7 +251,7 @@ def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> Nor
             head_max = max(head_max, float(vals.max()))
         lower, upper = norm_bracket(head_max, lim, float(v.tail.bound(hi)), v.majorant)
         if upper - lower <= tol:
-            return NormResult(float(lower), float(upper - lower))
+            return NormResult(lower, upper - lower)
         if hi >= max_terms:
             raise UnreachableToleranceError(
                 f"certificate (constant={v.tail.constant:g}, exponent={v.tail.exponent:g}) "
@@ -326,6 +331,7 @@ def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVect
                 out = out + c * v.coords(ks)
         return out
 
+    # operators.difference_certificates repeats these steps over arrays: keep them in step
     limit = sum(c * v.limit for c, v in zip(cs, vs))
     tail = TailCertificate.combine([(abs(c), v.tail) for c, v in zip(cs, vs)])
     majorant = sum(abs(c) * v.majorant for c, v in zip(cs, vs) if c != 0)

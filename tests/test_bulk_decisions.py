@@ -10,6 +10,8 @@ mix of decided and open differences it must equal the reference greedy of
 ``OrbitCloud``.
 """
 
+import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,9 +25,9 @@ from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
                                 difference_certificates, harmonic_symbol,
                                 power_apply, root_perturbed_symbol)
 from orbitlab.orbits import OrbitCloud, orbit
-from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one, exceeds_exit,
-                               from_prefix, lin_comb, norm_bracket, norm_exceeds,
-                               sup_norm)
+from orbitlab.seqspace import (FiniteVector, TailCertificate, basis_vector, constant_one,
+                               exceeds_exit, from_prefix, lin_comb, norm_bracket,
+                               norm_exceeds, sup_norm)
 
 _SYMBOLS = st.one_of(
     st.builds(harmonic_symbol, st.sampled_from([1, 1.0, 0.5, 1.3, 2.0])),
@@ -48,16 +50,40 @@ def _vector(op, d, y):
     return lin_comb([1.0, -1.0], [power_apply(op, d, y), y])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(sym=_SYMBOLS, y=_PROBES,
-       ds=st.lists(st.integers(1, 10**5), min_size=1, max_size=12, unique=True))
-def test_certificates_equal_the_vectors_bit_for_bit(sym, y, ds):
-    op = DiagonalOperator(sym, "c")
+def _assert_certificates_match(op, ds, y):
     got = difference_certificates(op, ds, y)
     for i, d in enumerate(ds):
         v = _vector(op, d, y)
         want = [abs(v.limit), float(v.tail.bound(64)), v.majorant]
         assert (_bits(got[:, i]) == _bits(want)).all(), (d, got[:, i], want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sym=_SYMBOLS, y=_PROBES,
+       ds=st.lists(st.integers(1, 10**5), min_size=1, max_size=12, unique=True))
+def test_certificates_equal_the_vectors_bit_for_bit(sym, y, ds):
+    _assert_certificates_match(DiagonalOperator(sym, "c"), ds, y)
+
+
+_LATE_SYMBOL = replace(harmonic_symbol(), tail=TailCertificate(math.pi, 1.0, 100))
+
+
+@pytest.mark.parametrize("sym", [harmonic_symbol(1.3), root_perturbed_symbol(4, 0.7),
+                                 constant_symbol(2.0), _LATE_SYMBOL],
+                         ids=["harmonic", "root", "constant", "late-symbol"])
+@pytest.mark.parametrize("limit", [0.0, 0.6 - 0.8j], ids=["c0-limit", "unit-limit"])
+@pytest.mark.parametrize("tail", [None, TailCertificate(0.25, 0.5), TailCertificate(0.25, 3.0),
+                                  TailCertificate(0.25, 3.0, 10), TailCertificate(0.25, 0.5, 64),
+                                  TailCertificate(0.25, 0.5, 65)],
+                         ids=["exact", "slow", "fast", "fast-from-10", "slow-from-64",
+                              "slow-from-65"])
+def test_certificates_equal_the_vectors_on_every_branch(sym, limit, tail):
+    # every way the tail terms combine: the probe's own tail zero or not,
+    # weaker or stronger than the symbol's, the symbol's term absent (zero
+    # limit or a constant symbol), and a start at, below and past k = 64,
+    # the probe's or the symbol's
+    y = from_prefix([0.5, -0.25j, 0.75], limit, tail=tail)
+    _assert_certificates_match(DiagonalOperator(sym, "c"), [1, 2, 7, 64, 1000, 10**5], y)
 
 
 def test_certificates_past_a_late_support():

@@ -136,9 +136,9 @@ class TestDiagonalNet:
             rec["headed"].extend(range(lo, lo + count))
             return real_heads(self, lo, count, t, y, select)
 
-        def certs(op, ds, y, k=64):
+        def certs(op, ds, y):
             rec["certified"].extend(np.asarray(ds).tolist())
-            return real_certs(op, ds, y, k)
+            return real_certs(op, ds, y)
 
         def scan(v, threshold, tol, **kwargs):
             evaluated = []
