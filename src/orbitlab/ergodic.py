@@ -54,6 +54,7 @@ class SpectralCertificate:
     peripheral: np.ndarray          # eigenvalues with |lambda| >= 1 - peri_tol
     peripheral_semisimple: tuple[bool, ...]
     peri_tol: float
+    tol: float                      # spectral radius certified <= 1 + tol
 
 
 def _numerical_rank(a: np.ndarray, scale: float) -> int:
@@ -91,7 +92,7 @@ def certify_power_bounded(op: MatrixOperator, tol: float = 1e-8,
                 f"peripheral eigenvalue {mu:.6g} is defective (non-semisimple)")
         flags.append(True)
     return SpectralCertificate(eigs, rho, np.array(centers, dtype=np.complex128),
-                               tuple(flags), peri_tol)
+                               tuple(flags), peri_tol, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +195,20 @@ def _sorted_schur_projection(a: np.ndarray, select, semisimple_check: bool,
     return z @ p @ z.conj().T, sdim, a11
 
 
-def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8) -> ErgodicDecomposition:
+def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
+                            certificate: SpectralCertificate | None = None
+                            ) -> ErgodicDecomposition:
     """Mean-ergodic projection P with ||A_n - P|| <= C/n verified.
 
     Requires spectral certification of power-boundedness; a defective
-    eigenvalue 1 raises NotPowerBoundedError.
+    eigenvalue 1 raises NotPowerBoundedError.  A caller that has just
+    certified ``op`` may pass its ``certificate``: made at this ``tol`` and
+    the default ``PERIPHERAL_TOL`` it is the certificate this call would
+    make, so ``op`` is not certified again; made at any other tolerance it
+    is ignored.
     """
-    certify_power_bounded(op, tol)
+    if certificate is None or (certificate.tol, certificate.peri_tol) != (tol, PERIPHERAL_TOL):
+        certify_power_bounded(op, tol)
     a = op.entries
     n = op.dim
     scale = max(1.0, matrix_norm(a, op.norm_tag))
@@ -258,13 +266,13 @@ def fix_separation_check(op: MatrixOperator, tol: float = 1e-8) -> MeanErgodicVe
     power-bounded matrices the dimensions agree and the verdict is mean
     ergodic, cross-checked by Cesaro convergence.
     """
-    certify_power_bounded(op, tol)
+    cert = certify_power_bounded(op, tol)
     a = op.entries
     eye = np.eye(op.dim)
     scale = max(1.0, matrix_norm(a, "euclidean"))
     d_fix = op.dim - _numerical_rank(eye - a, scale)
     d_fix_adj = op.dim - _numerical_rank(eye - a.conj().T, scale)
-    dec = mean_ergodic_projection(op, tol)
+    dec = mean_ergodic_projection(op, tol, cert)
     evidence = {
         "dim_fix": int(d_fix),
         "dim_fix_adjoint": int(d_fix_adj),

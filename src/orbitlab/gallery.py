@@ -200,7 +200,7 @@ def _certified_below(v: SeqVector, threshold: float, tol: float) -> bool:
         return False
 
 
-def _screen(cloud, phases: PhaseRange, prod_vecs: Sequence[SeqVector], lo: int,
+def _screen(cloud, phases: PhaseRange, prod_terms: Sequence, lo: int,
             count: int, eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Head proofs for the candidate differences ``d = lo .. lo + count - 1``
     of one selection step.
@@ -208,18 +208,25 @@ def _screen(cloud, phases: PhaseRange, prod_vecs: Sequence[SeqVector], lo: int,
     ``separated[i]`` proves ``||(T^d - I) x|| > eps``: the witness cloud's
     states, decided in bulk from its cached first-block brackets.
     ``rejected[i]`` proves ``||(T^{1+d} - T) P|| > tau`` for some logged
-    product ``P``, from the head maxima of rows ``1 + d`` of the same
-    phase range (``norm_exceeds``'s first-block True exit).  A candidate
-    that is not proved separated goes on to the cloud's decision, which
-    is already made unless the first block left it open.
+    product ``P`` (``prod_terms``: ``phases.terms(1, P)`` of each), from
+    the head maxima of rows ``1 + d`` of the same phase range
+    (``norm_exceeds``'s first-block True exit): a row whose
+    lead maximum exceeds tau is proved from its lead, and only the other
+    rows are completed to the whole first block.  A candidate that is not
+    proved separated goes on to the cloud's decision, which is already
+    made unless the first block left it open.
     """
     separated = cloud.states(eps, lo + count - 1)[lo:lo + count] == _SEPARATED
     rejected = np.zeros(count, dtype=bool)
     open_ = np.arange(count)
-    for prod_vec in prod_vecs:
+    for terms in prod_terms:
         if not open_.size:
             break
-        hit = phases.head_maxima(lo, count + 1, 1, prod_vec, 1 + open_) > tau
+        lead = phases.lead_maxima(lo, count + 1, terms, 1 + open_)
+        hit = lead > tau
+        near = np.flatnonzero(~hit)  # the lead alone proves nothing here
+        if near.size:
+            hit[near] = phases.complete(lead[near], lo + 1 + open_[near], terms) > tau
         rejected[open_[hit]] = True
         open_ = open_[~hit]
     return separated, rejected
@@ -295,8 +302,10 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
     # the metric depends on |n - m| only: one member pair per distinct
-    # difference, each read from its first-block bracket where that closes
+    # difference, each read from its first-block bracket where that closes,
+    # their heads completed in one batch
     pairs = {b - a: (a, b) for i, a in enumerate(members) for b in members[i + 1:]}
+    cloud.complete(list(pairs))
     delta = min(val - err for val, err in (cloud.distance(a, b) for a, b in pairs.values()))
     delta = max(delta, 0.0)
 
@@ -318,10 +327,11 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
                      [power_apply(op, a_exp, x), power_apply(op, b_exp, x)])
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
+        prod_terms = [phases.terms(1, prod_vec) for prod_vec in prod_vecs]
         found = None
         for lo in range(1, horizon, phases.block):
             ds = np.arange(lo, min(lo + phases.block, horizon))
-            separated, rejected = _screen(cloud, phases, prod_vecs, lo, ds.size, eps_orbit, tau)
+            separated, rejected = _screen(cloud, phases, prod_terms, lo, ds.size, eps_orbit, tau)
             for i, d in enumerate(ds.tolist()):
                 t_exp, s_exp = 1, 1 + d
                 if (d in used_ds

@@ -97,13 +97,11 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     action has bounded powers in both directions up to ``group_horizon``
     and that powers decay geometrically on the stable part.
     """
-    certify_power_bounded(op, tol, peri_tol)
+    eigs = certify_power_bounded(op, tol, peri_tol).eigenvalues
     a = op.entries
     n = op.dim
-    scale = max(1.0, matrix_norm(a, op.norm_tag))
     p, sdim, _ = _sorted_schur_projection(
         a, lambda lam: abs(lam) >= 1 - peri_tol, semisimple_check=False, tol=tol)
-    eigs = np.linalg.eigvals(a)
     interior = eigs[np.abs(eigs) < 1 - peri_tol]
     rho_aws = float(np.max(np.abs(interior))) if interior.size else 0.0
 
@@ -173,7 +171,7 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9,
     for chunk in power_chunks(a, a, horizon):  # T^1 .. T^horizon
         curve.append(matrix_norm(chunk @ diff, op.norm_tag))
     curve = np.concatenate(curve)
-    dec = mean_ergodic_projection(op, max(tol, 1e-10))
+    dec = mean_ergodic_projection(op, max(tol, 1e-10), cert)
     limit_defect = matrix_norm(chunk[-1] - dec.projection.entries, op.norm_tag)
     tail = curve[horizon // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1]))

@@ -50,6 +50,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _HEAD_KS = np.arange(1, _FIRST_BLOCK + 1)  # the first block of every norm scan
+# lead head coordinates, computed for every exponent of a PhaseRange; the
+# rest of the head only for rows the lead leaves undecided
+_LEAD = 4
 # exponents per head screen block; a PhaseRange holds one block plus one
 _SCREEN_BLOCK = 1024
 
@@ -302,12 +305,18 @@ def power_apply(op, n: int, v):
     return op.power(n).apply(v)
 
 
-def _difference_rows(phases: np.ndarray, yk: np.ndarray, neg_t: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``phases * yk + neg_t``, formed in ``out`` (or a new array) as
-    ``lin_comb([1.0, -1.0], ...)`` forms them, bit for bit: its
-    ``0 + 1 * z`` only clears the sign of zero parts, as ``z + 0`` does."""
-    rows = np.multiply(phases, yk, out=out)
+def _difference_rows(phases: np.ndarray, yk: np.ndarray, neg_t: np.ndarray) -> np.ndarray:
+    """Rows ``phases * yk + neg_t`` as ``lin_comb([1.0, -1.0], ...)`` forms
+    them, bit for bit: its ``0 + 1 * z`` only clears the sign of zero
+    parts, as ``z + 0`` does.
+
+    numpy's complex multiply rounds in the last ulp by the loop it picks,
+    and it picks by shape and aliasing (a broadcast ``yk``, a product
+    written over an operand).  So the product is formed from two
+    contiguous arrays of one shape into a new array, the loop the
+    64-coordinate rows have always taken, whatever part of the head a row
+    holds."""
+    rows = phases * np.broadcast_to(yk, phases.shape).copy()
     rows += 0.0
     rows += neg_t
     return rows
@@ -394,63 +403,94 @@ def difference_certificates(op: DiagonalOperator, ds, y: SeqVector) -> np.ndarra
 
 class PhaseRange:
     """First-block phases ``exp(i * angle(T^n)_k)``, k = 1 .. _FIRST_BLOCK,
-    of one range of exponents n at a time.
+    in two stages.
+
+    The lead stage holds the phases of the lead coordinates k = 1 .. _LEAD
+    for one range of exponents n at a time; the completion stage forms the
+    other head coordinates only for the exponents a caller names.  A head
+    maximum is ``max(lead, rest)``, so a completed head equals the
+    64-coordinate head bit for bit, and a lead maximum above a threshold
+    already proves the head above it (``norm_exceeds``'s first-block True
+    exit), which settles most differences from their lead alone.
 
     Phases depend on the symbol and n only, not on the vector, threshold
     or tolerance, so every head screen of one operator can read them from
     here: the greedy nets of several clouds and both halves of the witness
     pair search.  A screen block of differences ``d = lo .. lo + block - 1``
     reads rows ``d`` and, for the products, rows ``1 + d``, so the range
-    holds up to ``block + 1`` exponents (about 1 MB at the default block).
-    Asking for another start replaces the held range.
+    holds the lead phases of up to ``block + 1`` exponents (66 KB at the
+    default block and lead).  Asking for another start replaces the held
+    range.
     """
 
     def __init__(self, op: DiagonalOperator):
         self.symbol = op.symbol
-        self.block = _SCREEN_BLOCK
+        self.block, self.lead = _SCREEN_BLOCK, _LEAD
         self._base = np.asarray(op.symbol.angle(_HEAD_KS), dtype=np.float64)
         self._table: np.ndarray | None = None
         self._lo, self._filled = 0, 0
 
-    def phases(self, n) -> np.ndarray:
-        """Phases of the exponent ``n`` (or of an int column of them)."""
-        return np.exp(1j * _power_angles(n, self._base))
+    def phases(self, n, part: slice = slice(None)) -> np.ndarray:
+        """Phases of the exponent ``n`` (or of an int column of them) at the
+        head coordinates ``_HEAD_KS[part]``."""
+        return np.exp(1j * _power_angles(n, self._base[part]))
 
     def range(self, lo: int, count: int) -> np.ndarray:
-        """Phases of the exponents ``lo .. lo + count - 1``, one row each; a
-        view of the held range, valid until another start is asked for."""
+        """Lead phases of the exponents ``lo .. lo + count - 1``, one row
+        each; a view of the held range, valid until another start is asked
+        for."""
         if not 1 <= count <= self.block + 1:
             raise ValueError(f"a phase range holds 1 .. {self.block + 1} exponents, not {count}")
         if self._table is None:
-            self._table = np.empty((self.block + 1, _FIRST_BLOCK), dtype=np.complex128)
+            self._table = np.empty((self.block + 1, self.lead), dtype=np.complex128)
         if lo != self._lo:
             self._lo, self._filled = lo, 0
         if count > self._filled:
             ns = np.arange(lo + self._filled, lo + count, dtype=np.int64).reshape(-1, 1)
-            np.exp(1j * _power_angles(ns, self._base), out=self._table[self._filled:count])
+            self._table[self._filled:count] = self.phases(ns, slice(self.lead))
             self._filled = count
         return self._table[:count]
 
-    def rows(self, lo: int, count: int, t: int, y: SeqVector,
-             select: np.ndarray | None = None) -> np.ndarray:
-        """First-block coordinates of ``(T^n - T^t) y`` for the exponents
-        ``n = lo .. lo + count - 1``, or only for ``n = lo + select[i]``:
-        the rows of ``power_difference_rows(op, n, t, y, _HEAD_KS)`` bit
-        for bit."""
-        table = self.range(lo, count)
+    def terms(self, t: int, y: SeqVector) -> tuple[np.ndarray, np.ndarray]:
+        """``y`` and ``-T^t y`` at the head coordinates k = 1 ..
+        _FIRST_BLOCK: what every row of ``(T^n - T^t) y`` adds to its
+        phases, formed once per vector as ``power_difference_rows`` forms
+        them; each stage reads its part."""
         yk = y.coords(_HEAD_KS)
-        neg_t = _negated_term(self.phases(t), yk)
-        if select is None:
-            return _difference_rows(table, yk, neg_t)
-        picked = table[select]
-        return _difference_rows(picked, yk, neg_t, out=picked)
+        return yk, _negated_term(self.phases(t), yk)
 
-    def head_maxima(self, lo: int, count: int, t: int, y: SeqVector,
+    def rows(self, lo: int, count: int, terms, select: np.ndarray | None = None) -> np.ndarray:
+        """Lead coordinates of ``(T^n - T^t) y`` (``terms`` of ``t`` and
+        ``y``) for the exponents ``n = lo .. lo + count - 1``, or only for
+        ``n = lo + select[i]``: the first ``lead`` columns of
+        ``power_difference_rows(op, n, t, y, _HEAD_KS)`` bit for bit."""
+        table = self.range(lo, count)
+        lead = slice(self.lead)
+        return _difference_rows(table if select is None else table[select],
+                                terms[0][lead], terms[1][lead])
+
+    def rest_rows(self, ns, terms) -> np.ndarray:
+        """The other head coordinates, k = lead + 1 .. _FIRST_BLOCK, of
+        ``(T^n - T^t) y`` for the exponents ``ns``, one row each: the last
+        columns of ``power_difference_rows(op, ns, t, y, _HEAD_KS)`` bit for
+        bit."""
+        rest = slice(self.lead, None)
+        phases = self.phases(np.asarray(ns, dtype=np.int64).reshape(-1, 1), rest)
+        return _difference_rows(phases, terms[0][rest], terms[1][rest])
+
+    def lead_maxima(self, lo: int, count: int, terms,
                     select: np.ndarray | None = None) -> np.ndarray:
-        """``max_k |((T^n - T^t) y)_k|`` over the rows of ``rows``: each is
-        the ``head_max`` that ``norm_exceeds`` finds on the first block of
-        that difference vector."""
-        return np.abs(self.rows(lo, count, t, y, select)).max(axis=1)
+        """``max |((T^n - T^t) y)_k|`` over the lead coordinates, for the
+        rows of ``rows``: a lower end of each head maximum."""
+        return np.abs(self.rows(lo, count, terms, select)).max(axis=1)
+
+    def complete(self, lead: np.ndarray, ns, terms) -> np.ndarray:
+        """Head maxima ``max_k |((T^n - T^t) y)_k|``, k = 1 .. _FIRST_BLOCK,
+        of the exponents ``ns`` from their lead maxima: ``max(lead, rest)``,
+        each the ``head_max`` that ``norm_exceeds`` finds on the first block
+        of that difference vector."""
+        rest = np.abs(self.rest_rows(ns, terms)).max(axis=1, initial=0.0)
+        return np.maximum(lead, rest)
 
 
 @dataclass(frozen=True, order=True)

@@ -20,19 +20,24 @@ one pass yields the whole horizon curve.  Orbits of isometric diagonal
 operators are translation invariant, so each exponent difference d is
 decided at most once per epsilon, on an int8 array over d = 1..h-1.  The
 first-block bracket of each ``(T^d - I) x`` is evaluated once per cloud,
-a block of d at a time and with no vector built: its head maximum from
-first-block phases of ``T^d`` that clouds of one operator share, its
-``|limit|``, tail bound and majorant in closed form
-(``operators.difference_certificates``).  ``seqspace.exceeds_exit``, the
-test ``norm_exceeds`` applies after each block, decides the whole block
-at every epsilon; a d it leaves open goes to ``norm_exceeds``, which
-scans on from k = 65, in net order up to the first "no", so no decision
-changes.  The net grows a member at a time: a joining member blocks every
-candidate a decided "no" away, the next candidate is the first unblocked
-one, and free candidates closer together than the smallest difference
-that is not separated join as one batch.  Matrix and family clouds are
-not translation invariant and decide the net pair by pair through
-the cloud's decision cache.
+a block of d at a time and with no vector built: its ``|limit|``, tail
+bound and majorant in closed form (``operators.difference_certificates``)
+and its head maximum in two stages.  The lead stage takes the maximum
+over the first ``operators._LEAD`` coordinates, from lead phases of
+``T^d`` that clouds of one operator share; a lead above eps proves the
+head above eps.  The completion stage forms the rest of the head only
+for a d whose lead and ``|limit|`` are both at or below an asked eps, or
+that ``separated`` or ``distance`` reads, at most once per d; the
+completed head equals the 64-coordinate one bit for bit.
+``seqspace.exceeds_exit``, the test ``norm_exceeds`` applies after each
+block, decides the whole block at every epsilon; a d it leaves open goes
+to ``norm_exceeds``, which scans on from k = 65, in net order up to the
+first "no", so no decision changes.  The net grows a member at a time: a
+joining member blocks every candidate a decided "no" away, the next
+candidate is the first unblocked one, and free candidates closer together
+than the smallest difference that is not separated join as one batch.
+Matrix and family clouds are not translation invariant and decide the net
+pair by pair through the cloud's decision cache.
 """
 
 from __future__ import annotations
@@ -177,9 +182,12 @@ class _DiagOrbitCloud(OrbitCloud):
         elif phases.symbol is not op.symbol:
             raise ValueError("the phase range belongs to another operator")
         self._op, self._x, self._phases = op, x, phases
-        # first-block brackets of d = 0 .. h-1: head maximum, |limit|, tail
-        # bound at k = 64, majorant (column d = 0 is never read)
+        self._terms = phases.terms(0, x)  # x and -x on the head, for every row
+        # first-block brackets of d = 0 .. h-1: head maximum (the lead
+        # maximum until the head is completed), |limit|, tail bound at
+        # k = 64, majorant (column d = 0 is never read)
         self._brackets = np.zeros((4, horizon))
+        self._whole = np.zeros(horizon, dtype=bool)  # d whose head maximum is complete
         self._headed = 0  # differences 1..this have their brackets
         self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
         self._screened: dict[float, int] = {}  # eps -> differences 1..this decided in bulk
@@ -192,21 +200,39 @@ class _DiagOrbitCloud(OrbitCloud):
             lo = self._headed + 1
             count = min(self._phases.block, h - lo)
             block = self._brackets[:, lo:lo + count]
-            block[0] = self._phases.head_maxima(lo, count, 0, self._x)
+            block[0] = self._phases.lead_maxima(lo, count, self._terms)
             block[1:] = difference_certificates(self._op, np.arange(lo, lo + count), self._x)
             self._headed += count
         return self._brackets
+
+    def complete(self, ds) -> np.ndarray:
+        """The brackets, with the head maxima of the differences ``ds``
+        completed in one batch; each head is completed at most once."""
+        ds = np.asarray(ds, dtype=np.int64)
+        brackets = self._bracket_to(int(ds.max(initial=0)))
+        ds = ds[~self._whole[ds]]
+        if ds.size:
+            brackets[0, ds] = self._phases.complete(brackets[0, ds], ds, self._terms)
+            self._whole[ds] = True
+        return brackets
 
     def states(self, eps: float, dmax: int = 0) -> np.ndarray:
         """Decision states of the differences at ``eps``, every d up to
         ``dmax`` decided in bulk where its first block decides it: the
         four first-block exits of ``norm_exceeds`` (``exceeds_exit``) over
-        the cached brackets.  The rest stay unknown."""
+        the cached brackets.  The rest stay unknown.
+
+        A lead maximum or ``|limit|`` above eps proves the True exit,
+        which ``exceeds_exit`` takes first; only the other differences
+        need their whole head, so only they are completed."""
         sep = self._sep.setdefault(eps, np.zeros(len(self.labels), dtype=np.int8))
         done = self._screened.get(eps, 0)
         if done < dmax:
-            brackets = self._bracket_to(dmax)[:, done + 1:self._headed + 1]
-            sep[done + 1:self._headed + 1] = exceeds_exit(*brackets, eps, self.tol)
+            self._bracket_to(dmax)
+            lo, hi = done + 1, self._headed + 1
+            lead, lim = self._brackets[:2, lo:hi]
+            brackets = self.complete(np.flatnonzero((lead <= eps) & (lim <= eps)) + lo)
+            sep[lo:hi] = exceeds_exit(*brackets[:, lo:hi], eps, self.tol)
             self._screened[eps] = self._headed
         return sep
 
@@ -218,7 +244,7 @@ class _DiagOrbitCloud(OrbitCloud):
         sep = self.states(eps, d)
         if sep[d] == _UNKNOWN:
             ok = norm_exceeds(self._diff_vector(l1, l2), eps, self.tol,
-                              head_max=self._brackets[0, d])
+                              head_max=self.complete([d])[0, d])
             sep[d] = _SEPARATED if ok else _NOT_SEPARATED
         return bool(sep[d] == _SEPARATED)
 
@@ -227,7 +253,7 @@ class _DiagOrbitCloud(OrbitCloud):
         cached bracket where it is within tol, the full scan otherwise."""
         d = abs(l1 - l2)
         if d:
-            lower, upper = norm_bracket(*self._bracket_to(d)[:, d])
+            lower, upper = norm_bracket(*self.complete([d])[:, d])
             if upper - lower <= self.tol:
                 return NormResult(float(lower), float(upper - lower))
         return super().distance(l1, l2)

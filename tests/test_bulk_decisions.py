@@ -3,11 +3,12 @@
 ``operators.difference_certificates`` gives ``|limit|``, ``tail.bound(64)``
 and the majorant of ``(T^d - I) y`` for a block of d in closed form; each
 must equal what the difference vector itself certifies, bit for bit.  The
-cloud applies ``seqspace.exceeds_exit`` to those brackets, so every bulk
-decision and every first-block distance must equal the scan's.  The greedy
-net steps one member at a time over a mask of blocked candidates; on any
-mix of decided and open differences it must equal the reference greedy of
-``OrbitCloud``.
+cloud applies ``seqspace.exceeds_exit`` to those brackets (each head
+maximum completed from its lead coordinates where the lead proves
+nothing), so every bulk decision and every first-block distance must
+equal the scan's.  The greedy net steps one member at a time over a mask
+of blocked candidates; on any mix of decided and open differences it must
+equal the reference greedy of ``OrbitCloud``.
 """
 
 import math
@@ -128,7 +129,7 @@ def test_bulk_decisions_and_distances_equal_the_scans(sym, y, data):
         v = cloud._diff_vector(1 + d, 1)
         if states[d] != orbits._UNKNOWN:  # a bulk first-block exit
             assert (states[d] == orbits._SEPARATED) == norm_exceeds(v, eps, tol)
-        lower, upper = norm_bracket(*cloud._brackets[:, d])
+        lower, upper = norm_bracket(*cloud.complete([d])[:, d])  # with the whole head
         if upper - lower <= tol:  # sup_norm's first-block return
             assert _bits(cloud.distance(1 + d, 1)).tolist() == _bits(sup_norm(v, tol)).tolist()
         else:
@@ -168,10 +169,21 @@ def test_member_stepping_net_equals_the_reference(data):
     cap = data.draw(st.sampled_from([None, 1, 2, h + 3]), label="cap")
     block = data.draw(st.sampled_from([1, 3, 7, 1024]), label="block")
     brackets = np.array([_BRACKETS[s] for s in states]).T
+    # each lead maximum is its head maximum or a quarter of it, so heads
+    # above eps are proved from the lead or only once completed
+    leads = brackets[0] * data.draw(
+        st.lists(st.sampled_from([1.0, 0.25]), min_size=h, max_size=h), label="leads")
+    completed = []
+
+    def complete(lead, ns, terms):
+        assert (lead == leads[ns]).all()
+        completed.extend(ns.tolist())
+        return brackets[0, ns]
 
     cloud = orbit(DiagonalOperator(harmonic_symbol(), "c"), constant_one(), h, tol=_TOL)
     cloud._phases.block = block
-    cloud._phases.head_maxima = lambda lo, count, t, y: brackets[0, lo:lo + count]
+    cloud._phases.lead_maxima = lambda lo, count, terms: leads[lo:lo + count]
+    cloud._phases.complete = complete
     cloud._diff_vector = lambda a, b: abs(a - b)
     scanned = []
 
@@ -190,6 +202,9 @@ def test_member_stepping_net_equals_the_reference(data):
     assert got == ref.greedy_net(_EPS, cap)
     assert len(scanned) == len(set(scanned))  # each open difference scanned once
     assert all(states[d] == orbits._UNKNOWN for d in scanned)
+    # a head is completed once, and only where its lead proves nothing
+    assert len(completed) == len(set(completed))
+    assert sorted(completed) == [d for d in range(1, cloud._headed + 1) if leads[d] <= _EPS]
     decided = cloud.states(_EPS)
     for d in range(1, h):
         if decided[d] != orbits._UNKNOWN:

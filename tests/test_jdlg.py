@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_power_bounded  # noqa: F401
+from orbitlab import ergodic, jdlg
 from orbitlab.errors import (NotPowerBoundedError, PeripheralSpectrumError,
                              UnsupportedSymbolError)
 from orbitlab.jdlg import (countable_peripheral_check, diagonal_jdlg,
@@ -217,3 +218,66 @@ def test_spectrum_report_shape():
     assert len(rep.peripheral) == 2
     doc = rep.to_json_dict()
     assert len(doc["eigenvalues"]) == 3
+
+
+def _count_certifications(monkeypatch):
+    """Record the (tol, peri_tol) of every spectral certification."""
+    made = []
+    real = ergodic.certify_power_bounded
+
+    def certify(op, tol=1e-8, peri_tol=ergodic.PERIPHERAL_TOL):
+        made.append((tol, peri_tol))
+        return real(op, tol, peri_tol)
+
+    monkeypatch.setattr(ergodic, "certify_power_bounded", certify)
+    monkeypatch.setattr(jdlg, "certify_power_bounded", certify)
+    return made
+
+
+_KTZ_OP = MatrixOperator(np.diag([1.0, 0.9]).astype(np.complex128))  # the ktz demo's matrix
+
+
+class TestOneCertification:
+    """A matrix certified once is not certified again by the projection."""
+
+    def test_ktz_check_certifies_once(self, monkeypatch):
+        want = ktz_check(_KTZ_OP, horizon=200, tol=1e-9)
+        made = _count_certifications(monkeypatch)
+        got = ktz_check(_KTZ_OP, horizon=200, tol=1e-9)
+        assert made == [(1e-9, ergodic.PERIPHERAL_TOL)]
+        assert np.array_equal(got.decay_curve, want.decay_curve)
+        assert np.array_equal(got.limit_projection.entries, want.limit_projection.entries)
+        assert (got.limit_defect, got.passed) == (want.limit_defect, want.passed)
+
+    def test_ktz_check_with_another_shell_certifies_as_before(self, monkeypatch):
+        made = _count_certifications(monkeypatch)
+        assert ktz_check(_KTZ_OP, horizon=200, tol=1e-9, peri_tol=1e-8).passed
+        assert made == [(1e-9, 1e-8), (1e-9, ergodic.PERIPHERAL_TOL)]
+
+    def test_fix_separation_check_certifies_once(self, monkeypatch):
+        op = MatrixOperator(np.diag([1.0, 1j, 0.5]))
+        want = ergodic.fix_separation_check(op)
+        made = _count_certifications(monkeypatch)
+        assert ergodic.fix_separation_check(op).evidence == want.evidence
+        assert made == [(1e-8, ergodic.PERIPHERAL_TOL)]
+
+    def test_projection_ignores_a_certificate_at_another_tol(self, monkeypatch):
+        op = MatrixOperator(np.diag([1.0, 1j, 0.5]))
+        loose = ergodic.certify_power_bounded(op, 1e-6)
+        same = ergodic.certify_power_bounded(op, 1e-8)
+        made = _count_certifications(monkeypatch)
+        ergodic.mean_ergodic_projection(op, 1e-8, loose)
+        assert made == [(1e-8, ergodic.PERIPHERAL_TOL)]
+        ergodic.mean_ergodic_projection(op, 1e-8, same)
+        assert len(made) == 1
+
+    def test_split_reads_eigenvalues_from_its_certificate(self, monkeypatch):
+        op = MatrixOperator(np.diag([1.0, 1j, 0.5, 0.25]))
+        want = jdlg_split(op, 1e-10)
+        calls = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real(a))
+        got = jdlg_split(op, 1e-10)
+        assert len(calls) == 1
+        assert got.aws_spectral_radius == want.aws_spectral_radius == 0.5
+        assert np.array_equal(got.projection.entries, want.projection.entries)

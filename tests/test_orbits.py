@@ -9,7 +9,8 @@ from orbitlab import orbits
 from orbitlab.ergodic import fix_separation_check
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
-                                make_commuting_family, root_perturbed_symbol)
+                                make_commuting_family, power_difference_rows,
+                                root_perturbed_symbol)
 from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
                              covering_estimate, difference_orbit,
                              difference_compactness_diagnostic, orbit,
@@ -127,14 +128,23 @@ class TestDiagonalNet:
 
     @staticmethod
     def _record_decisions(monkeypatch, cloud):
-        """Record first-block brackets, per-d decisions and every scan."""
-        rec = {"headed": [], "certified": [], "decided": [], "scans": []}
-        real_heads, real_scan = PhaseRange.head_maxima, orbits.norm_exceeds
+        """Record lead maxima, head completions, first-block certificates,
+        per-d decisions and every scan."""
+        rec = {"led": [], "lead": {}, "completed": [], "certified": [], "decided": [],
+               "scans": []}
+        real_leads, real_complete = PhaseRange.lead_maxima, PhaseRange.complete
+        real_scan = orbits.norm_exceeds
         real_certs, real_separated = orbits.difference_certificates, cloud.separated
 
-        def heads(self, lo, count, t, y, select=None):
-            rec["headed"].extend(range(lo, lo + count))
-            return real_heads(self, lo, count, t, y, select)
+        def leads(self, lo, count, terms, select=None):
+            got = real_leads(self, lo, count, terms, select)
+            rec["led"].extend(range(lo, lo + count))
+            rec["lead"].update(zip(range(lo, lo + count), got.tolist()))
+            return got
+
+        def complete(self, lead, ns, terms):
+            rec["completed"].extend(np.asarray(ns).tolist())
+            return real_complete(self, lead, ns, terms)
 
         def certs(op, ds, y):
             rec["certified"].extend(np.asarray(ds).tolist())
@@ -147,8 +157,9 @@ class TestDiagonalNet:
                 v, coord=lambda ks: evaluated.extend(ks.tolist()) or real_coord(ks))
             ok = real_scan(probe, threshold, tol, **kwargs)
             # only a difference its first block leaves open is scanned, and
-            # the scan starts from the cached head maximum, at k = 65
-            assert kwargs.get("head_max") is not None
+            # the scan starts from its completed head maximum, at k = 65
+            head = np.abs(real_coord(np.arange(1, 65))).max()
+            assert np.float64(kwargs["head_max"]).view(np.uint64) == head.view(np.uint64)
             assert min(evaluated, default=0) == 65
             rec["scans"].append(ok)
             return ok
@@ -157,7 +168,8 @@ class TestDiagonalNet:
             rec["decided"].append(abs(n - m))
             return real_separated(n, m, eps)
 
-        monkeypatch.setattr(PhaseRange, "head_maxima", heads)
+        monkeypatch.setattr(PhaseRange, "lead_maxima", leads)
+        monkeypatch.setattr(PhaseRange, "complete", complete)
         monkeypatch.setattr(orbits, "difference_certificates", certs)
         monkeypatch.setattr(orbits, "norm_exceeds", scan)
         monkeypatch.setattr(cloud, "separated", separated)
@@ -166,11 +178,22 @@ class TestDiagonalNet:
     @staticmethod
     def _kinds(cloud, eps):
         """Masks over d = 1 .. h-1 of the head proofs, the other bulk
-        first-block exits, and the differences the first block leaves open."""
-        brackets = cloud._brackets[:, 1:cloud._headed + 1]
-        exits = exceeds_exit(*brackets, eps, cloud.tol)
-        proved = brackets[0] > eps
+        first-block exits, and the differences the first block leaves open,
+        from whole heads formed apart from the cloud."""
+        ds = np.arange(1, cloud._headed + 1)
+        heads = np.abs(power_difference_rows(cloud._op, ds, 0, cloud._x,
+                                             np.arange(1, 65))).max(axis=1)
+        exits = exceeds_exit(heads, *cloud._brackets[1:, 1:cloud._headed + 1],
+                             eps, cloud.tol)
+        proved = heads > eps
         return proved, (exits != 0) & ~proved, exits == 0
+
+    @staticmethod
+    def _needs_whole_head(cloud, rec, eps):
+        """The screened differences whose lead maximum and |limit| are both
+        at or below eps: the only ones an asked eps completes."""
+        return [d for d in range(1, cloud._screened[eps] + 1)
+                if rec["lead"][d] <= eps and cloud._brackets[1, d] <= eps]
 
     def test_each_difference_decided_once(self, monkeypatch):
         cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
@@ -178,15 +201,25 @@ class TestDiagonalNet:
         assert packing_number(cloud, 1.0) == 2000
         states = cloud.states(1.0)
         assert (states[1:] != orbits._UNKNOWN).all()  # every d in 1..1999
-        # each first-block bracket is evaluated once
-        assert sorted(rec["headed"]) == list(range(1, 2000))
+        # each lead and each first-block certificate is evaluated once
+        assert sorted(rec["led"]) == list(range(1, 2000))
         assert sorted(rec["certified"]) == list(range(1, 2000))
+        # each head is completed at most once, and only where eps needs it
+        assert len(rec["completed"]) == len(set(rec["completed"]))
+        assert sorted(rec["completed"]) == self._needs_whole_head(cloud, rec, 1.0)
         proved, bulk, open_ = self._kinds(cloud, 1.0)
         assert (states[1:][proved] == orbits._SEPARATED).all()
+        assert (states[rec["completed"]] == orbits._SEPARATED).any()  # whole-head proofs
         assert len(rec["decided"]) == len(set(rec["decided"]))  # no d decided twice
         assert sorted(rec["decided"]) == (np.flatnonzero(open_) + 1).tolist()
         assert len(rec["decided"]) == len(rec["scans"])
         assert proved.sum() + bulk.sum() + len(rec["scans"]) == 1999
+        # a distance completes the head it reads, once
+        d = next(d for d in range(1, 2000) if rec["lead"][d] > 1.0)
+        before = len(rec["completed"])
+        cloud.distance(1, 1 + d)
+        cloud.distance(1 + d, 1)
+        assert rec["completed"][before:] == [d]
 
     def test_first_block_exits_and_further_scans(self, monkeypatch):
         # a difference orbit whose net needs head proofs, bulk first-block
@@ -198,8 +231,11 @@ class TestDiagonalNet:
         want = ref.greedy_net(2.5)
         rec = self._record_decisions(monkeypatch, cloud)
         assert cloud.greedy_net(2.5) == want
-        assert len(rec["headed"]) == len(set(rec["headed"]))
-        assert rec["certified"] == rec["headed"]
+        assert len(rec["led"]) == len(set(rec["led"]))
+        assert rec["certified"] == rec["led"]
+        assert len(rec["completed"]) == len(set(rec["completed"]))
+        assert sorted(rec["completed"]) == self._needs_whole_head(cloud, rec, 2.5)
+        assert (cloud.states(2.5)[rec["completed"]] == orbits._SEPARATED).any()
         proved, bulk, open_ = self._kinds(cloud, 2.5)
         states = cloud.states(2.5)[1:cloud._headed + 1]
         assert (states[bulk] == orbits._NOT_SEPARATED).all()

@@ -1,12 +1,14 @@
 """One phase range per exponent block, and both first-block exits.
 
-``PhaseRange`` computes the first-block phases of ``T^n`` once for a block
-of exponents; every head row read from it must equal the rows of
-``power_difference_rows`` and of the closure vectors bit for bit, however
-the range was filled.  A cached head maximum stands in for the first block
-of ``norm_exceeds``, so every decision taken from it must equal the full
-scan's, at thresholds on a head modulus and one ulp either side, at the
-majorant, and at a tolerance wide enough to force the straddle exit.
+``PhaseRange`` computes the lead phases of ``T^n`` once for a block of
+exponents and the rest of the first block for the rows a caller names;
+every head row read from it, lead and rest side by side, must equal the
+rows of ``power_difference_rows`` and of the closure vectors bit for bit,
+however the range was filled.  A cached head maximum stands in for the
+first block of ``norm_exceeds``, so every decision taken from it must
+equal the full scan's, at thresholds on a head modulus and one ulp either
+side, at the majorant, and at a tolerance wide enough to force the
+straddle exit.
 """
 
 import dataclasses
@@ -70,20 +72,27 @@ def test_rows_equal_difference_rows_and_closures(block, sym, x, data):
             st.none(), st.lists(st.integers(0, count - 1), min_size=1, max_size=count)
             .map(lambda s: np.array(sorted(set(s))))), label="select")
         ns = np.arange(lo, lo + count) if select is None else lo + select
-        got = ph.rows(lo, count, t, y, select)
+        # the lead columns from the range, the rest formed for the rows named
+        terms = ph.terms(t, y)
+        got = np.hstack([ph.rows(lo, count, terms, select), ph.rest_rows(ns, terms)])
         assert np.array_equal(_bits(got), _bits(power_difference_rows(op, ns, t, y, _HEAD)))
         assert np.array_equal(_bits(got), _bits(_closure_rows(op, ns.tolist(), t, y)))
-        assert np.array_equal(ph.head_maxima(lo, count, t, y, select),
-                              np.abs(got).max(axis=1))
+        lead = ph.lead_maxima(lo, count, terms, select)
+        assert np.array_equal(lead, np.abs(got[:, :operators._LEAD]).max(axis=1))
+        assert np.array_equal(_bits(ph.complete(lead, ns, terms)),
+                              _bits(np.abs(got).max(axis=1)))
 
 
 def test_range_is_bounded_by_its_block(monkeypatch):
     monkeypatch.setattr(operators, "_SCREEN_BLOCK", 7)
     ph = PhaseRange(DiagonalOperator(harmonic_symbol(), "c"))
-    assert ph.range(1, 8).shape == (8, 64)
+    assert ph.range(1, 8).shape == (8, 4)  # the lead coordinates only
     for count in (0, 9):
         with pytest.raises(ValueError):
             ph.range(1, count)
+    monkeypatch.undo()
+    full = PhaseRange(DiagonalOperator(harmonic_symbol(), "c"))
+    assert full.range(1, 1025).nbytes == 1025 * 4 * 16  # 66 KB at the default block
 
 
 def test_cloud_rejects_a_foreign_phase_range():

@@ -11,8 +11,12 @@ cover the diagonal decision paths the demos miss: a two-epsilon
 difference-orbit net whose differences go through head proofs,
 first-block exits and longer scans; a saturating difference-orbit net at
 h = 600 whose open differences scan past the first block (over a hundred
-of them); an orbit net on c0 with a basis probe; and a witness ladder at
-h = 410.
+of them); an orbit net on c0 with a basis probe; a witness ladder at
+h = 410; a witness ladder at h = 1500, whose pair search crosses a phase
+block (its second entry is d = 1152) and screens products at two
+thresholds; and a two-epsilon difference-orbit net at h = 1200 whose
+larger epsilon completes the heads of 250 differences the smaller one
+proved from their lead coordinates.
 
 A change that moves a report byte must update the digest and declare the
 moved values.  The matrix demos (``ktz``, ``halfsum``) go through LAPACK,
@@ -136,6 +140,42 @@ RUN_CONFIGS = {
         count = 8
         horizon = 410
         """,
+    "witness-1500-two-blocks": """
+        [run]
+        name = witness1500
+        seed = 15
+        tol = 1e-8
+
+        [operator]
+        kind = harmonic
+        rate = 2.0
+
+        [probe]
+        kind = one
+
+        [diagnostic]
+        op = witness
+        count = 8
+        horizon = 1500
+        """,
+    "diff-harmonic-2eps-completes-lead-proofs": """
+        [run]
+        name = diffharm2
+        seed = 16
+        tol = 1e-8
+
+        [operator]
+        kind = harmonic
+        rate = 1.0
+
+        [probe]
+        kind = one
+
+        [diagnostic]
+        op = difference-compactness
+        epsilons = 1.0 2.5
+        horizons = 300 600 1200
+        """,
 }
 
 RUN_DIGESTS = {
@@ -153,6 +193,13 @@ RUN_DIGESTS = {
     }),
     "witness-410": (0, {
         "witness410.json": "95ed6fc8c6acd4475fba9c7f7c84f4548edcd8d639ad44e1771ebcd5bcd7c8bc",
+    }),
+    "witness-1500-two-blocks": (0, {
+        "witness1500.json": "aac0118b9d89f3bfd349ce23adcfed822b43d4487458ae4738de347f2a621aef",
+    }),
+    "diff-harmonic-2eps-completes-lead-proofs": (0, {
+        "diffharm2.diagnostic.csv": "5cf2e723c1226ace0f23357a583d66f8c052b9776b7c6361cdf61a05543c2c93",
+        "diffharm2.json": "26c3597aecf4e4585d79a41406d01045b8560ad07b2a74dea7c7af3875eebf9d",
     }),
 }
 
