@@ -19,8 +19,8 @@ from .seqspace import (TailCertificate, SeqVector, FiniteVector, NormResult,
                        zero_vector, basis_vector, from_prefix)
 from .operators import (DiagonalSymbol, DiagonalOperator, MatrixOperator,
                         OperatorWord, CommutingFamily, harmonic_symbol,
-                        root_perturbed_symbol, constant_symbol, apply,
-                        power_apply, telescope_expand, commutation_defect,
+                        root_perturbed_symbol, constant_symbol, power_apply,
+                        telescope_expand, commutation_defect,
                         power_bound_estimate, make_commuting_family,
                         read_matrix_file, write_matrix_file)
 from .orbits import (OrbitCloud, CompactnessReport, orbit, difference_orbit,

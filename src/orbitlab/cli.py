@@ -276,6 +276,12 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _positive(value: float, what: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
 def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
@@ -312,9 +318,7 @@ def load_config(path: str) -> dict:
     run.setdefault("name", os.path.splitext(os.path.basename(path))[0])
     try:
         int(run["seed"])
-        tol = float(run["tol"])
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError
+        _positive(float(run["tol"]), "run.tol")
     except ValueError as exc:
         raise ConfigError("run.seed must be an int and run.tol a finite positive float") from exc
     return cfg
@@ -335,7 +339,9 @@ def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
     assertions: list = []
     tables: dict = {}
     if which in ("compactness", "difference-compactness"):
-        epsilons = _parse_floats(sec.get("epsilons", "1.0"))
+        epsilons = [_positive(e, "epsilons") for e in _parse_floats(sec.get("epsilons", "1.0"))]
+        if not epsilons:
+            raise ConfigError("epsilons must list at least one value")
         horizons = _parse_ints(sec.get("horizons", "100 200 400"))
         if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("horizons must be strictly increasing with >= 3 entries")
@@ -385,7 +391,8 @@ def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
                                          f"{split.residual:.3e}"))
     elif which == "ktz":
         horizon = int(sec.get("horizon", 200))
-        rep = ktz_check(op, horizon=horizon, tol=float(sec.get("ktz_tol", 1e-9)))
+        ktz_tol = _positive(float(sec.get("ktz_tol", 1e-9)), "ktz_tol")
+        rep = ktz_check(op, horizon=horizon, tol=ktz_tol)
         results["ktz"] = {"passed": rep.passed, "limit_defect": rep.limit_defect,
                           "decay_final": float(rep.decay_curve[-1])}
         rows = [("n", "decay")]

@@ -62,6 +62,7 @@ CERTIFICATE_FORMAT = "c0-ladder-certificate"
 CERTIFICATE_VERSION = 1
 _PREFIX_CHECK_LEN = 32
 _MAX_PRODUCT_LOG = 4096
+_DIAG_HORIZONS = (100, 200, 400)  # horizons of the c0_witness precondition diagnostics
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,6 @@ def _screen(cloud, phases: PhaseRange, prod_terms: Sequence, lo: int,
 
 def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
                tol: float = 1e-6, *, subset_samples: int = 200, seed: int = 2026,
-               diag_horizons: Sequence[int] = (100, 200, 400),
-               family_size: int | None = None,
                separation_eps: float | None = None) -> WitnessAudit:
     """Extract a c0-witness ladder from a non-compact orbit.
 
@@ -272,10 +271,10 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         raise ValueError("separation_eps must be positive")
 
     phases = PhaseRange(op)  # first-block phases shared by every cloud and screen below
-    top = max(int(h) for h in diag_horizons)
+    top = _DIAG_HORIZONS[-1]
     orbit_rep = cloud_diagnostic(
         orbit(op, x, top, tol=min(tol, eps_orbit / 100, 1e-8), phases=phases),
-        [eps_orbit], diag_horizons)
+        [eps_orbit], _DIAG_HORIZONS)
     if orbit_rep.verdict != "growing":
         raise NotApplicableError(
             f"orbit diagnostic verdict is {orbit_rep.verdict!r}; the witness "
@@ -287,7 +286,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         eps_diff = 1.25 * dn
         diff_rep = cloud_diagnostic(
             difference_orbit(op, x, top, tol=min(tol, eps_diff / 100, 1e-8), phases=phases),
-            [eps_diff], diag_horizons)
+            [eps_diff], _DIAG_HORIZONS)
         if diff_rep.verdict != "saturating":
             raise NotApplicableError(
                 f"difference-orbit diagnostic verdict is {diff_rep.verdict!r}; "
@@ -296,7 +295,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     bound_m = op.operator_norm() + 1.0  # isometry: sup over the semigroup is 1
 
     # separated exponent family: greedy certified eps_orbit-separated subset
-    cap = family_size or max(4 * count, 16)
+    cap = max(4 * count, 16)
     cloud = orbit(op, x, horizon, tol=min(tol, 1e-8), phases=phases)
     members = [cloud.labels[i] for i in cloud.greedy_net(eps_orbit, cap)]
     if len(members) < 2:

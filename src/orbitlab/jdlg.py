@@ -45,6 +45,8 @@ __all__ = [
     "diagonal_jdlg",
 ]
 
+_HALF_SUM_SAMPLES = 512  # indices k whose (1 + a_k) / 2 a diagonal half_sum samples
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -233,7 +235,7 @@ class HalfSumResult:
     spectrum: SpectrumReport
 
 
-def half_sum(op, tol: float = 1e-9, sample_indices: int = 512) -> HalfSumResult:
+def half_sum(op, tol: float = 1e-9) -> HalfSumResult:
     """Transform ``S = (I + T) / 2`` of a contraction.
 
     Every eigenvalue of S lies strictly inside the disk unless T fixes
@@ -256,7 +258,7 @@ def half_sum(op, tol: float = 1e-9, sample_indices: int = 512) -> HalfSumResult:
                     f"half-sum eigenvalue {lam} peripheral but away from 1")
         return HalfSumResult(s, rep)
     if isinstance(op, DiagonalOperator):
-        ks = np.arange(1, sample_indices + 1)
+        ks = np.arange(1, _HALF_SUM_SAMPLES + 1)
         lam = (1.0 + op.symbol.values(ks)) / 2.0
         lam_limit = (1.0 + op.symbol.limit_value) / 2.0
         eigs = tuple(complex(z) for z in lam) + (complex(lam_limit),)

@@ -17,14 +17,15 @@ tests verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyWordError, SpaceTagError
 from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, TailCertificate,
-                       sup_norm)
+                       apply_certificate, lin_comb_certificate, power_tail, sup_norm,
+                       tail_bound)
 
 __all__ = [
     "DiagonalSymbol",
@@ -35,7 +36,6 @@ __all__ = [
     "harmonic_symbol",
     "root_perturbed_symbol",
     "constant_symbol",
-    "apply",
     "power_apply",
     "telescope_expand",
     "word_apply",
@@ -61,8 +61,8 @@ def _power_angles(n, base):
     """Angles of the n-th power symbol: ``n * base`` reduced mod 2 pi.
 
     ``n`` may be an int array broadcast against ``base``; every power
-    symbol, every row of ``power_difference_rows`` and every PhaseRange
-    forms its angles here, so they agree bit for bit.
+    symbol, its limit and every PhaseRange form their angles here, so they
+    agree bit for bit.
     """
     return np.mod(n * base, _TWO_PI)
 
@@ -107,7 +107,6 @@ class DiagonalSymbol:
         if n == 0:
             return constant_symbol(0.0)
         base = self.angle
-        # difference_certificates repeats the limit angle and tail constant: keep them in step
 
         def angle(ks, _n=n, _base=base):
             return _power_angles(_n, np.asarray(_base(ks), dtype=np.float64))
@@ -115,7 +114,7 @@ class DiagonalSymbol:
         return DiagonalSymbol(
             angle,
             float(_power_angles(n, self.limit_angle)),
-            replace(self.tail, constant=abs(n) * self.tail.constant),
+            TailCertificate(*power_tail(n, self.tail)),
             kind="custom",
             params=("power", self.kind, self.params, n),
         )
@@ -197,16 +196,12 @@ class DiagonalOperator:
         if self.space_tag == "c0" and v.space_tag != "c0":
             raise SpaceTagError("operator on c0 cannot act on a general c vector")
         sym = self.symbol
-        limit = sym.limit_value * v.limit
 
         def coord(ks, _v=v, _sym=sym):
             return _sym.values(ks) * _v.coords(ks)
 
-        # difference_certificates repeats this limit, tail and majorant: keep them in step
-        # |a_k x_k - a_oo x_oo| <= |x_k - x_oo| + |x_oo| |a_k - a_oo|
-        tail = TailCertificate.combine([(1.0, v.tail), (abs(v.limit), sym.tail)])
-        # |a_k| = 1 keeps the majorant; |limit| absorbs the rounding of a_oo
-        return SeqVector(coord, limit, tail, v.space_tag, max(v.majorant, abs(limit)))
+        limit, tail, majorant, _ = apply_certificate(sym.limit_value, sym.tail, v)
+        return SeqVector(coord, limit, TailCertificate(*tail), v.space_tag, majorant)
 
     def power(self, n: int) -> "DiagonalOperator":
         return DiagonalOperator(self.symbol.power(n), self.space_tag)
@@ -286,11 +281,6 @@ def power_chunks(a: np.ndarray, start: np.ndarray, count: int):
         yield chunk
 
 
-def apply(op, v):
-    """Apply an operator to a compatible vector."""
-    return op.apply(v)
-
-
 def power_apply(op, n: int, v):
     """Apply the n-th power, n >= 0.
 
@@ -326,79 +316,26 @@ def _negated_term(phase_t: np.ndarray, yk: np.ndarray) -> np.ndarray:
     return complex(-1.0) * (phase_t * yk)
 
 
-def power_difference_rows(op: DiagonalOperator, s, t: int, y: SeqVector,
-                          ks) -> np.ndarray:
-    """Coordinates at ``ks`` of ``(T^s - T^t) y``, one row per exponent in
-    ``s`` (all exponents >= 0).
-
-    Row i equals ``lin_comb([1.0, -1.0], [power_apply(op, s[i], y),
-    power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles,
-    products and sums, broadcast over the rows.
-    """
-    s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
-    if t < 0 or (s < 0).any():
-        raise ValueError("power_difference_rows needs exponents >= 0")
-    ks = np.asarray(ks, dtype=np.int64)
-    yk = y.coords(ks)
-    base = np.asarray(op.symbol.angle(ks), dtype=np.float64)
-
-    def phases(n):  # at n = 0 the phase is exactly 1
-        return np.exp(1j * _power_angles(n, base))
-
-    return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
-
-
 def difference_certificates(op: DiagonalOperator, ds, y: SeqVector) -> np.ndarray:
     """Rows ``|limit|``, ``tail.bound(_FIRST_BLOCK)`` and ``majorant`` of
-    ``(T^d - I) y`` for each exponent ``d >= 1`` in ``ds``, without building
-    a vector: with the first-block head maxima from ``PhaseRange`` they make
-    the bracket ``norm_exceeds`` tests after its first block.
-
-    Column i equals what ``lin_comb([1.0, -1.0], [power_apply(op, d, y),
-    y])`` certifies for ``d = ds[i]``, bit for bit: the limit phase of
-    ``T^d`` as ``DiagonalSymbol.power`` forms it, each complex product and
-    modulus as the scalar ``complex`` arithmetic forms it (separate float
-    operations and ``hypot``; numpy's complex multiply and ``abs`` may
-    round differently), and the tail constants, exponents and starts
-    as ``TailCertificate.combine`` sums and picks them for ``apply`` and
-    then ``lin_comb``.
-
-    It is a copy of that scalar algebra, not a call to it: the scalar
-    steps run on every vector a closure builds, where numpy's 0-d
-    arithmetic would cost more and its complex products would round
-    differently.  ``DiagonalSymbol.power``, ``DiagonalOperator.apply``,
-    ``lin_comb`` and ``TailCertificate.combine`` point back here; a
-    change to one of them must be made here too.
-    """
+    ``(T^d - I) y`` for each ``d >= 1`` in ``ds``: with the head maxima from
+    ``PhaseRange``, the bracket ``norm_exceeds`` tests after its first block.
+    No vector is built.  The certificate rules of ``lin_comb([1.0, -1.0],
+    [power_apply(op, d, y), y])`` (the power's limit and tail, ``apply``,
+    ``lin_comb``) run over the whole block, so column i equals that vector's
+    certificate bit for bit."""
     if op.space_tag == "c0" and y.space_tag != "c0":
         raise SpaceTagError("operator on c0 cannot act on a general c vector")
     ds = np.asarray(ds, dtype=np.int64)
     if (ds < 1).any():
         raise ValueError("difference_certificates needs exponents >= 1")
-    sym, xl = op.symbol, y.limit
-    xc, xe = y.tail.constant, y.tail.exponent
-    a = np.exp(1j * _power_angles(ds, sym.limit_angle))  # limit value of the symbol of T^d
-    ur = a.real * xl.real - a.imag * xl.imag  # limit of T^d y
-    ui = a.real * xl.imag + a.imag * xl.real
-    lim = np.hypot(ur - xl.real, ui - xl.imag)
-    majorant = np.maximum(np.maximum(y.majorant, np.hypot(ur, ui)) + y.majorant, lim)
-    # T^d y: terms y (weight 1) and the symbol's tail d * c (weight |limit|)
-    sym_term = abs(xl) * (ds * sym.tail.constant)
-    u_const = xc + sym_term
-    u_exp = np.where(sym_term > 0.0, min(xe, sym.tail.exponent) if xc > 0.0
-                     else sym.tail.exponent, xe)
-    after = max(y.tail.after, sym.tail.after if abs(xl) > 0.0 else 0)
-    # (T^d - I) y: terms T^d y and y, weight 1 each; T^d y's exponent is the
-    # weakest whenever it contributes, since its constant includes y's
-    const = u_const + xc
-    bound = np.zeros(ds.shape)
-    if after > _FIRST_BLOCK:
-        bound[:] = np.inf
-    else:
-        for e in np.unique(u_exp[const > 0.0]).tolist():
-            pick = (const > 0.0) & (u_exp == e)
-            bound[pick] = const[pick] * TailCertificate(1.0, e).bound(_FIRST_BLOCK)
-    return np.stack([lim, bound, majorant])
+    sym = op.symbol
+    a = np.exp(1j * _power_angles(ds, sym.limit_angle))  # limit of the symbol of T^d
+    u = apply_certificate(a, power_tail(ds, sym.tail), y)
+    v = lin_comb_certificate([1.0, -1.0], [u, y])
+    out = np.empty((3,) + ds.shape)
+    out[0], out[1], out[2] = v.abs_limit, tail_bound(*v.tail, _FIRST_BLOCK), v.majorant
+    return out
 
 
 class PhaseRange:
@@ -454,16 +391,16 @@ class PhaseRange:
     def terms(self, t: int, y: SeqVector) -> tuple[np.ndarray, np.ndarray]:
         """``y`` and ``-T^t y`` at the head coordinates k = 1 ..
         _FIRST_BLOCK: what every row of ``(T^n - T^t) y`` adds to its
-        phases, formed once per vector as ``power_difference_rows`` forms
-        them; each stage reads its part."""
+        phases, formed once per vector; each stage reads its part."""
         yk = y.coords(_HEAD_KS)
         return yk, _negated_term(self.phases(t), yk)
 
     def rows(self, lo: int, count: int, terms, select: np.ndarray | None = None) -> np.ndarray:
         """Lead coordinates of ``(T^n - T^t) y`` (``terms`` of ``t`` and
         ``y``) for the exponents ``n = lo .. lo + count - 1``, or only for
-        ``n = lo + select[i]``: the first ``lead`` columns of
-        ``power_difference_rows(op, n, t, y, _HEAD_KS)`` bit for bit."""
+        ``n = lo + select[i]``: bit for bit the first ``lead`` coordinates
+        of ``lin_comb([1.0, -1.0], [power_apply(op, n, y), power_apply(op,
+        t, y)])``."""
         table = self.range(lo, count)
         lead = slice(self.lead)
         return _difference_rows(table if select is None else table[select],
@@ -471,9 +408,8 @@ class PhaseRange:
 
     def rest_rows(self, ns, terms) -> np.ndarray:
         """The other head coordinates, k = lead + 1 .. _FIRST_BLOCK, of
-        ``(T^n - T^t) y`` for the exponents ``ns``, one row each: the last
-        columns of ``power_difference_rows(op, ns, t, y, _HEAD_KS)`` bit for
-        bit."""
+        ``(T^n - T^t) y`` for the exponents ``ns``, one row each, bit for
+        bit as ``rows`` forms the lead."""
         rest = slice(self.lead, None)
         phases = self.phases(np.asarray(ns, dtype=np.int64).reshape(-1, 1), rest)
         return _difference_rows(phases, terms[0][rest], terms[1][rest])
@@ -504,10 +440,6 @@ class OperatorWord:
         if any(e < 0 for e in self.exponents):
             raise ValueError("word exponents must be nonnegative")
         object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
 
 
 def telescope_expand(exponents: Sequence[int]) -> list[tuple[OperatorWord, int]]:
@@ -685,6 +617,8 @@ def read_matrix_file(path, norm_tag: str = "euclidean") -> MatrixOperator:
         n = int(rows[0])
     except ValueError as exc:
         raise ValueError(f"{path}: header must be the dimension N") from exc
+    if n < 1:
+        raise ValueError(f"{path}: dimension must be >= 1, got {n}")
     if len(rows) != n + 1:
         raise ValueError(f"{path}: expected {n} rows after the header, got {len(rows) - 1}")
     data = np.empty((n, n), dtype=np.complex128)

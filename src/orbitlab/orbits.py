@@ -21,11 +21,11 @@ operators are translation invariant, so each exponent difference d is
 decided at most once per epsilon, on an int8 array over d = 1..h-1.  The
 first-block bracket of each ``(T^d - I) x`` is evaluated once per cloud,
 a block of d at a time and with no vector built: its ``|limit|``, tail
-bound and majorant in closed form (``operators.difference_certificates``)
-and its head maximum in two stages.  The lead stage takes the maximum
-over the first ``operators._LEAD`` coordinates, from lead phases of
-``T^d`` that clouds of one operator share; a lead above eps proves the
-head above eps.  The completion stage forms the rest of the head only
+bound and majorant from the certificate rules every vector takes, run over
+the block (``operators.difference_certificates``), and its head maximum in
+two stages.  The lead stage takes the maximum over the first
+``operators._LEAD`` coordinates, from lead phases of ``T^d`` that clouds
+of one operator share; a lead above eps proves the head above eps.  The completion stage forms the rest of the head only
 for a d whose lead and ``|limit|`` are both at or below an asked eps, or
 that ``separated`` or ``distance`` reads, at most once per d; the
 completed head equals the 64-coordinate one bit for bit.
@@ -96,11 +96,6 @@ class OrbitCloud:
 
     def __len__(self):
         return len(self.labels)
-
-    @property
-    def points(self):
-        """Labelled vector handles (built lazily)."""
-        return [(lbl, self._vector_of(lbl)) for lbl in self.labels]
 
     def vector(self, label):
         return self._vector_of(label)

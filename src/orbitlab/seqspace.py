@@ -84,14 +84,7 @@ class TailCertificate:
 
     def bound(self, k):
         """Tail bound after index ``k`` (scalar or array); inf below ``after``."""
-        if self.constant == 0.0:
-            b = np.zeros_like(np.asarray(k, dtype=float)) if np.ndim(k) else 0.0
-        else:
-            b = self.constant * np.asarray(k, dtype=float) ** (-self.exponent)
-        if self.after:
-            b = np.where(np.asarray(k) < self.after, np.inf, b)
-            return b if np.ndim(k) else float(b)
-        return b
+        return tail_bound(self.constant, self.exponent, self.after, k)
 
     def first_index_below(self, tol: float) -> int | None:
         """Smallest K with bound(K) <= tol, or None if unreachable."""
@@ -109,22 +102,12 @@ class TailCertificate:
 
     @staticmethod
     def combine(parts: Sequence[tuple[float, "TailCertificate"]]) -> "TailCertificate":
-        """Triangle-inequality combination of weighted certificates.
+        """Triangle-inequality combination (``combine_tails``)."""
+        return TailCertificate(*combine_tails(parts))
 
-        ``bound(K) = sum_i w_i * const_i * K**(-e)`` with ``e`` the
-        weakest (smallest) exponent among the terms that actually
-        contribute; terms with ``w_i * const_i == 0`` are ignored so a
-        zero vector does not degrade the exponent.  The sum holds from the
-        largest ``after`` among the terms with ``w_i > 0``.
-        """
-        # operators.difference_certificates repeats this rule over arrays: keep them in step
-        consts = [w * c.constant for w, c in parts]
-        exps = [c.exponent for (w, c), wc in zip(parts, consts) if wc > 0.0]
-        total = float(sum(c for c in consts))
-        after = max((c.after for w, c in parts if w > 0), default=0)
-        if not exps or total == 0.0:
-            return TailCertificate.zero(after)
-        return TailCertificate(total, min(exps), after)
+    def __iter__(self):
+        """``constant, exponent, after``: the form the certificate rules read."""
+        return iter((self.constant, self.exponent, self.after))
 
 
 @dataclass(frozen=True)
@@ -179,11 +162,102 @@ class NormResult(NamedTuple):
     error_bound: float
 
 
-def _merged_tags(tags: Sequence[str]) -> str:
-    tagset = set(tags)
-    if len(tagset) > 1:
-        raise SpaceTagError(f"mixed space tags {sorted(tagset)}")
-    return tags[0]
+# ---------------------------------------------------------------------------
+# Certificate algebra: each rule takes scalars, or arrays over a batch of
+# vectors by the same float operations in the same order (the scalar case is
+# one element); scalars take the builtins, cheaper than numpy's 0-d ufuncs.
+
+def _pick(cond, yes, no):
+    """``yes`` where ``cond`` holds, else ``no``; a uniform array condition
+    picks one side whole, so a field a whole batch agrees on stays scalar."""
+    if not isinstance(cond, np.ndarray):
+        return yes if cond else no
+    if cond.all():
+        return yes
+    return np.where(cond, yes, no) if cond.any() else no
+
+
+def modulus(z):
+    """``|z|`` as ``abs`` forms it on a complex: the hypot of its parts."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def product(a, b):
+    """The complex product ``a * b`` as Python forms it; on arrays by its
+    float operations, since numpy's complex multiply may round differently."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = (ar * br - ai * bi).astype(np.complex128)
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def tail_bound(constant, exponent, after, k):
+    """``constant * k**(-exponent)``, inf where ``k < after``, 0 for a zero
+    constant.  The power is numpy's on scalars too: its 0-d and array ``pow``
+    round alike, Python's float ``**`` does not."""
+    ks = np.asarray(k, dtype=float)
+    b = _pick(constant > 0.0, constant * ks ** (-exponent), 0.0)
+    return _pick(ks < after, math.inf, b) if isinstance(after, np.ndarray) or after else b
+
+
+def combine_tails(parts):
+    """Triangle-inequality combination of ``(weight >= 0, (constant, exponent,
+    after))`` terms: constants ``w_i const_i`` summed in order, the weakest
+    exponent among terms with ``w_i const_i > 0`` (a zero vector does not
+    degrade it), the largest ``after`` among terms with ``w_i > 0``; with no
+    contributing term, the zero certificate."""
+    total, exponent, after = 0.0, math.inf, 0
+    for w, (c, e, a) in parts:
+        wc = w * c
+        total = total + wc
+        exponent = _pick(wc > 0.0, _pick(e < exponent, e, exponent), exponent)
+        after = _pick((w > 0) & (a > after), a, after)
+    return total, _pick(exponent == math.inf, 1.0, exponent), after
+
+
+def power_tail(n, tail):
+    """Tail of the n-th power of a unimodular symbol: ``|a^n - b^n| <= |n| |a - b|``."""
+    c, e, a = tail
+    return abs(n) * c, e, a
+
+
+class Certificate(NamedTuple):
+    """A vector's limit, tail and majorant, named as in SeqVector, and the
+    ``|limit|`` its majorant takes in, which absorbs the rounding of the limit."""
+
+    limit: complex
+    tail: tuple
+    majorant: float
+    abs_limit: float
+
+
+def _certificate(limit, tail, majorant) -> Certificate:
+    size = modulus(limit)
+    top = np.maximum if isinstance(majorant, np.ndarray) or isinstance(size, np.ndarray) else max
+    return Certificate(limit, tail, top(majorant, size), size)
+
+
+def apply_certificate(a, tail, v) -> Certificate:
+    """Certificate of ``(a_k v_k)``, ``a_k`` unimodular with limit ``a`` and
+    tail ``tail``: ``|a_k v_k - a v_oo| <= |v_k - v_oo| + |v_oo| |a_k - a|``."""
+    tail = combine_tails([(1.0, v.tail), (modulus(v.limit), tail)])
+    return _certificate(product(a, v.limit), tail, v.majorant)
+
+
+def lin_comb_certificate(coeffs, vectors) -> Certificate:
+    """Certificate of ``sum_i c_i v_i``: limits summed in order, tails
+    combined with weights ``|c_i|``, majorant ``sum |c_i| M_i`` over the
+    nonzero ``c_i``."""
+    limit, majorant, tails = 0j, 0.0, []
+    for c, v in zip(coeffs, vectors):
+        w = abs(c)
+        limit = limit + product(c, v.limit)
+        if c != 0:
+            majorant = majorant + w * v.majorant
+        tails.append((w, v.tail))
+    return _certificate(limit, combine_tails(tails), majorant)
 
 
 def norm_bracket(head_max, lim, bound, majorant):
@@ -220,6 +294,25 @@ def exceeds_exit(head_max, lim, bound, majorant, threshold: float, tol: float):
     return 1 if yes else -1 if no else 0
 
 
+def _scan(v: SeqVector, max_terms: int, head_max: float | None = None):
+    """Scan ``v`` in blocks growing from _FIRST_BLOCK up to ``max_terms``;
+    after each, yield ``max |v_k|`` so far and the tail bound at the last
+    index.  A given ``head_max`` stands in for the first block."""
+    given = head_max is not None
+    head_max = float(head_max) if given else 0.0
+    k, block = 1, _FIRST_BLOCK
+    while True:
+        hi = min(k + block - 1, max_terms)
+        if not (given and k == 1):
+            vals = np.abs(v.coords(np.arange(k, hi + 1, dtype=np.int64)))
+            if vals.size:
+                head_max = max(head_max, float(vals.max()))
+        yield head_max, float(v.tail.bound(hi))
+        if hi >= max_terms:
+            return
+        k, block = hi + 1, min(block * 2, _MAX_BLOCK)
+
+
 def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> NormResult:
     """Certified sup-norm of a sequence vector.
 
@@ -240,25 +333,14 @@ def sup_norm(v: SeqVector, tol: float, *, max_terms: int = MAX_SUP_TERMS) -> Nor
     if tol <= 0:
         raise ValueError("tol must be positive")
     lim = abs(v.limit)
-    head_max = 0.0
-    k = 1
-    block = _FIRST_BLOCK
-    while True:
-        hi = min(k + block - 1, max_terms)
-        ks = np.arange(k, hi + 1, dtype=np.int64)
-        vals = np.abs(v.coords(ks))
-        if vals.size:
-            head_max = max(head_max, float(vals.max()))
-        lower, upper = norm_bracket(head_max, lim, float(v.tail.bound(hi)), v.majorant)
+    for head_max, bound in _scan(v, max_terms):
+        lower, upper = norm_bracket(head_max, lim, bound, v.majorant)
         if upper - lower <= tol:
             return NormResult(lower, upper - lower)
-        if hi >= max_terms:
-            raise UnreachableToleranceError(
-                f"certificate (constant={v.tail.constant:g}, exponent={v.tail.exponent:g}) "
-                f"cannot certify tolerance {tol:g} within {max_terms} coordinates"
-            )
-        k = hi + 1
-        block = min(block * 2, _MAX_BLOCK)
+    raise UnreachableToleranceError(
+        f"certificate (constant={v.tail.constant:g}, exponent={v.tail.exponent:g}) "
+        f"cannot certify tolerance {tol:g} within {max_terms} coordinates"
+    )
 
 
 def norm_exceeds(v: SeqVector, threshold: float, tol: float,
@@ -271,7 +353,7 @@ def norm_exceeds(v: SeqVector, threshold: float, tol: float,
     and an upper bracket at or below it proves the opposite.  The test
     after each block is ``exceeds_exit``; diagonal orbit clouds apply the
     same function to the first block of a whole block of difference
-    vectors at once, from closed-form certificates, and call this scan
+    vectors at once, from their certificates, and call this scan
     only for the vectors it leaves open.
 
     ``head_max``, when given, is ``max |v_k|`` over the first block
@@ -287,41 +369,25 @@ def norm_exceeds(v: SeqVector, threshold: float, tol: float,
     lim = abs(v.limit)
     if lim > threshold:
         return True
-    given = head_max is not None
-    head_max = float(head_max) if given else 0.0
-    k = 1
-    block = _FIRST_BLOCK
-    while True:
-        hi = min(k + block - 1, max_terms)
-        if not (given and k == 1):
-            ks = np.arange(k, hi + 1, dtype=np.int64)
-            vals = np.abs(v.coords(ks))
-            if vals.size:
-                head_max = max(head_max, float(vals.max()))
-        state = exceeds_exit(head_max, lim, float(v.tail.bound(hi)), v.majorant,
-                             threshold, tol)
+    for head, bound in _scan(v, max_terms, head_max):
+        state = exceeds_exit(head, lim, bound, v.majorant, threshold, tol)
         if state:
             return bool(state > 0)
-        if hi >= max_terms:
-            raise UnreachableToleranceError(
-                f"cannot decide ||v|| > {threshold:g} at tolerance {tol:g} "
-                f"within {max_terms} coordinates"
-            )
-        k = hi + 1
-        block = min(block * 2, _MAX_BLOCK)
+    raise UnreachableToleranceError(
+        f"cannot decide ||v|| > {threshold:g} at tolerance {tol:g} "
+        f"within {max_terms} coordinates"
+    )
 
 
 def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVector:
-    """Pointwise linear combination ``sum_i coeffs[i] * vectors[i]``.
-
-    The tail certificate is the triangle-inequality combination of the
-    input certificates with the weakest contributing exponent, and the
-    majorant is ``sum |c_i| M_i`` over the nonzero coefficients.
-    """
+    """Pointwise linear combination ``sum_i coeffs[i] * vectors[i]``,
+    certified by ``lin_comb_certificate``."""
     if not coeffs or len(coeffs) != len(vectors):
         raise ValueError("coeffs and vectors must be nonempty lists of equal length")
     cs = [_require_finite(c, "coefficient") for c in coeffs]
-    tag = _merged_tags([v.space_tag for v in vectors])
+    tags = {v.space_tag for v in vectors}
+    if len(tags) > 1:
+        raise SpaceTagError(f"mixed space tags {sorted(tags)}")
     vs = list(vectors)
 
     def coord(ks, _cs=cs, _vs=vs):
@@ -331,12 +397,8 @@ def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVect
                 out = out + c * v.coords(ks)
         return out
 
-    # operators.difference_certificates repeats these steps over arrays: keep them in step
-    limit = sum(c * v.limit for c, v in zip(cs, vs))
-    tail = TailCertificate.combine([(abs(c), v.tail) for c, v in zip(cs, vs)])
-    majorant = sum(abs(c) * v.majorant for c, v in zip(cs, vs) if c != 0)
-    # taking |limit| in as well absorbs the rounding of the limit's own sum
-    return SeqVector(coord, limit, tail, tag, max(majorant, abs(limit)))
+    limit, tail, majorant, _ = lin_comb_certificate(cs, vs)
+    return SeqVector(coord, limit, TailCertificate(*tail), vs[0].space_tag, majorant)
 
 
 def distance(u: SeqVector, v: SeqVector, tol: float) -> NormResult:

@@ -1,9 +1,15 @@
-"""Shared battery generators for the matrix-side tests."""
+"""Shared battery generators for the matrix-side tests, the reference
+rows of diagonal difference vectors, and the hypothesis profile."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from orbitlab.operators import MatrixOperator
+from orbitlab.operators import MatrixOperator, _difference_rows, _negated_term, _power_angles
+
+# every property test draws the same examples on every run
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_power_bounded(rng, dim=10, norm_tag="euclidean", max_cond=20.0,
@@ -61,3 +67,24 @@ def commuting_matrix_family(rng, dim=8, m=2, norm_tag="euclidean"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def power_difference_rows(op, s, t: int, y, ks) -> np.ndarray:
+    """Coordinates at ``ks`` of ``(T^s - T^t) y``, one row per exponent in
+    ``s`` (all exponents >= 0): the reference for ``PhaseRange`` rows.
+
+    Row i equals ``lin_comb([1.0, -1.0], [power_apply(op, s[i], y),
+    power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles,
+    products and sums, broadcast over the rows.
+    """
+    s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
+    if t < 0 or (s < 0).any():
+        raise ValueError("power_difference_rows needs exponents >= 0")
+    ks = np.asarray(ks, dtype=np.int64)
+    yk = y.coords(ks)
+    base = np.asarray(op.symbol.angle(ks), dtype=np.float64)
+
+    def phases(n):  # at n = 0 the phase is exactly 1
+        return np.exp(1j * _power_angles(n, base))
+
+    return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))

@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import commuting_matrix_family, random_power_bounded, random_contraction
+from conftest import (commuting_matrix_family, power_difference_rows, random_contraction,
+                      random_power_bounded)
 from orbitlab.cli import main as cli_main
 from orbitlab.ergodic import (cesaro, decomposition_check,
                               diagonal_mean_ergodic_verdict,
@@ -28,7 +29,7 @@ from orbitlab.gallery import (SymbolFamily, bp_test, c0_witness,
 from orbitlab.jdlg import half_sum, jdlg_split, ktz_check
 from orbitlab.operators import (MatrixOperator, OperatorWord, matrix_norm,
                                 power_apply, power_bound_estimate,
-                                power_difference_rows, telescope_expand,
+                                telescope_expand,
                                 word_matrix)
 from orbitlab.orbits import cloud_diagnostic, difference_orbit, orbit
 from orbitlab.seqspace import FiniteVector, constant_one, lin_comb, sup_norm

@@ -265,19 +265,27 @@ horizon = 1500
          "op = compactness"),
         ("kind = matrix\npath = m3.txt", "kind = one", "op = ktz\nhorizon = 0"),
         ("kind = matrix\npath = m3.txt", "kind = one", "op = ktz\nhorizon = -3"),
+        ("kind = harmonic", "kind = one", "op = compactness\nepsilons = nan"),
+        ("kind = harmonic", "kind = one", "op = compactness\nepsilons = inf"),
+        ("kind = harmonic", "kind = one", "op = compactness\nepsilons ="),
+        ("kind = matrix\npath = m3.txt", "kind = one", "op = ktz\nktz_tol = nan"),
+        ("kind = matrix\npath = m0.txt", "kind = one", "op = halfsum"),
     ], ids=["matrix-index-0", "matrix-index-9", "matrix-unknown-kind", "matrix-no-values",
             "index-0", "no-values", "bad-space", "ktz-diagonal", "spectrum-diagonal",
             "witness-matrix", "c0-one", "c0-prefix-limit", "ktz-horizon-0",
-            "ktz-horizon-negative"])
+            "ktz-horizon-negative", "epsilons-nan", "epsilons-inf", "epsilons-empty",
+            "ktz-tol-nan", "matrix-dimension-0"])
     def test_bad_spec_is_one_line_usage_error(self, tmp_path, capsys, operator, probe,
                                               diagnostic):
         write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.diag([1.0, 0.5, 0.25])))
+        (tmp_path / "m0.txt").write_text("0\n")
         cfg = self._write(tmp_path, f"[operator]\n{operator}\n[probe]\n{probe}\n"
                                     f"[diagnostic]\n{diagnostic}\n")
         capsys.readouterr()
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not list(tmp_path.glob("*.json"))  # no report written
 
 
 @pytest.mark.parametrize("where, value", [

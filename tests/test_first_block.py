@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import power_difference_rows
 from orbitlab import operators, orbits
 from orbitlab.ergodic import cesaro
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
 from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symbol,
-                                power_apply, power_difference_rows, root_perturbed_symbol)
+                                power_apply, root_perturbed_symbol)
 from orbitlab.orbits import OrbitCloud, orbit
 from orbitlab.seqspace import (SeqVector, TailCertificate, basis_vector, constant_one,
                                from_prefix, lin_comb, norm_exceeds, sup_norm,

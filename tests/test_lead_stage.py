@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import power_difference_rows
 from orbitlab import gallery, operators
 from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
                                 difference_certificates, harmonic_symbol, power_apply,
-                                power_difference_rows, root_perturbed_symbol)
+                                root_perturbed_symbol)
 from orbitlab.orbits import _SEPARATED, orbit
 from orbitlab.seqspace import (basis_vector, constant_one, exceeds_exit, from_prefix,
                                lin_comb)

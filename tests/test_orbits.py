@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_power_bounded
+from conftest import power_difference_rows, random_power_bounded
 from orbitlab import orbits
 from orbitlab.ergodic import fix_separation_check
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
-                                make_commuting_family, power_difference_rows,
-                                root_perturbed_symbol)
+                                make_commuting_family, root_perturbed_symbol)
 from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
                              covering_estimate, difference_orbit,
                              difference_compactness_diagnostic, orbit,

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import power_difference_rows
 from orbitlab import operators
 from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
-                                harmonic_symbol, power_apply, power_difference_rows,
-                                root_perturbed_symbol)
+                                harmonic_symbol, power_apply, root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import (basis_vector, constant_one, from_prefix, lin_comb,
                                norm_exceeds)

@@ -9,12 +9,12 @@ the per-candidate pair search that the screen replaced.
 import numpy as np
 import pytest
 
+from conftest import power_difference_rows
 from orbitlab import gallery, operators, orbits
 from orbitlab.errors import HorizonExhaustedError, NotApplicableError
 from orbitlab.gallery import _subset_sums, c0_witness
 from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symbol,
-                                power_apply, power_difference_rows,
-                                root_perturbed_symbol)
+                                power_apply, root_perturbed_symbol)
 from orbitlab.seqspace import (basis_vector, constant_one, from_prefix, lin_comb,
                                sup_norm)
 
