@@ -343,8 +343,9 @@ def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
         if not epsilons:
             raise ConfigError("epsilons must list at least one value")
         horizons = _parse_ints(sec.get("horizons", "100 200 400"))
-        if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-            raise ConfigError("horizons must be strictly increasing with >= 3 entries")
+        if (len(horizons) < 3 or horizons[0] < 1
+                or any(b <= a for a, b in zip(horizons, horizons[1:]))):
+            raise ConfigError("horizons must be strictly increasing from >= 1 with >= 3 entries")
         fn = compactness_diagnostic if which == "compactness" \
             else difference_compactness_diagnostic
         rep = fn(op, probe, epsilons, horizons, tol=tol)

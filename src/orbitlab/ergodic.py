@@ -24,8 +24,7 @@ import scipy.linalg
 
 from .errors import (DecompositionError, NotPowerBoundedError,
                      UnsupportedSymbolError)
-from .operators import (DiagonalOperator, MatrixOperator, matrix_norm,
-                        power_bound_estimate, power_chunks)
+from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .seqspace import (FiniteVector, SeqVector, TailCertificate, basis_vector,
                        constant_one, lin_comb, sup_norm)
 
@@ -231,8 +230,24 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
     fix_basis = tuple(FiniteVector(fix_cols[:, i], op.norm_tag) for i in range(fix_cols.shape[1]))
     range_basis = tuple(FiniteVector(range_cols[:, i], op.norm_tag) for i in range(range_cols.shape[1]))
 
+    # One stack of a^1 .. a^255 gives M, the largest ||a^k|| for k <= 200,
+    # and the Cesaro sums I + a + ... + a^(n-1), added in the order of a loop
+    # that starts from zero.  The stack starts at a, not at I: a @ I drops
+    # the signs of zeros, and can move a 2-norm by an ulp.  A sum that starts
+    # from I = 0 + I has no negative zero, so the sums are the ones an
+    # I-started stack gives, bit for bit.
+    counts, bound_horizon = (16, 64, 256), 200
+    m_est, sums, acc, done = 0.0, {}, eye, 1  # acc: the sum of a^0 .. a^(done-1)
+    for chunk in power_chunks(a, a, counts[-1] - 1):  # a^done, a^(done+1), ...
+        if done <= bound_horizon:
+            norms = matrix_norm(chunk[:bound_horizon + 1 - done], op.norm_tag)
+            m_est = max(m_est, float(norms.max()))
+        run = np.cumsum(np.concatenate((acc[None], chunk)), axis=0)
+        sums.update((nn, run[nn - done]) for nn in counts if done < nn <= done + len(chunk))
+        done += len(chunk)
+        acc = run[-1]
+
     # ||A_n - P|| = ||(1/n)(I - T^n)(I - T)^{-1}(I - P)|| <= (1 + M)/n * ||Y||
-    m_est = power_bound_estimate(op, 200).sup_estimate
     if sdim < n:
         y = np.linalg.solve(eye - a + p, q)
         c_bound = (1.0 + m_est) * matrix_norm(y, op.norm_tag)
@@ -240,8 +255,7 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
         c_bound = 0.0
 
     samples = {}
-    sums = _power_sums(a, eye, (16, 64, 256))
-    for nn in (16, 64, 256):
+    for nn in counts:
         diff = matrix_norm(sums[nn] / nn - p, op.norm_tag)
         samples[nn] = diff
         if diff > c_bound / nn + max(tol, 1e-9) * scale:

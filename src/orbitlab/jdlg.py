@@ -27,7 +27,8 @@ from .ergodic import (PERIPHERAL_TOL, _sorted_schur_projection,
 from .operators import (DiagonalOperator, MatrixOperator, PhaseRange, matrix_norm,
                         power_chunks)
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
-from .seqspace import FiniteVector, SeqVector, constant_one, lin_comb, sup_norm
+from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
+                       sup_norm)
 
 __all__ = [
     "SpectrumReport",
@@ -95,9 +96,11 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     """Split a certified power-bounded matrix into reversible + stable parts.
 
     E_rev is the span of eigenvectors with unimodular eigenvalues, E_aws
-    the complementary spectral subspace.  Verifies that the restricted
-    action has bounded powers in both directions up to ``group_horizon``
-    and that powers decay geometrically on the stable part.
+    the complementary spectral subspace.  Records the largest norm of the
+    restricted action's powers in both directions up to ``group_horizon``
+    (``rev_power_bound``) and, in ``diagnostics["aws_decay_constants"]``,
+    the largest ``||T^k y|| / (rho_aws + tol)**k`` over k <= 200 for up to
+    three stable basis vectors y.  It asserts neither bound.
     """
     eigs = certify_power_bounded(op, tol, peri_tol).eigenvalues
     a = op.entries
@@ -133,11 +136,13 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     decay = {}
     if aws_basis:
         r_eff = rho_aws + tol
+        scale = r_eff ** np.arange(1, 201, dtype=np.float64)
         for idx, y in enumerate(aws_basis[: min(3, len(aws_basis))]):
-            nrms = [FiniteVector(v, op.norm_tag).norm()
-                    for chunk in power_chunks(a, a @ y.coords, 200) for v in chunk]
-            decay[idx] = max([0.0] + [nrm / r_eff ** k for k, nrm in enumerate(nrms, 1)
-                                      if r_eff > 0])
+            powers = np.concatenate(list(power_chunks(a, a @ y.coords, 200)))
+            nrms = stacked_norms(powers, op.norm_tag)[0]
+            with np.errstate(divide="ignore", invalid="ignore"):  # r_eff ** k may underflow
+                ratios = np.where(nrms > 0, nrms / scale, 0.0)  # a vanished power adds 0
+            decay[idx] = max(0.0, float(ratios.max())) if r_eff > 0 else 0.0
     diagnostics = {"aws_decay_constants": decay, "group_horizon": group_horizon}
     return JdlgSplit(MatrixOperator(p, op.norm_tag), rev_basis, aws_basis,
                      rev_action, rho_aws, rev_power_bound, residual, diagnostics)

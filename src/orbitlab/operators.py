@@ -62,8 +62,12 @@ def _power_angles(n, base):
 
     ``n`` may be an int array broadcast against ``base``; every power
     symbol, its limit and every PhaseRange form their angles here, so they
-    agree bit for bit.
+    agree bit for bit.  A scalar zero ``base`` (of either sign) gives the
+    +0.0 that ``np.mod`` makes of every ``n * base``, without its slow path
+    on zeros.
     """
+    if np.ndim(base) == 0 and base == 0:
+        return np.zeros(np.shape(n))[()]
     return np.mod(n * base, _TWO_PI)
 
 

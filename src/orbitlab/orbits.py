@@ -36,8 +36,16 @@ first "no", so no decision changes.  The net grows a member at a time: a
 joining member blocks every candidate a decided "no" away, the next
 candidate is the first unblocked one, and free candidates closer together
 than the smallest difference that is not separated join as one batch.
-Matrix and family clouds are not translation invariant and decide the net
-pair by pair through the cloud's decision cache.
+
+A matrix cloud holds its orbit as one ``(h, N)`` stack of points.  Its net
+also grows a member at a time: a joining member takes the norms of its
+differences to every candidate left in one ``stacked_norms`` call, and
+keeps the candidates whose norm is certified above eps by the lower end of
+the rounding bracket ``v (1 - rho)``; a bracket that straddles eps is a
+"no".  The bracket covers the distance between the stored points, not the
+rounding in forming ``A^n x``.  Family clouds are not translation invariant
+and decide the net pair by pair through the cloud's decision cache, over
+finite vectors by the same bracket.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import numpy as np
 from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, PhaseRange,
                         difference_certificates, power_apply, power_chunks, word_apply)
 from .seqspace import (FiniteVector, NormResult, SeqVector, exceeds_exit, lin_comb,
-                       norm_bracket, norm_exceeds, sup_norm)
+                       norm_bracket, norm_exceeds, stacked_norms, sup_norm)
 
 __all__ = [
     "OrbitCloud",
@@ -68,6 +76,14 @@ __all__ = [
 ]
 
 GROWTH_FACTOR = 1.1  # >= 10% growth per horizon step counts as growing
+
+
+def _certified_above(rows: np.ndarray, norm_tag: str, eps: float):
+    """Whether the norm of each finite row is certified above eps: the lower
+    end of its ``stacked_norms`` bracket exceeds eps, and a bracket that
+    straddles eps counts as "no"."""
+    values, rho = stacked_norms(rows, norm_tag)
+    return values * (1.0 - rho) > eps
 
 
 class OrbitCloud:
@@ -107,7 +123,8 @@ class OrbitCloud:
         if hit is None:
             d = self._diff_vector(l1, l2)
             if isinstance(d, FiniteVector):
-                hit = NormResult(d.norm(), 0.0)
+                value, rho = stacked_norms(d.coords, d.norm_tag)
+                hit = NormResult(float(value), float(value * rho))
             else:
                 hit = sup_norm(d, self.tol)
             self._values[key] = hit
@@ -120,7 +137,7 @@ class OrbitCloud:
         if hit is None:
             d = self._diff_vector(l1, l2)
             if isinstance(d, FiniteVector):
-                hit = d.norm() > eps
+                hit = bool(_certified_above(d.coords, d.norm_tag, eps))
             else:
                 hit = norm_exceeds(d, eps, self.tol)
             self._decisions[key] = hit
@@ -320,17 +337,40 @@ class _DiagOrbitCloud(OrbitCloud):
         return (net[:size] - 1).tolist()
 
 
-def _matrix_orbit_cloud(op: MatrixOperator, x: FiniteVector, horizon: int,
-                        tol: float, description: str) -> OrbitCloud:
-    vecs = [None] + [FiniteVector(v, x.norm_tag)
-                     for chunk in power_chunks(op.entries, op.entries @ x.coords, horizon)
-                     for v in chunk]
+class _MatrixOrbitCloud(OrbitCloud):
+    """Orbit ``T^1 x .. T^h x`` of a matrix, held as the ``(h, N)`` stack of
+    points the power kernel forms; a FiniteVector is built only for a point
+    or a difference that is asked for."""
 
-    def diff_vector(n, m):
-        return FiniteVector(vecs[n].coords - vecs[m].coords, x.norm_tag)
+    def __init__(self, op: MatrixOperator, x: FiniteVector, horizon: int,
+                 tol: float, description: str):
+        points = np.concatenate(list(power_chunks(op.entries, op.entries @ x.coords, horizon)))
+        if not np.isfinite(points).all():  # FiniteVector's check, once on the stack
+            raise ValueError("FiniteVector coordinates must be finite")
+        tag = x.norm_tag
+        super().__init__(range(1, horizon + 1),
+                         lambda n: FiniteVector(points[n - 1], tag),
+                         lambda n, m: FiniteVector(points[n - 1] - points[m - 1], tag),
+                         tol, description=description)
+        self._points, self._tag = points, tag
 
-    return OrbitCloud(range(1, horizon + 1), vecs.__getitem__, diff_vector, tol,
-                      description=description)
+    def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
+        """``OrbitCloud.greedy_net``, stepping by member instead of by point.
+
+        A joining member takes its differences to every candidate after it
+        in one stacked call and drops each candidate that is not certified
+        more than eps away; the next member is the first candidate left.
+        """
+        limit = len(self.labels) if cap is None else max(cap, 1)
+        net = [0]
+        free = np.arange(1, len(self.labels))  # candidates after the last member
+        while free.size and len(net) < limit:
+            free = free[_certified_above(self._points[free] - self._points[net[-1]],
+                                         self._tag, eps)]
+            if free.size:
+                net.append(int(free[0]))
+                free = free[1:]
+        return net
 
 
 def orbit(op, x, horizon: int, tol: float = 1e-8, *,
@@ -345,7 +385,7 @@ def orbit(op, x, horizon: int, tol: float = 1e-8, *,
     if isinstance(op, DiagonalOperator):
         return _DiagOrbitCloud(op, x, horizon, tol, "orbit", phases)
     if isinstance(op, MatrixOperator):
-        return _matrix_orbit_cloud(op, x, horizon, tol, "orbit")
+        return _MatrixOrbitCloud(op, x, horizon, tol, "orbit")
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
@@ -504,14 +544,16 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
                      horizons: Sequence[int]) -> CompactnessReport:
     """Packing table of an existing cloud plus the saturation verdict.
 
-    ``horizons`` must be strictly increasing with at least 3 entries.
+    ``horizons`` must be strictly increasing from at least 1, with at least
+    3 entries.
     Verdict "saturating" means every epsilon row is constant across the
     last two horizon steps; "growing" means some row grows monotonically
     by at least 10% per step; anything else is "inconclusive".
     """
     horizons = [int(h) for h in horizons]
-    if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly increasing with >= 3 entries")
+    if (len(horizons) < 3 or horizons[0] < 1
+            or any(b <= a for a, b in zip(horizons, horizons[1:]))):
+        raise ValueError("horizons must be strictly increasing from >= 1 with >= 3 entries")
     if max(horizons) > len(cloud):
         raise ValueError("largest horizon exceeds the cloud size")
     epsilons = [float(e) for e in epsilons]

@@ -27,6 +27,7 @@ __all__ = [
     "TailCertificate",
     "SeqVector",
     "FiniteVector",
+    "stacked_norms",
     "NormResult",
     "sup_norm",
     "norm_exceeds",
@@ -435,6 +436,61 @@ class FiniteVector:
         if self.norm_tag == "sup":
             return float(np.max(np.abs(self.coords)))
         return float(np.linalg.norm(self.coords))
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def stacked_norms(rows: np.ndarray, norm_tag: str) -> tuple[np.ndarray, float]:
+    """Norms of a stack of finite vectors (over the last axis) and their
+    relative rounding radius ``rho``.
+
+    The sup norm is the maximum of ``abs``.  The euclidean norm is the
+    square root of the sum of ``re**2 + im**2``; a row whose sum is below
+    ``N * 2**-1021`` (a square may have underflowed) or overflowed takes it
+    again on the row scaled, exactly, by the power of two that brings its
+    largest part into [1/2, 1).  Let each row be the stored data
+    itself or ``p - q`` of two stored points formed in floating point (one
+    rounding per real part).  Then every returned norm ``v`` of at least
+    2**-1022 brackets the exact norm ``w`` of the stored data:
+    ``v (1 - rho) <= w <= v (1 + rho)``.  With u = 2**-53 and
+    ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3):
+
+    - the sup norm takes ``|v/w - 1| <= gamma_3``: a subtraction, and libm's
+      ``hypot`` within one ulp;
+    - a euclidean norm over N coordinates takes ``gamma_{2N+4}``: the
+      subtraction and the square of each of 2N real parts, at most 2N - 1
+      additions on the way of any term, whatever the summation order
+      (stacked or per vector, BLAS dot or pairwise), the square root, and
+      one unit for the squares lost to underflow, at most ``2N * 2**-1075``
+      against a sum of at least ``2N * 2**-1022``;
+    - ``rho`` is ``gamma_{k+2}`` for that ``gamma_k``.  The two extra units
+      cover the rounding of ``1 - rho`` and of the product ``v * (1 - rho)``
+      that a decision forms, so ``v * (1 - rho) > eps`` in floating point
+      proves ``w > eps``.
+
+    The bracket certifies the distance between the *stored* points only;
+    how far a stored ``A^n x`` is from the exact power is not in it.
+    """
+    if norm_tag == "sup":
+        return np.abs(rows).max(axis=-1), _gamma(3 + 2)
+    dim = rows.shape[-1]
+    with np.errstate(over="ignore", under="ignore"):
+        sums = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
+    low = ~((sums >= dim * 2.0 ** -1021) & (sums < np.inf))
+    values = np.sqrt(sums)
+    if low.any():
+        few = rows.reshape(-1, dim)[low.reshape(-1)]
+        _, exps = np.frexp(np.maximum(np.abs(few.real), np.abs(few.imag)).max(axis=-1))
+        re, im = (np.ldexp(part, -exps[:, None]) for part in (few.real, few.imag))
+        values = np.array(values)  # writable; 0-d for a single row
+        values[low] = np.ldexp(np.sqrt((re ** 2 + im ** 2).sum(axis=-1)), exps)
+    return values, _gamma(2 * dim + 4 + 2)
+
+
+def _gamma(k: int) -> float:
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,14 @@ horizon = 1500
         ("kind = harmonic", "kind = one", "op = compactness\nepsilons ="),
         ("kind = matrix\npath = m3.txt", "kind = one", "op = ktz\nktz_tol = nan"),
         ("kind = matrix\npath = m0.txt", "kind = one", "op = halfsum"),
+        ("kind = matrix\npath = m3.txt", "kind = one", "op = compactness\nhorizons = -5 0 5"),
+        ("kind = harmonic", "kind = one", "op = difference-compactness\nhorizons = 0 1 2"),
     ], ids=["matrix-index-0", "matrix-index-9", "matrix-unknown-kind", "matrix-no-values",
             "index-0", "no-values", "bad-space", "ktz-diagonal", "spectrum-diagonal",
             "witness-matrix", "c0-one", "c0-prefix-limit", "ktz-horizon-0",
             "ktz-horizon-negative", "epsilons-nan", "epsilons-inf", "epsilons-empty",
-            "ktz-tol-nan", "matrix-dimension-0"])
+            "ktz-tol-nan", "matrix-dimension-0", "horizons-below-one",
+            "horizons-from-zero"])
     def test_bad_spec_is_one_line_usage_error(self, tmp_path, capsys, operator, probe,
                                               diagnostic):
         write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.diag([1.0, 0.5, 0.25])))

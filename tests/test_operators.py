@@ -11,7 +11,7 @@ from orbitlab.operators import (DiagonalOperator,
                                 power_apply, power_bound_estimate,
                                 read_matrix_file, root_perturbed_symbol,
                                 telescope_expand, word_matrix,
-                                write_matrix_file)
+                                write_matrix_file, _power_angles)
 from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one,
                                distance, sup_norm)
 
@@ -217,3 +217,13 @@ def test_inverse_symbol_composes_to_identity():
     v = basis_vector(5)
     round_trip = op.inverse().apply(op.apply(v))
     assert distance(round_trip, v, 1e-12).value <= 1e-12
+
+
+@pytest.mark.parametrize("base", [0.0, -0.0])
+@pytest.mark.parametrize("n", [np.arange(-70, 1100), np.array([0, 3, -7], dtype=np.int64),
+                               np.arange(12).reshape(3, 4), 5, -3, 0])
+def test_power_angles_of_zero_base_match_mod(base, n):
+    # the zero-base fast path gives np.mod's +0.0 bits, in np.mod's shape and type
+    got, want = _power_angles(n, base), np.mod(n * base, 2 * np.pi)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))

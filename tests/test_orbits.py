@@ -290,6 +290,13 @@ class TestDiagnostic:
         with pytest.raises(ValueError):
             compactness_diagnostic(harmonic_op(), constant_one(), [1.0], [100, 200])
 
+    @pytest.mark.parametrize("horizons", [[-5, 0, 5], [0, 1, 2]])
+    def test_horizons_below_one_rejected(self, horizons):
+        # these used to run, with packing 0 at every horizon below 1
+        cloud = orbit(harmonic_op(), constant_one(), 5, tol=1e-8)
+        with pytest.raises(ValueError):
+            cloud_diagnostic(cloud, [1.0], horizons)
+
 
 class TestInvariants:
     def test_sandwich_and_monotonicity(self):

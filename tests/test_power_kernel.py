@@ -11,11 +11,11 @@ import pytest
 
 from conftest import random_contraction, random_power_bounded
 from orbitlab import operators
-from orbitlab.ergodic import cesaro
+from orbitlab.ergodic import cesaro, mean_ergodic_projection
 from orbitlab.jdlg import jdlg_split, ktz_check
 from orbitlab.operators import MatrixOperator, power_bound_estimate
-from orbitlab.orbits import orbit
-from orbitlab.seqspace import FiniteVector
+from orbitlab.orbits import OrbitCloud, orbit
+from orbitlab.seqspace import FiniteVector, stacked_norms
 
 
 def _norm(a, tag):
@@ -180,3 +180,142 @@ def test_matrix_cesaro_matches_loop(rng, chunk, tag, n):
     for op in only_one + rotating:
         x = vector_with_zeros(op.dim, tag)
         assert same_bits(cesaro(op, x, n).coords, ref_cesaro(op, x, n))
+
+
+def ref_mean_ergodic(op, projection, sdim):
+    """Cesaro constant and samples as two stacks formed them: the power bound
+    over a^1 .. a^200 from a loop that starts at a, the sums from a loop over
+    I, a I, a (a I), ... that starts from zero."""
+    a = op.entries
+    eye = np.eye(op.dim, dtype=np.complex128)
+    cur = a.copy()
+    worst = _norm(cur, op.norm_tag)
+    for _ in range(199):
+        cur = a @ cur
+        worst = max(worst, _norm(cur, op.norm_tag))
+    c_bound = 0.0
+    if sdim < op.dim:
+        c_bound = (1.0 + worst) * _norm(np.linalg.solve(eye - a + projection, eye - projection),
+                                        op.norm_tag)
+    samples, acc, cur = {}, np.zeros_like(eye), eye
+    for k in range(1, 257):
+        acc = acc + cur
+        cur = a @ cur
+        if k in (16, 64, 256):
+            samples[k] = _norm(acc / k - projection, op.norm_tag)
+    return c_bound, samples
+
+
+@TAGS
+def test_mean_ergodic_one_stack_matches_two_loops(rng, chunk, tag):
+    only_one, rotating = batteries(rng, tag)
+    for op in only_one + rotating:
+        dec = mean_ergodic_projection(op)
+        c_bound, samples = ref_mean_ergodic(op, dec.projection.entries, len(dec.fix_basis))
+        assert same_bits(dec.cesaro_constant, c_bound)
+        assert dec.convergence_samples.keys() == samples.keys()
+        assert all(same_bits(dec.convergence_samples[k], samples[k]) for k in samples)
+
+
+def ref_decay_constants(op, split, tol):
+    """The stable-part decay constants as the per-vector loop took them."""
+    r_eff = split.aws_spectral_radius + tol
+    out = {}
+    for idx, y in enumerate(split.aws_basis[:3]):
+        cur, worst = y.coords, 0.0
+        for k in range(1, 201):
+            cur = op.entries @ cur
+            worst = max(worst, FiniteVector(cur, op.norm_tag).norm() / r_eff ** k)
+        out[idx] = worst
+    return out
+
+
+@TAGS
+def test_jdlg_decay_constants_match_loop(rng, chunk, tag):
+    # The stacked and per-vector euclidean norms are each within
+    # gamma_{2N+4} of the exact norm (stacked_norms); Python's and numpy's
+    # pow and the division add an ulp each.  Sup norms agree exactly.
+    only_one, rotating = batteries(rng, tag)
+    for op in only_one + rotating:
+        split = jdlg_split(op, group_horizon=10)
+        got = split.diagnostics["aws_decay_constants"]
+        want = ref_decay_constants(op, split, 1e-8)
+        assert got.keys() == want.keys() and got
+        ulps = 4 * (2 * op.dim + 4) + 8 if tag == "euclidean" else 8
+        for idx in want:
+            assert abs(got[idx] - want[idx]) <= ulps * 2.0 ** -53 * want[idx]
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.0])
+def test_jdlg_decay_constants_survive_underflow(rate):
+    # r_eff ** k underflows to 0 long before k = 200 here; the per-vector
+    # loop divided by it and raised ZeroDivisionError
+    split = jdlg_split(MatrixOperator(np.diag([1.0, rate]).astype(np.complex128)))
+    assert 0.0 <= split.diagnostics["aws_decay_constants"][0] <= 1.0
+
+
+def ref_net(points, tag, eps, cap):
+    """``OrbitCloud.greedy_net``'s rule over FiniteVector differences, one
+    candidate and member pair at a time."""
+    net = []
+    for i, p in enumerate(points):
+        d = [FiniteVector(p - points[m], tag) for m in net]
+        if all(v * (1.0 - rho) > eps for v, rho in (stacked_norms(u.coords, tag) for u in d)):
+            net.append(i)
+            if cap is not None and len(net) >= cap:
+                break
+    return net
+
+
+def net_epsilons(points, tag, rng):
+    """Epsilons that cut the cloud's distances, and some that sit inside the
+    rounding bracket of one of them (a straddle, decided "no")."""
+    norms, rho = stacked_norms(points[1:] - points[0], tag)
+    picks = rng.choice(norms[norms > 1e-6], size=3)
+    return [float(np.quantile(norms, q)) for q in (0.1, 0.5)] + \
+        [float(v * (1.0 - rho / 2)) for v in picks] + [float(v) for v in picks[:1]]
+
+
+@TAGS
+@pytest.mark.parametrize("cap", [None, 1, 3, 8])
+def test_matrix_net_matches_pairwise_reference(rng, chunk, tag, cap):
+    only_one, rotating = batteries(rng, tag)
+    for op in only_one + rotating:
+        for x in (vector_with_zeros(op.dim, tag),
+                  FiniteVector(rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim),
+                               tag)):
+            horizon = int(rng.integers(1, 301))
+            cloud = orbit(op, x, horizon, tol=1e-12)
+            points = np.array(ref_cloud(op, x, horizon))
+            for eps in net_epsilons(points, tag, rng) if horizon > 1 else [0.5]:
+                want = ref_net(points, tag, eps, cap)
+                assert cloud.greedy_net(eps, cap) == want
+                assert OrbitCloud.greedy_net(cloud, eps, cap) == want
+
+
+@TAGS
+def test_distance_bracket_contains_exact_distance(rng, tag):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    u = mp.mpf(2) ** -53
+
+    def exact(p, q):
+        parts = [mp.mpf(float(z.real)) - mp.mpf(float(w.real)) for z, w in zip(p, q)]
+        parts += [mp.mpf(float(z.imag)) - mp.mpf(float(w.imag)) for z, w in zip(p, q)]
+        half = len(p)
+        mods = [mp.sqrt(parts[k] ** 2 + parts[k + half] ** 2) for k in range(half)]
+        return max(mods) if tag == "sup" else mp.sqrt(mp.fsum(m ** 2 for m in mods))
+
+    only_one, rotating = batteries(rng, tag)
+    for op in only_one + rotating:
+        x = FiniteVector(rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim), tag)
+        cloud = orbit(op, x, 500, tol=1e-12)
+        for n, m in rng.integers(1, 501, size=(40, 2)):
+            p, q = cloud.vector(int(n)).coords, cloud.vector(int(m)).coords
+            w = exact(p, q)
+            value, err = cloud.distance(int(n), int(m))
+            assert value - err <= w <= value + err
+            v, rho = stacked_norms(p - q, tag)
+            assert mp.mpf(float(v * (1.0 - rho))) <= w <= mp.mpf(float(v)) * (1 + mp.mpf(rho))
+            # the radius is not padded beyond the few units its proof adds
+            assert rho <= (2 * op.dim + 8) * u * 1.01
