@@ -4,7 +4,7 @@ power-bounded operators.
 Modules:
   seqspace   certified vectors in c/c0 and finite vectors
   operators  diagonal and matrix operators, words, telescoping expansion
-  orbits     orbit clouds and packing/covering compactness diagnostics
+  orbits     orbit clouds and packing-number compactness diagnostics
   ergodic    Cesaro means, mean-ergodic projections and verdicts
   jdlg       reversible/stable splitting, peripheral-spectrum criteria
   gallery    counterexample operators, c0-witness ladder, ladder test
@@ -24,9 +24,8 @@ from .operators import (DiagonalSymbol, DiagonalOperator, MatrixOperator,
                         power_bound_estimate, make_commuting_family,
                         read_matrix_file, write_matrix_file)
 from .orbits import (OrbitCloud, CompactnessReport, orbit, difference_orbit,
-                     orbit_family, packing_number, covering_estimate,
-                     compactness_diagnostic, difference_compactness_diagnostic,
-                     cloud_diagnostic)
+                     orbit_family, packing_number, compactness_diagnostic,
+                     difference_compactness_diagnostic, cloud_diagnostic)
 from .ergodic import (cesaro, mean_ergodic_projection, fix_separation_check,
                       diagonal_mean_ergodic_verdict, decomposition_check,
                       certify_power_bounded)
@@ -34,8 +33,8 @@ from .jdlg import (jdlg_split, ktz_check, countable_peripheral_check,
                    half_sum, diagonal_jdlg, spectrum_report)
 from .gallery import (SymbolFamily, WitnessAudit, limit_one_operator,
                       root_limit_operator, one_minus_symbol_vector,
-                      c0_witness, bp_test, write_certificate,
-                      verify_certificate)
+                      c0_witness, bp_test, unconditional_constant,
+                      write_certificate, verify_certificate)
 from . import errors
 
 __version__ = "0.1.0"

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import gallery, jdlg
 from .ergodic import diagonal_mean_ergodic_verdict, decomposition_check
-from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
-                     OrbitLabError)
+from .errors import ConfigError, HorizonExhaustedError, OrbitLabError
 from .gallery import (SymbolFamily, c0_witness, limit_one_operator,
                       one_minus_symbol_vector, operator_from_spec, probe_for,
                       probe_from_spec, root_limit_operator)
@@ -38,7 +37,7 @@ from .orbits import (cloud_diagnostic, compactness_diagnostic,
                      difference_compactness_diagnostic, orbit)
 from .seqspace import constant_one, lin_comb, sup_norm
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
@@ -171,7 +170,7 @@ def _demo_witness(seed: int, tol: float, out_dir: str):
     probe_spec = {"kind": "one"}
     op = operator_from_spec(operator_spec)
     try:
-        audit = c0_witness(op, probe_from_spec(probe_spec), 20, 10_000, tol=1e-6, seed=seed)
+        audit = c0_witness(op, probe_from_spec(probe_spec), 20, 10_000, tol=1e-6)
     except HorizonExhaustedError as exc:
         audit = exc.audit
     cert_path = os.path.join(out_dir, "witness.certificate.json")
@@ -412,7 +411,7 @@ def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
         count = int(sec.get("count", 20))
         horizon = int(sec.get("horizon", 10_000))
         try:
-            audit = c0_witness(op, probe, count, horizon, tol=max(tol, 1e-8), seed=seed)
+            audit = c0_witness(op, probe, count, horizon, tol=max(tol, 1e-8))
         except HorizonExhaustedError as exc:
             audit = exc.audit
         results["audit"] = audit.to_json_dict()
@@ -464,7 +463,7 @@ def cmd_verify_certificate(path: str, out_dir: str | None) -> int:
     except FileNotFoundError:
         print(f"error: certificate not found: {path}", file=sys.stderr)
         return EXIT_IO
-    except (CertificateError, json.JSONDecodeError) as exc:
+    except (OrbitLabError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     text = json.dumps(report, indent=2, sort_keys=True)

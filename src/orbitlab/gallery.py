@@ -25,7 +25,6 @@ Selection rules (all deterministic):
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,6 +50,7 @@ __all__ = [
     "one_minus_symbol_vector",
     "c0_witness",
     "bp_test",
+    "unconditional_constant",
     "operator_from_spec",
     "probe_from_spec",
     "write_certificate",
@@ -143,8 +143,11 @@ class WitnessAudit:
     ``delta`` is the certified orbit separation, ``bound_m`` the
     semigroup bound sup ||S|| + 1, ``ladder`` the extracted vectors with
     their certified norms, ``selection_log`` the chosen exponent pairs
-    (s, t), and ``subset_sums`` the sampled partial-sum statistics with
-    the bound ``1 + 2 M ||x||`` they are audited against.
+    (s, t), and ``subset_sum_bound`` the ladder's certified
+    ``unconditional_constant``, an upper bound on the norm of every
+    partial sum over a subset of the ladder, with the bound
+    ``subset_bound = 1 + 2 M ||x||`` it is audited against: with
+    ``subset_bound_ok`` the bound holds for all ``2^m - 1`` subsets.
     """
 
     delta: float
@@ -154,7 +157,7 @@ class WitnessAudit:
     ladder_norms: tuple[float, ...]
     selection_log: tuple[tuple[int, int], ...]
     thresholds: tuple[float, ...]
-    subset_sums: tuple[dict, ...]
+    subset_sum_bound: float
     subset_bound: float
     subset_bound_ok: bool
     norms_ok: bool
@@ -172,7 +175,7 @@ class WitnessAudit:
             "ladder_norms": list(self.ladder_norms),
             "selection_log": [list(p) for p in self.selection_log],
             "thresholds": list(self.thresholds),
-            "subset_sums": [dict(s) for s in self.subset_sums],
+            "subset_sum_bound": self.subset_sum_bound,
             "subset_bound": self.subset_bound,
             "subset_bound_ok": self.subset_bound_ok,
             "norms_ok": self.norms_ok,
@@ -234,8 +237,7 @@ def _screen(cloud, phases: PhaseRange, prod_terms: Sequence, lo: int,
 
 
 def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
-               tol: float = 1e-6, *, subset_samples: int = 200, seed: int = 2026,
-               separation_eps: float | None = None) -> WitnessAudit:
+               tol: float = 1e-6, *, separation_eps: float | None = None) -> WitnessAudit:
     """Extract a c0-witness ladder from a non-compact orbit.
 
     Preconditions (checked): the splitting projection acts as the
@@ -255,6 +257,11 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     rest down them, so it changes no decision.  If the scan
     exhausts the horizon before ``count`` entries are built, a
     HorizonExhaustedError carrying the partial audit is raised.
+
+    The partial sums of the ladder are certified over every subset at
+    once: ``subset_sum_bound`` is the ladder's ``unconditional_constant``
+    (0 for an empty ladder), and ``subset_bound_ok`` proves that no
+    subset sum exceeds ``1 + 2 M ||x||`` by more than ``tol``.
     """
     if count < 1 or horizon < 2:
         raise ValueError("need count >= 1 and horizon >= 2")
@@ -365,10 +372,8 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     achieved = len(ladder)
     norms_ok = all(v >= delta / bound_m - tol for v in norms)
 
-    # sampled unconditional partial sums
-    sums = [{"subset": subset, "value": value} for subset, value
-            in _subset_sums(ladder, subset_samples, seed, min(tol, 1e-8))] if achieved else []
-    bound_ok = all(s["value"] <= subset_bound + tol for s in sums)
+    # one certified bound over every subset sum of the ladder
+    sum_bound = unconditional_constant(ladder, min(tol, 1e-8)) if achieved else 0.0
 
     notes = ("series of ladder entries cannot converge: norms are bounded "
              f"below by delta/M = {delta / bound_m:g}") if achieved else ""
@@ -376,8 +381,8 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         delta=float(delta), bound_m=float(bound_m), probe_norm=float(x_norm),
         ladder=tuple(ladder), ladder_norms=tuple(norms),
         selection_log=tuple(log), thresholds=tuple(thresholds),
-        subset_sums=tuple(sums), subset_bound=float(subset_bound),
-        subset_bound_ok=bound_ok, norms_ok=norms_ok,
+        subset_sum_bound=float(sum_bound), subset_bound=float(subset_bound),
+        subset_bound_ok=sum_bound <= subset_bound + tol, norms_ok=norms_ok,
         requested_count=count, achieved_count=achieved, horizon=horizon,
         exhausted=exhausted, notes=notes,
     )
@@ -392,32 +397,43 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 # ---------------------------------------------------------------------------
 # Ladder statistics
 
-def _subset_sums(vectors: Sequence[SeqVector], samples: int, seed: int,
-                 tol: float) -> list[tuple[list[int], float]]:
-    """Seeded random nonempty subsets of ``vectors`` with certified sum norms."""
-    rng = np.random.default_rng(seed)
-    out = []
-    norms: dict[tuple[int, ...], float] = {}  # one certified norm per subset
-    for _ in range(samples):
-        size = int(rng.integers(1, len(vectors) + 1))
-        subset = sorted(rng.choice(len(vectors), size=size, replace=False).tolist())
-        key = tuple(subset)
-        if key not in norms:
-            val, err = sup_norm(lin_comb([1.0] * size, [vectors[j] for j in subset]), tol)
-            norms[key] = val + err
-        out.append((subset, norms[key]))
-    return out
+def _modulus(v: SeqVector) -> SeqVector:
+    """The vector ``(|v_k|)_k`` with the tail of ``v``, as ``||v_k| - |lim||
+    <= |v_k - lim|``.  Its limit is taken by the same ``np.abs`` as its
+    coordinates (and every scan), which may round ``|lim|`` one unit above
+    Python's ``abs``, so a coordinate equal to the limit keeps the exact
+    tail; the majorant takes that limit in."""
+    lim = float(np.abs(np.complex128(v.limit)))
+    return SeqVector(lambda ks: np.abs(v.coords(ks)), lim, v.tail, v.space_tag,
+                     max(v.majorant, lim))
+
+
+def _modulus_sum(vectors: Sequence[SeqVector]) -> SeqVector:
+    """The vector ``(sum_j |x_j(k)|)_k``, certified by ``lin_comb``."""
+    return lin_comb([1.0] * len(vectors), [_modulus(v) for v in vectors])
+
+
+def unconditional_constant(vectors: Sequence[SeqVector], tol: float) -> float:
+    """Certified upper bound on ``sup_{|c_j| <= 1} ||sum_j c_j x_j||``.
+
+    In c that supremum equals ``sup_k sum_j |x_j(k)|`` exactly, the norm
+    of ``_modulus_sum(vectors)``.  So the upper end of its certified scan
+    at ``tol`` bounds the norm of every subset sum, and it is at most pi
+    times the largest of them, plus ``tol`` (1/pi is the sharp constant
+    for complex scalars).
+    """
+    val, err = sup_norm(_modulus_sum(vectors), tol)
+    return val + err
 
 
 @dataclass(frozen=True)
 class BpReport:
-    """Sampled unconditional-boundedness statistics of a vector series."""
+    """Certified unconditional-boundedness statistics of a vector series."""
 
     unconditional_bound: float
     cauchy_defect: float
     first_partial: float
     ladder_detected: bool
-    samples: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -425,34 +441,28 @@ class BpReport:
             "cauchy_defect": self.cauchy_defect,
             "first_partial": self.first_partial,
             "ladder_detected": self.ladder_detected,
-            "samples": self.samples,
         }
 
 
-def bp_test(vectors: Sequence[SeqVector], subset_samples: int = 200,
-            tol: float = 1e-6, seed: int = 2026) -> BpReport:
-    """Detect a c0-style ladder by sampling finite partial sums.
+def bp_test(vectors: Sequence[SeqVector], tol: float = 1e-6) -> BpReport:
+    """Detect a c0-style ladder from certified partial-sum bounds.
 
-    ``unconditional_bound`` is the largest sampled subset-sum norm,
-    ``cauchy_defect`` the smallest single-entry norm.  A ladder is
-    detected when the bound stays below 10x the first partial sum while
-    the defect stays above ``tol`` (bounded sums, nonconvergent series).
+    ``unconditional_bound`` is the ``unconditional_constant`` of the
+    series, an upper bound on the norm of every finite subset sum;
+    ``cauchy_defect`` is the smallest single-entry norm and
+    ``first_partial`` the first entry's norm, from one certified scan per
+    entry.  A ladder is detected when the bound stays below 10x the first
+    partial sum while the defect stays above ``tol`` (bounded sums,
+    nonconvergent series).
     """
     if len(vectors) < 2:
         raise ValueError("bp_test needs at least two vectors")
-    if subset_samples < 100:
-        raise ValueError("subset_samples must be >= 100")
-    first_val, first_err = sup_norm(vectors[0], min(tol, 1e-8))
-    first_partial = first_val + first_err
-    defect = math.inf
-    for v in vectors:
-        val, err = sup_norm(v, min(tol, 1e-8))
-        defect = min(defect, val - err)
-    worst = max(value for _, value
-                in _subset_sums(vectors, subset_samples, seed, min(tol, 1e-8)))
-    detected = bool(worst < 10.0 * first_partial and defect > tol)
-    return BpReport(float(worst), float(defect), float(first_partial),
-                    detected, subset_samples)
+    norms = [sup_norm(v, min(tol, 1e-8)) for v in vectors]
+    first_partial = norms[0].value + norms[0].error_bound
+    defect = min(val - err for val, err in norms)
+    bound = unconditional_constant(vectors, min(tol, 1e-8))
+    detected = bool(bound < 10.0 * first_partial and defect > tol)
+    return BpReport(float(bound), float(defect), float(first_partial), detected)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +573,13 @@ def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
         fh.write("\n")
 
 
-def verify_certificate(path, subset_samples: int = 200, tol: float = 1e-6,
-                       seed: int = 2026) -> dict:
+def verify_certificate(path, tol: float = 1e-6) -> dict:
     """Rebuild the ladder from a certificate and re-run the ladder test.
 
     Checks the stored coordinate prefixes against the reconstruction
     before trusting the pairs; returns a report dict with the integrity
-    flag and the BpReport (ladders of length < 2 skip the test).
+    flag and the BpReport, whose ``unconditional_bound`` bounds every
+    subset sum of the ladder (ladders of length < 2 skip the test).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -600,7 +610,7 @@ def verify_certificate(path, subset_samples: int = 200, tol: float = 1e-6,
         raise CertificateError(f"malformed certificate: {exc}") from exc
     report: dict = {"prefix_ok": True, "pairs": len(pairs)}
     if len(ladder) >= 2:
-        bp = bp_test(ladder, subset_samples=subset_samples, tol=tol, seed=seed)
+        bp = bp_test(ladder, tol=tol)
         report["bp"] = bp.to_json_dict()
         report["ladder_detected"] = bp.ladder_detected
     else:

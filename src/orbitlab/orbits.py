@@ -1,4 +1,4 @@
-"""Orbit clouds and packing/covering compactness diagnostics.
+"""Orbit clouds and packing-number compactness diagnostics.
 
 An orbit cloud is a finite, labelled slice of an operator orbit together
 with a certified metric.  Packing numbers of greedily built separated
@@ -69,7 +69,6 @@ __all__ = [
     "difference_orbit",
     "orbit_family",
     "packing_number",
-    "covering_estimate",
     "cloud_diagnostic",
     "compactness_diagnostic",
     "difference_compactness_diagnostic",
@@ -481,26 +480,13 @@ def packing_number(cloud: OrbitCloud, epsilon: float, tol: float | None = None) 
     return _greedy_counts(cloud, epsilon, [len(cloud)])[0]
 
 
-def covering_estimate(cloud: OrbitCloud, epsilon: float, tol: float | None = None) -> int:
-    """Greedy eps-net size.
-
-    The greedy maximal separated set doubles as an eps-cover: every
-    rejected point failed certified separation from some member, hence
-    lies within eps (up to the metric tolerance) of the net.  The
-    estimate therefore satisfies
-    ``packing(2 eps) <= covering(eps) <= packing(eps)``.
-    """
-    return packing_number(cloud, epsilon, tol)
-
-
 @dataclass
 class CompactnessReport:
-    """Packing/covering table over epsilons and horizons with a verdict."""
+    """Packing table over epsilons and horizons with a verdict."""
 
     epsilons: tuple[float, ...]
     horizons: tuple[int, ...]
     packing: np.ndarray            # shape (len(epsilons), len(horizons))
-    covering: np.ndarray
     verdict: str                   # saturating | growing | inconclusive
     growth_stats: dict = field(default_factory=dict)
     description: str = ""
@@ -511,16 +497,15 @@ class CompactnessReport:
             "epsilons": list(self.epsilons),
             "horizons": list(self.horizons),
             "packing": self.packing.tolist(),
-            "covering": self.covering.tolist(),
             "verdict": self.verdict,
             "growth_stats": {str(k): v for k, v in self.growth_stats.items()},
         }
 
     def csv_rows(self) -> list[tuple]:
-        rows = [("horizon", "epsilon", "packing", "covering")]
+        rows = [("horizon", "epsilon", "packing")]
         for i, eps in enumerate(self.epsilons):
             for j, h in enumerate(self.horizons):
-                rows.append((h, eps, int(self.packing[i, j]), int(self.covering[i, j])))
+                rows.append((h, eps, int(self.packing[i, j])))
         return rows
 
 
@@ -563,8 +548,8 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
     for i, eps in enumerate(epsilons):
         pack[i] = _greedy_counts(cloud, eps, horizons)
     verdict, stats = _verdict(pack)
-    return CompactnessReport(tuple(epsilons), tuple(horizons), pack, pack.copy(),
-                             verdict, stats, cloud.description)
+    return CompactnessReport(tuple(epsilons), tuple(horizons), pack, verdict, stats,
+                             cloud.description)
 
 
 def compactness_diagnostic(op, x, epsilons: Sequence[float], horizons: Sequence[int],

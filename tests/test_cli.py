@@ -5,6 +5,7 @@ import pytest
 
 from orbitlab import cli
 from orbitlab.cli import _probe_spec, load_config, main
+from orbitlab.errors import UnreachableToleranceError
 from orbitlab.gallery import operator_from_spec, probe_from_spec
 from orbitlab.operators import MatrixOperator, write_matrix_file
 
@@ -35,7 +36,7 @@ class TestDemo:
         code = run_cli("demo", "ktz", "--out-dir", str(tmp_path))
         assert code == 0
         report = json.loads((tmp_path / "ktz.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert all(a["passed"] for a in report["assertions"])
         rows = (tmp_path / "ktz.decay.csv").read_text().strip().splitlines()
         assert rows[0] == "n,decay,expected"
@@ -353,3 +354,15 @@ def test_ini_and_certificate_specs_build_the_same(tmp_path, op_ini, op_spec, pro
 class TestVerify:
     def test_missing_certificate(self, capsys):
         assert run_cli("verify-certificate", "/nonexistent/cert.json") == 3
+
+    def test_any_orbitlab_error_is_one_line_error(self, monkeypatch, capsys):
+        # as a harmonic ladder entry x - T^d x with d = 10^9 + 1 does after
+        # scanning 2^27 coordinates: its norm is out of the scan cap's reach
+        def unreachable(path):
+            raise UnreachableToleranceError("cannot certify tolerance 1e-08")
+
+        monkeypatch.setattr(cli.gallery, "verify_certificate", unreachable)
+        assert run_cli("verify-certificate", "cert.json") == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err

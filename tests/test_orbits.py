@@ -11,9 +11,8 @@ from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
                                 make_commuting_family, root_perturbed_symbol)
 from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
-                             covering_estimate, difference_orbit,
-                             difference_compactness_diagnostic, orbit,
-                             orbit_family, packing_number)
+                             difference_orbit, difference_compactness_diagnostic,
+                             orbit, orbit_family, packing_number)
 from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one, exceeds_exit,
                                from_prefix, lin_comb, sup_norm)
 
@@ -245,13 +244,15 @@ class TestDiagonalNet:
 
 
 class TestCovering:
+    """The greedy separated net is also an eps-cover of the cloud."""
+
     def test_single_point(self):
         cloud = orbit(harmonic_op(), constant_one(), 1, tol=1e-6)
-        assert covering_estimate(cloud, 1.0) == 1
+        assert packing_number(cloud, 1.0) == 1
 
     def test_harmonic_cover_equals_horizon(self):
         cloud = orbit(harmonic_op(), constant_one(), 25, tol=1e-8)
-        assert covering_estimate(cloud, 1.0) == 25
+        assert packing_number(cloud, 1.0) == 25
 
     def test_two_clusters(self):
         pts = [from_prefix([0.0], 0.0), from_prefix([0.1], 0.0),
@@ -261,7 +262,7 @@ class TestCovering:
         cloud = OrbitCloud(cloud_labels, lambda n: pts[n - 1],
                            lambda a, b: lin_comb([1.0, -1.0], [pts[a - 1], pts[b - 1]]),
                            tol=1e-6)
-        assert covering_estimate(cloud, 1.0) == 2
+        assert packing_number(cloud, 1.0) == 2
 
 
 class TestDiagnostic:
@@ -303,9 +304,8 @@ class TestInvariants:
         cloud = difference_orbit(harmonic_op(), constant_one(), 150, tol=1e-6)
         for eps in (0.8, 1.2, 1.6):
             p2 = packing_number(cloud, 2 * eps)
-            cov = covering_estimate(cloud, eps)
             p1 = packing_number(cloud, eps)
-            assert p2 <= cov <= p1
+            assert p2 <= p1
         counts = [packing_number(cloud, eps) for eps in (2.4, 1.2, 0.6)]
         assert counts == sorted(counts)  # nonincreasing in eps
 
@@ -395,5 +395,5 @@ def test_report_serialisation_shape():
     doc = rep.to_json_dict()
     assert doc["verdict"] in ("saturating", "growing", "inconclusive")
     rows = rep.csv_rows()
-    assert rows[0] == ("horizon", "epsilon", "packing", "covering")
+    assert rows[0] == ("horizon", "epsilon", "packing")
     assert len(rows) == 1 + 2 * 3

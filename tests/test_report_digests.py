@@ -35,26 +35,26 @@ SEED = 2026
 
 DIGESTS = {
     "example33": (0, {
-        "example33.c0_probe.csv": "08587a7e1ce2f4858c0c4a87d5a1d789b687ea68229ebbf2e9f5313534c2182c",
-        "example33.json": "46c6a3f3a183f4dbd83c7bcd9ce3a458e9d10e93aca6d6991ec9a98f64488968",
-        "example33.orbit.csv": "5f1d122ba7d7896f0fad4b535de5161ec396e3bfdbf4c0df6c5980ae09112dc6",
+        "example33.c0_probe.csv": "82029a06fe84b65adc7b17a2ea0e8097e1b71118f1c24c257d9fcbba1399e0ce",
+        "example33.json": "c2d625397a00fddfe03fdeacc97140d4d3f6ea599a561019d5e714b964ca132d",
+        "example33.orbit.csv": "a262d30583845908e95cf09df2e237afb324e3944df0c45f9a28a1a43f1c9b48",
     }),
     "example43": (0, {
-        "example43.json": "dd91a391a7ebc316452cbfe3146984d1f02b9edd5163a6124b0a4aebf75e2c9a",
-        "example43.one_minus_symbol.csv": "5f1d122ba7d7896f0fad4b535de5161ec396e3bfdbf4c0df6c5980ae09112dc6",
-        "example43.square_difference.csv": "2f1ed37a6f712a622cb6f38401ef9f1d361f96557dfd32aeec948b27aa78ff21",
+        "example43.json": "6650cbe9f2d2bd9df5e26abccd0a1f2844a38ec698d8c99e032f4caa5fad32a2",
+        "example43.one_minus_symbol.csv": "a262d30583845908e95cf09df2e237afb324e3944df0c45f9a28a1a43f1c9b48",
+        "example43.square_difference.csv": "1d06bb95d1bf6ec89fe113ede706856d22ef4aef3ff9d090158106d8323f2253",
     }),
     "witness": (0, {
         "witness.certificate.json": "079416499965849d0516d6a85646c97137ee6d0a2a1cdf8b867b8d2f21ae86ce",
-        "witness.json": "0aec2775092733c337b0f26b5619f59d8791b928263ab02ea43084fd96cfc4d8",
+        "witness.json": "2a1f8131cb88a30407a2e38d953468639b49012c1050c7f12bea98c4dd7f6c95",
     }),
     "ktz": (0, {
         "ktz.decay.csv": "f32c4e6ad318883ce92c95538936fffae922cc7c8e3fb7d0daf3b050164221db",
-        "ktz.json": "e0eebfb44eea5f823c50bff299dcbe35eddd58a9723851fa8e47f07c14b1e673",
+        "ktz.json": "bf8eab9cd2f26c7ba1f3353b7166016cc5fef9f9505dcc6b297a44eac5324c37",
     }),
     "halfsum": (0, {
         "halfsum.eigenvalues.csv": "781a774aceecec2840b8c2706dc331520d91a6b78395d37f676e61638673e9ca",
-        "halfsum.json": "03996928ed52190105cc39a6f5cd9be278e0c1d9a25786d4461c16efeaade320",
+        "halfsum.json": "c65f34b3e779a818bafed3577d988c9bf670f85b99b5bdc108a4d60d87d051f8",
     }),
 }
 
@@ -180,26 +180,26 @@ RUN_CONFIGS = {
 
 RUN_DIGESTS = {
     "diff-root-prefix-2eps": (0, {
-        "diffroot.diagnostic.csv": "94beba99a8c85985863adec44ec7e7b8089a15d8d38920437a3c9051ee63979b",
-        "diffroot.json": "73deed0785cf819586fdb348619a25398aedb9ff83535d3b916f4373975259ee",
+        "diffroot.diagnostic.csv": "8144d6bc6f4747de641b0167571d88b0b786ae2fcc04cbc2ad287fb0f0f36f1e",
+        "diffroot.json": "830258b4d53a741b8a4bf2a5bd251d89b6e29779d3377e0fe205fffbe6352306",
     }),
     "orbit-c0-basis": (0, {
-        "c0basis.diagnostic.csv": "0f09e3c3b9aa27dede69e1ea44d02403e1eef9fea585c9c3a3094d9995098521",
-        "c0basis.json": "679731c473e0e6524ab07d69373c4d7c3bd041700ea8282c8f5835c2c4c6e34e",
+        "c0basis.diagnostic.csv": "6967b8b44172643d13a9820e96c84e8238df9c75b1e86cabb7939cc1703a6575",
+        "c0basis.json": "b70d756c0aa9c91342eb96e6889f51a8235670ca29332765a13762e7e1e2ffeb",
     }),
     "diff-root4-prefix-past-first-block": (0, {
-        "diffroot4.diagnostic.csv": "4042b65459ce4b10d0c4bd2eb47e1250c7abe836f477ee4164796dc18b024dd7",
-        "diffroot4.json": "ecd089f990151184dd75fba73ec7959a8c9e639c66d543484fb3b8614cc3f342",
+        "diffroot4.diagnostic.csv": "19834045d23b2d3331f12bd72d03c980cd58851fe9e343c7ff85c6cbcb8a8305",
+        "diffroot4.json": "e980ad44d7acb60468d51fd366ed4006a495cac10b401413f39bd24352a47a6d",
     }),
     "witness-410": (0, {
-        "witness410.json": "95ed6fc8c6acd4475fba9c7f7c84f4548edcd8d639ad44e1771ebcd5bcd7c8bc",
+        "witness410.json": "3abba3de7ff5cac0e4957a318a0f28a2ad3f0a628643127529661c65203a8e53",
     }),
     "witness-1500-two-blocks": (0, {
-        "witness1500.json": "aac0118b9d89f3bfd349ce23adcfed822b43d4487458ae4738de347f2a621aef",
+        "witness1500.json": "b66d3172c6c13f604da678e1365fe2a34d2084faea048fc748a8fc3c4449ab9a",
     }),
     "diff-harmonic-2eps-completes-lead-proofs": (0, {
-        "diffharm2.diagnostic.csv": "5cf2e723c1226ace0f23357a583d66f8c052b9776b7c6361cdf61a05543c2c93",
-        "diffharm2.json": "26c3597aecf4e4585d79a41406d01045b8560ad07b2a74dea7c7af3875eebf9d",
+        "diffharm2.diagnostic.csv": "25762565dc540b4e085ac3dbf07e89e761d31b358cd01813e95021fe5705cf46",
+        "diffharm2.json": "4392ad00b4ef7687322ea8296b81394739c267bf33853a7cfe9918a2b4ab7cd7",
     }),
 }
 

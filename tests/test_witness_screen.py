@@ -12,11 +12,10 @@ import pytest
 from conftest import power_difference_rows
 from orbitlab import gallery, operators, orbits
 from orbitlab.errors import HorizonExhaustedError, NotApplicableError
-from orbitlab.gallery import _subset_sums, c0_witness
+from orbitlab.gallery import c0_witness
 from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symbol,
                                 power_apply, root_perturbed_symbol)
-from orbitlab.seqspace import (basis_vector, constant_one, from_prefix, lin_comb,
-                               sup_norm)
+from orbitlab.seqspace import basis_vector, constant_one, from_prefix, lin_comb
 
 SYMBOLS = {
     "harmonic-1": harmonic_symbol(1.0),
@@ -115,21 +114,3 @@ def test_demo_size_call_makes_few_norm_scans(monkeypatch):
     assert info.value.audit.selection_log == ((2, 1),)
     assert len(calls) <= 600
 
-
-def test_subset_sums_certify_each_distinct_subset_once(monkeypatch):
-    op = DiagonalOperator(harmonic_symbol(1.0), "c")
-    vectors = [lin_comb([1.0, -1.0], [constant_one(), power_apply(op, d, constant_one())])
-               for d in (1, 3, 4)]
-    # the loop before memoisation: one certified norm per draw
-    rng = np.random.default_rng(7)
-    want = []
-    for _ in range(200):
-        size = int(rng.integers(1, len(vectors) + 1))
-        subset = sorted(rng.choice(len(vectors), size=size, replace=False).tolist())
-        val, err = sup_norm(lin_comb([1.0] * size, [vectors[j] for j in subset]), 1e-8)
-        want.append((subset, val + err))
-    calls = []
-    monkeypatch.setattr(gallery, "sup_norm",
-                        lambda *a, **k: calls.append(1) or sup_norm(*a, **k))
-    assert _subset_sums(vectors, 200, 7, 1e-8) == want
-    assert len(calls) == len({tuple(s) for s, _ in want}) == 7
