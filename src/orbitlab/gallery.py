@@ -20,6 +20,10 @@ Selection rules (all deterministic):
     logged product-difference vector is certified below
     ``1 / (2^{m+1} M)``; logged products run over all subsets of the
     previously chosen pairs, including the empty product.
+
+Every decision of the pair search is an orbit-cloud decision: the
+witness cloud of the probe decides separation, and one cloud per logged
+product decides smallness, all on one shared range of head phases.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .jdlg import diagonal_jdlg
 from .operators import (DiagonalOperator, MatrixOperator, PhaseRange, constant_symbol,
                         harmonic_symbol, power_apply, read_matrix_file,
                         root_perturbed_symbol)
-from .orbits import _SEPARATED, cloud_diagnostic, difference_orbit, orbit
+from .orbits import (_NOT_SEPARATED, _SEPARATED, cloud_diagnostic, difference_orbit,
+                     orbit)
 from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
-                       from_prefix, lin_comb, norm_exceeds, sup_norm)
+                       from_prefix, lin_comb, sup_norm)
 
 __all__ = [
     "SymbolFamily",
@@ -61,7 +66,9 @@ __all__ = [
 CERTIFICATE_FORMAT = "c0-ladder-certificate"
 CERTIFICATE_VERSION = 1
 _PREFIX_CHECK_LEN = 32
-_MAX_PRODUCT_LOG = 4096
+# cap on logged products x horizon: a product cloud holds about 34 B per
+# difference, so the product clouds of one step take at most about 64 MB
+_MAX_PRODUCT_DIFFERENCES = (64 << 20) // 34
 _DIAG_HORIZONS = (100, 200, 400)  # horizons of the c0_witness precondition diagnostics
 
 
@@ -193,47 +200,41 @@ def _ladder_vector(op: DiagonalOperator, x: SeqVector, d: int) -> SeqVector:
     return lin_comb([1.0, -1.0], [x, power_apply(op, d, x)])
 
 
-def _certified_below(v: SeqVector, threshold: float, tol: float) -> bool:
-    """Certified ``||v|| <= threshold`` (conservative on failure)."""
+def _below(clouds: Sequence, d: int, tau: float) -> bool:
+    """Certified ``||(T^d - I) P|| <= tau`` for the product ``P`` of every
+    cloud: the pair ``(1 + d, 1)`` is not separated at tau and its
+    distance's upper end is at or below tau.  T is an isometry, so this
+    norm is ``||(T^{1+d} - T) P||``.  An unreachable tolerance is a "no"."""
     try:
-        if norm_exceeds(v, threshold, tol):
-            return False
-        val, err = sup_norm(v, tol)
-        return val + err <= threshold
+        for c in clouds:
+            if c.separated(1 + d, 1, tau):
+                return False
+            val, err = c.distance(1 + d, 1)
+            if val + err > tau:
+                return False
     except UnreachableToleranceError:
         return False
+    return True
 
 
-def _screen(cloud, phases: PhaseRange, prod_terms: Sequence, lo: int,
-            count: int, eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Head proofs for the candidate differences ``d = lo .. lo + count - 1``
-    of one selection step.
+def _first_pair(cloud, clouds: Sequence, horizon: int, block: int, eps: float,
+                tau: float, used: set) -> int | None:
+    """The smallest unused difference ``d < horizon`` whose orbit points are
+    certified more than eps apart (``cloud``) and that is ``_below`` tau on
+    every product cloud, or None.
 
-    ``separated[i]`` proves ``||(T^d - I) x|| > eps``: the witness cloud's
-    states, decided in bulk from its cached first-block brackets.
-    ``rejected[i]`` proves ``||(T^{1+d} - T) P|| > tau`` for some logged
-    product ``P`` (``prod_terms``: ``phases.terms(1, P)`` of each), from
-    the head maxima of rows ``1 + d`` of the same phase range
-    (``norm_exceeds``'s first-block True exit): a row whose
-    lead maximum exceeds tau is proved from its lead, and only the other
-    rows are completed to the whole first block.  A candidate that is not
-    proved separated goes on to the cloud's decision, which is already
-    made unless the first block left it open.
-    """
-    separated = cloud.states(eps, lo + count - 1)[lo:lo + count] == _SEPARATED
-    rejected = np.zeros(count, dtype=bool)
-    open_ = np.arange(count)
-    for terms in prod_terms:
-        if not open_.size:
-            break
-        lead = phases.lead_maxima(lo, count + 1, terms, 1 + open_)
-        hit = lead > tau
-        near = np.flatnonzero(~hit)  # the lead alone proves nothing here
-        if near.size:
-            hit[near] = phases.complete(lead[near], lo + 1 + open_[near], terms) > tau
-        rejected[open_[hit]] = True
-        open_ = open_[~hit]
-    return separated, rejected
+    Each block of differences is first decided in bulk from the clouds'
+    states: a witness "no" or a product "yes" rules d out; only the
+    differences left go to the per-d decisions, in order."""
+    for lo in range(1, horizon, block):
+        hi = min(lo + block, horizon) - 1
+        open_ = cloud.states(eps, hi)[lo:hi + 1] != _NOT_SEPARATED
+        for c in clouds:
+            open_ &= c.states(tau, hi)[lo:hi + 1] != _SEPARATED
+        for d in (np.flatnonzero(open_) + lo).tolist():
+            if d not in used and cloud.separated(1 + d, 1, eps) and _below(clouds, d, tau):
+                return d
+    return None
 
 
 def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
@@ -249,14 +250,17 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
     The inductive selection scans exponent pairs by increasing
     difference and accepts a pair only when its action on every logged
-    subset product is certified below ``1 / (2^{m+1} M)``.  Candidates are
-    screened a block of differences at a time on the first block of
-    coordinates, from one range of first-block phases that the three
-    clouds built here and both halves of the screen share; the screen
-    takes both first-block exits of the certified scans and sends the
-    rest down them, so it changes no decision.  If the scan
+    subset product is certified below ``1 / (2^{m+1} M)``.  Each product
+    ``P`` of a step gets its own orbit cloud at tolerance ``min(tol, tau /
+    8)``; the witness cloud and the product clouds decide a block of
+    differences at a time from their first-block states, and decide the
+    differences that block leaves open one by one, by the clouds'
+    certified ``separated`` and ``distance`` (``_first_pair``).  All of
+    them read one range of first-block phases.  If the scan
     exhausts the horizon before ``count`` entries are built, a
-    HorizonExhaustedError carrying the partial audit is raised.
+    HorizonExhaustedError carrying the partial audit is raised.  A product
+    log of more than about 64 MB of cloud state (``_MAX_PRODUCT_DIFFERENCES``
+    products times horizon) raises ValueError.
 
     The partial sums of the ladder are certified over every subset at
     once: ``subset_sum_bound`` is the ladder's ``unconditional_constant``
@@ -277,7 +281,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     if eps_orbit <= 0:
         raise ValueError("separation_eps must be positive")
 
-    phases = PhaseRange(op)  # first-block phases shared by every cloud and screen below
+    phases = PhaseRange(op)  # first-block phases shared by every cloud below
     top = _DIAG_HORIZONS[-1]
     orbit_rep = cloud_diagnostic(
         orbit(op, x, top, tol=min(tol, eps_orbit / 100, 1e-8), phases=phases),
@@ -328,44 +332,26 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     for step in range(count):
         tau = 1.0 / (2.0 ** (step + 1) * bound_m)
         thresholds.append(tau)
-        prod_vecs = [
-            lin_comb([1.0, -1.0],
-                     [power_apply(op, a_exp, x), power_apply(op, b_exp, x)])
+        # one cloud per logged product P = (T^A - T^B) x, on the shared phases
+        prod_clouds = [
+            orbit(op, lin_comb([1.0, -1.0],
+                               [power_apply(op, a_exp, x), power_apply(op, b_exp, x)]),
+                  horizon, tol=min(tol, tau / 8), phases=phases)
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
-        prod_terms = [phases.terms(1, prod_vec) for prod_vec in prod_vecs]
-        found = None
-        for lo in range(1, horizon, phases.block):
-            ds = np.arange(lo, min(lo + phases.block, horizon))
-            separated, rejected = _screen(cloud, phases, prod_terms, lo, ds.size, eps_orbit, tau)
-            for i, d in enumerate(ds.tolist()):
-                t_exp, s_exp = 1, 1 + d
-                if (d in used_ds
-                        or not (separated[i] or cloud.separated(s_exp, t_exp, eps_orbit))
-                        or rejected[i]):
-                    continue
-                if all(_certified_below(lin_comb([1.0, -1.0],
-                                                 [power_apply(op, s_exp, prod_vec),
-                                                  power_apply(op, t_exp, prod_vec)]),
-                                        tau, min(tol, tau / 8))
-                       for prod_vec in prod_vecs):
-                    found = (s_exp, t_exp)
-                    break
-            if found is not None:
-                break
-        if found is None:
+        d = _first_pair(cloud, prod_clouds, horizon, phases.block, eps_orbit, tau, used_ds)
+        if d is None:
             exhausted = True
             thresholds.pop()
             break
-        s_exp, t_exp = found
-        d = s_exp - t_exp
+        s_exp, t_exp = 1 + d, 1
         used_ds.add(d)
         log.append((s_exp, t_exp))
         entry = _ladder_vector(op, x, d)
         val, err = sup_norm(entry, min(tol, 1e-8))
         ladder.append(entry)
         norms.append(val)
-        if len(products) * 2 > _MAX_PRODUCT_LOG:
+        if len(products) * 2 * horizon > _MAX_PRODUCT_DIFFERENCES:
             raise ValueError("product log would exceed its cap; lower count")
         products |= {(a_exp + s_exp, b_exp + t_exp) for (a_exp, b_exp) in products}
 

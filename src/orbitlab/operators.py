@@ -53,7 +53,7 @@ _HEAD_KS = np.arange(1, _FIRST_BLOCK + 1)  # the first block of every norm scan
 # lead head coordinates, computed for every exponent of a PhaseRange; the
 # rest of the head only for rows the lead leaves undecided
 _LEAD = 4
-# exponents per head screen block; a PhaseRange holds one block plus one
+# exponents per block of bulk difference decisions; a PhaseRange holds one block
 _SCREEN_BLOCK = 1024
 
 
@@ -347,7 +347,7 @@ class PhaseRange:
     in two stages.
 
     The lead stage holds the phases of the lead coordinates k = 1 .. _LEAD
-    for one range of exponents n at a time; the completion stage forms the
+    for one block of exponents n at a time; the completion stage forms the
     other head coordinates only for the exponents a caller names.  A head
     maximum is ``max(lead, rest)``, so a completed head equals the
     64-coordinate head bit for bit, and a lead maximum above a threshold
@@ -355,13 +355,11 @@ class PhaseRange:
     exit), which settles most differences from their lead alone.
 
     Phases depend on the symbol and n only, not on the vector, threshold
-    or tolerance, so every head screen of one operator can read them from
-    here: the greedy nets of several clouds and both halves of the witness
-    pair search.  A screen block of differences ``d = lo .. lo + block - 1``
-    reads rows ``d`` and, for the products, rows ``1 + d``, so the range
-    holds the lead phases of up to ``block + 1`` exponents (66 KB at the
-    default block and lead).  Asking for another start replaces the held
-    range.
+    or tolerance, so every diagonal cloud of one operator can read them
+    from here: the greedy nets of several clouds, and the witness cloud and
+    product clouds of the pair search.  The range holds the lead phases of
+    one block of exponents (64 KB at the default block and lead); asking
+    for another start replaces it.
     """
 
     def __init__(self, op: DiagonalOperator):
@@ -380,10 +378,10 @@ class PhaseRange:
         """Lead phases of the exponents ``lo .. lo + count - 1``, one row
         each; a view of the held range, valid until another start is asked
         for."""
-        if not 1 <= count <= self.block + 1:
-            raise ValueError(f"a phase range holds 1 .. {self.block + 1} exponents, not {count}")
+        if not 1 <= count <= self.block:
+            raise ValueError(f"a phase range holds 1 .. {self.block} exponents, not {count}")
         if self._table is None:
-            self._table = np.empty((self.block + 1, self.lead), dtype=np.complex128)
+            self._table = np.empty((self.block, self.lead), dtype=np.complex128)
         if lo != self._lo:
             self._lo, self._filled = lo, 0
         if count > self._filled:
@@ -392,40 +390,38 @@ class PhaseRange:
             self._filled = count
         return self._table[:count]
 
-    def terms(self, t: int, y: SeqVector) -> tuple[np.ndarray, np.ndarray]:
-        """``y`` and ``-T^t y`` at the head coordinates k = 1 ..
-        _FIRST_BLOCK: what every row of ``(T^n - T^t) y`` adds to its
-        phases, formed once per vector; each stage reads its part."""
+    def terms(self, y: SeqVector) -> tuple[np.ndarray, np.ndarray]:
+        """``y`` and ``-y`` at the head coordinates k = 1 .. _FIRST_BLOCK:
+        what every row of ``(T^n - I) y`` adds to its phases, formed once
+        per vector; each stage reads its part.  ``-y`` is formed as ``-1 *
+        (phases(0) * y)``, which keeps the rows bit for bit those of the
+        closure vectors."""
         yk = y.coords(_HEAD_KS)
-        return yk, _negated_term(self.phases(t), yk)
+        return yk, _negated_term(self.phases(0), yk)
 
-    def rows(self, lo: int, count: int, terms, select: np.ndarray | None = None) -> np.ndarray:
-        """Lead coordinates of ``(T^n - T^t) y`` (``terms`` of ``t`` and
-        ``y``) for the exponents ``n = lo .. lo + count - 1``, or only for
-        ``n = lo + select[i]``: bit for bit the first ``lead`` coordinates
-        of ``lin_comb([1.0, -1.0], [power_apply(op, n, y), power_apply(op,
-        t, y)])``."""
-        table = self.range(lo, count)
+    def rows(self, lo: int, count: int, terms) -> np.ndarray:
+        """Lead coordinates of ``(T^n - I) y`` (``terms`` of ``y``) for the
+        exponents ``n = lo .. lo + count - 1``: bit for bit the first
+        ``lead`` coordinates of ``lin_comb([1.0, -1.0], [power_apply(op, n,
+        y), y])``."""
         lead = slice(self.lead)
-        return _difference_rows(table if select is None else table[select],
-                                terms[0][lead], terms[1][lead])
+        return _difference_rows(self.range(lo, count), terms[0][lead], terms[1][lead])
 
     def rest_rows(self, ns, terms) -> np.ndarray:
         """The other head coordinates, k = lead + 1 .. _FIRST_BLOCK, of
-        ``(T^n - T^t) y`` for the exponents ``ns``, one row each, bit for
-        bit as ``rows`` forms the lead."""
+        ``(T^n - I) y`` for the exponents ``ns``, one row each, bit for bit
+        as ``rows`` forms the lead."""
         rest = slice(self.lead, None)
         phases = self.phases(np.asarray(ns, dtype=np.int64).reshape(-1, 1), rest)
         return _difference_rows(phases, terms[0][rest], terms[1][rest])
 
-    def lead_maxima(self, lo: int, count: int, terms,
-                    select: np.ndarray | None = None) -> np.ndarray:
-        """``max |((T^n - T^t) y)_k|`` over the lead coordinates, for the
-        rows of ``rows``: a lower end of each head maximum."""
-        return np.abs(self.rows(lo, count, terms, select)).max(axis=1)
+    def lead_maxima(self, lo: int, count: int, terms) -> np.ndarray:
+        """``max |((T^n - I) y)_k|`` over the lead coordinates, for the rows
+        of ``rows``: a lower end of each head maximum."""
+        return np.abs(self.rows(lo, count, terms)).max(axis=1)
 
     def complete(self, lead: np.ndarray, ns, terms) -> np.ndarray:
-        """Head maxima ``max_k |((T^n - T^t) y)_k|``, k = 1 .. _FIRST_BLOCK,
+        """Head maxima ``max_k |((T^n - I) y)_k|``, k = 1 .. _FIRST_BLOCK,
         of the exponents ``ns`` from their lead maxima: ``max(lead, rest)``,
         each the ``head_max`` that ``norm_exceeds`` finds on the first block
         of that difference vector."""

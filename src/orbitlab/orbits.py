@@ -89,16 +89,20 @@ class OrbitCloud:
     """Labelled orbit points with a certified, cached metric.
 
     ``labels`` are ints (cyclic orbits) or exponent tuples (semigroup
-    orbits).  ``diff_vector(l1, l2)`` must return the difference vector
-    of the two labelled points; ``diff_key`` maps a label pair to a
-    cache key and enables translation-invariant sharing.
+    orbits); a ``range`` is kept as it is, any other sequence as a list
+    checked for repeats.  ``diff_vector(l1, l2)`` must return the
+    difference vector of the two labelled points; ``diff_key`` maps a label
+    pair to a cache key and enables translation-invariant sharing.
     """
 
     def __init__(self, labels, vector_of, diff_vector, tol: float,
                  diff_key=None, description: str = ""):
-        self.labels = list(labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("orbit labels must be unique")
+        if isinstance(labels, range):  # unique by construction; no list of h ints
+            self.labels = labels
+        else:
+            self.labels = list(labels)
+            if len(set(self.labels)) != len(self.labels):
+                raise ValueError("orbit labels must be unique")
         self._vector_of = vector_of
         self._diff_vector = diff_vector
         self._diff_key = diff_key or (lambda a, b: (a, b) if a <= b else (b, a))
@@ -193,7 +197,7 @@ class _DiagOrbitCloud(OrbitCloud):
         elif phases.symbol is not op.symbol:
             raise ValueError("the phase range belongs to another operator")
         self._op, self._x, self._phases = op, x, phases
-        self._terms = phases.terms(0, x)  # x and -x on the head, for every row
+        self._terms = phases.terms(x)  # x and -x on the head, for every row
         # first-block brackets of d = 0 .. h-1: head maximum (the lead
         # maximum until the head is completed), |limit|, tail bound at
         # k = 64, majorant (column d = 0 is never read)

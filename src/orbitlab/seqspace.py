@@ -525,7 +525,8 @@ def from_prefix(prefix: Sequence[complex], limit: complex,
     With the default certificate, exact past the prefix, this is the
     generic way to build eventually-constant test vectors.  Its
     coordinates past the prefix are exactly ``limit`` whatever ``tail``
-    says, so its majorant is ``max(max |prefix|, |limit|)``.
+    says, so its majorant is ``max(max |prefix|, |limit|)``, with ``|limit|``
+    rounded both ways.
     """
     arr = np.asarray(list(prefix), dtype=np.complex128)
     if not np.isfinite(arr).all():
@@ -541,7 +542,10 @@ def from_prefix(prefix: Sequence[complex], limit: complex,
 
     if tail is None:
         tail = TailCertificate.zero(arr.size)
-    majorant = max(float(np.abs(arr).max(initial=0.0)), abs(lim))
+    # a scan measures |limit| by np.abs, which may round one unit either side
+    # of Python's abs; the majorant takes the larger
+    majorant = max(float(np.abs(arr).max(initial=0.0)), abs(lim),
+                   float(np.abs(np.complex128(lim))))
     return SeqVector(coord, lim, tail, space_tag, majorant)
 
 

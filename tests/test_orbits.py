@@ -134,8 +134,8 @@ class TestDiagonalNet:
         real_scan = orbits.norm_exceeds
         real_certs, real_separated = orbits.difference_certificates, cloud.separated
 
-        def leads(self, lo, count, terms, select=None):
-            got = real_leads(self, lo, count, terms, select)
+        def leads(self, lo, count, terms):
+            got = real_leads(self, lo, count, terms)
             rec["led"].extend(range(lo, lo + count))
             rec["lead"].update(zip(range(lo, lo + count), got.tolist()))
             return got

@@ -13,8 +13,8 @@ first-block exits and longer scans; a saturating difference-orbit net at
 h = 600 whose open differences scan past the first block (over a hundred
 of them); an orbit net on c0 with a basis probe; a witness ladder at
 h = 410; a witness ladder at h = 1500, whose pair search crosses a phase
-block (its second entry is d = 1152) and screens products at two
-thresholds; and a two-epsilon difference-orbit net at h = 1200 whose
+block (its second entry is d = 1152) and decides its product clouds at
+two thresholds; and a two-epsilon difference-orbit net at h = 1200 whose
 larger epsilon completes the heads of 250 differences the smaller one
 proved from their lead coordinates.
 

@@ -175,6 +175,14 @@ class TestSupportCertificates:
             assert validate_certificate(v, after=after, samples=2000) <= 0.0
 
 
+def test_prefix_majorant_takes_the_limit_as_scans_round_it():
+    # np.abs rounds |1.75 + 0.5j| one unit above Python's abs, so a
+    # coordinate equal to the limit must not exceed the majorant
+    v = from_prefix([0j], 1.75 + 0.5j)
+    assert np.abs(np.complex128(v.limit)) > abs(v.limit)
+    assert validate_certificate(v) <= 0.0
+
+
 def _random_vectors(draw, count):
     vs = []
     for _ in range(count):
