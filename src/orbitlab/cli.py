@@ -32,7 +32,7 @@ from .gallery import (SymbolFamily, c0_witness, limit_one_operator,
                       one_minus_symbol_vector, operator_from_spec, probe_for,
                       probe_from_spec, root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
-from .operators import DiagonalOperator, MatrixOperator, PhaseRange
+from .operators import DiagonalOperator, MatrixOperator
 from .orbits import (cloud_diagnostic, compactness_diagnostic,
                      difference_compactness_diagnostic, orbit)
 from .seqspace import constant_one, lin_comb, sup_norm
@@ -112,10 +112,9 @@ def _demo_limit_one(seed: int, tol: float, out_dir: str):
     op = limit_one_operator(SymbolFamily("harmonic"))
     one = constant_one("c")
     horizons = [100, 200, 400]
-    phases = PhaseRange(op)  # first-block phases shared by both clouds
-    grow = compactness_diagnostic(op, one, [1.0], horizons, tol=1e-8, phases=phases)
+    grow = compactness_diagnostic(op, one, [1.0], horizons, tol=1e-8)
     probe = lin_comb([1.0, -1.0], [one, op.apply(one)])
-    sat = cloud_diagnostic(orbit(op, probe, 400, tol=1e-8, phases=phases), [1.0], horizons)
+    sat = cloud_diagnostic(orbit(op, probe, 400, tol=1e-8), [1.0], horizons)
     verdict = diagonal_mean_ergodic_verdict(op)
     assertions = [
         _assertion("orbit_of_one_grows", grow.verdict == "growing", grow.verdict),
@@ -145,10 +144,9 @@ def _demo_root_limit(seed: int, tol: float, out_dir: str):
     horizons = [100, 200, 400]
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
     ns, _ = sup_norm(y_sq, 1e-9)
-    phases = PhaseRange(op)  # first-block phases shared by both clouds
-    sat = cloud_diagnostic(orbit(op, y_sq, 400, tol=1e-8, phases=phases), [1.25 * ns], horizons)
+    sat = cloud_diagnostic(orbit(op, y_sq, 400, tol=1e-8), [1.25 * ns], horizons)
     y = one_minus_symbol_vector(op)
-    grow = cloud_diagnostic(orbit(op, y, 400, tol=1e-8, phases=phases), [1.0], horizons)
+    grow = cloud_diagnostic(orbit(op, y, 400, tol=1e-8), [1.0], horizons)
     assertions = [
         _assertion("difference_square_probe_saturates", sat.verdict == "saturating",
                    sat.verdict),
@@ -327,7 +325,7 @@ def load_config(path: str) -> dict:
 _WORLD = {"ktz": "matrix", "spectrum": "matrix", "witness": "diagonal"}
 
 
-def _run_diagnostic(cfg: dict, op, probe, seed: int, tol: float):
+def _run_diagnostic(cfg: dict, op, probe, tol: float):
     sec = cfg["diagnostic"]
     which = sec.get("op")
     world = "matrix" if isinstance(op, MatrixOperator) else "diagonal"
@@ -443,7 +441,7 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     try:
         op = operator_from_spec(cfg["operator"], base_dir)
         probe = probe_for(probe_from_spec(_probe_spec(cfg.get("probe", {})), op), op)
-        results, assertions, tables = _run_diagnostic(cfg, op, probe, seed, tol)
+        results, assertions, tables = _run_diagnostic(cfg, op, probe, tol)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

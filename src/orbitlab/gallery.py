@@ -23,7 +23,7 @@ Selection rules (all deterministic):
 
 Every decision of the pair search is an orbit-cloud decision: the
 witness cloud of the probe decides separation, and one cloud per logged
-product decides smallness, all on one shared range of head phases.
+product decides smallness, all on the operator's one range of head phases.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
-from .operators import (DiagonalOperator, MatrixOperator, PhaseRange, constant_symbol,
+from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
                         harmonic_symbol, power_apply, read_matrix_file,
                         root_perturbed_symbol)
 from .orbits import (_NOT_SEPARATED, _SEPARATED, cloud_diagnostic, difference_orbit,
@@ -256,11 +256,12 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     differences at a time from their first-block states, and decide the
     differences that block leaves open one by one, by the clouds'
     certified ``separated`` and ``distance`` (``_first_pair``).  All of
-    them read one range of first-block phases.  If the scan
-    exhausts the horizon before ``count`` entries are built, a
-    HorizonExhaustedError carrying the partial audit is raised.  A product
-    log of more than about 64 MB of cloud state (``_MAX_PRODUCT_DIFFERENCES``
-    products times horizon) raises ValueError.
+    them read the operator's one range of first-block phases
+    (``op.phase_range``).  If the scan exhausts the horizon before
+    ``count`` entries are built, a HorizonExhaustedError carrying the
+    partial audit is raised.  A product log whose clouds at the next step
+    would hold more than about 64 MB of state (``_MAX_PRODUCT_DIFFERENCES``
+    products times horizon) raises ValueError before they are built.
 
     The partial sums of the ladder are certified over every subset at
     once: ``subset_sum_bound`` is the ladder's ``unconditional_constant``
@@ -281,10 +282,9 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     if eps_orbit <= 0:
         raise ValueError("separation_eps must be positive")
 
-    phases = PhaseRange(op)  # first-block phases shared by every cloud below
     top = _DIAG_HORIZONS[-1]
     orbit_rep = cloud_diagnostic(
-        orbit(op, x, top, tol=min(tol, eps_orbit / 100, 1e-8), phases=phases),
+        orbit(op, x, top, tol=min(tol, eps_orbit / 100, 1e-8)),
         [eps_orbit], _DIAG_HORIZONS)
     if orbit_rep.verdict != "growing":
         raise NotApplicableError(
@@ -296,7 +296,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     if dn > 0:
         eps_diff = 1.25 * dn
         diff_rep = cloud_diagnostic(
-            difference_orbit(op, x, top, tol=min(tol, eps_diff / 100, 1e-8), phases=phases),
+            difference_orbit(op, x, top, tol=min(tol, eps_diff / 100, 1e-8)),
             [eps_diff], _DIAG_HORIZONS)
         if diff_rep.verdict != "saturating":
             raise NotApplicableError(
@@ -307,7 +307,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
     # separated exponent family: greedy certified eps_orbit-separated subset
     cap = max(4 * count, 16)
-    cloud = orbit(op, x, horizon, tol=min(tol, 1e-8), phases=phases)
+    cloud = orbit(op, x, horizon, tol=min(tol, 1e-8))
     members = [cloud.labels[i] for i in cloud.greedy_net(eps_orbit, cap)]
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
@@ -332,14 +332,15 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     for step in range(count):
         tau = 1.0 / (2.0 ** (step + 1) * bound_m)
         thresholds.append(tau)
-        # one cloud per logged product P = (T^A - T^B) x, on the shared phases
+        # one cloud per logged product P = (T^A - T^B) x
         prod_clouds = [
             orbit(op, lin_comb([1.0, -1.0],
                                [power_apply(op, a_exp, x), power_apply(op, b_exp, x)]),
-                  horizon, tol=min(tol, tau / 8), phases=phases)
+                  horizon, tol=min(tol, tau / 8))
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
-        d = _first_pair(cloud, prod_clouds, horizon, phases.block, eps_orbit, tau, used_ds)
+        d = _first_pair(cloud, prod_clouds, horizon, op.phase_range.block, eps_orbit, tau,
+                        used_ds)
         if d is None:
             exhausted = True
             thresholds.pop()
@@ -351,7 +352,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         val, err = sup_norm(entry, min(tol, 1e-8))
         ladder.append(entry)
         norms.append(val)
-        if len(products) * 2 * horizon > _MAX_PRODUCT_DIFFERENCES:
+        if step + 1 < count and len(products) * 2 * horizon > _MAX_PRODUCT_DIFFERENCES:
             raise ValueError("product log would exceed its cap; lower count")
         products |= {(a_exp + s_exp, b_exp + t_exp) for (a_exp, b_exp) in products}
 

@@ -24,8 +24,7 @@ import scipy.linalg
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
 from .ergodic import (PERIPHERAL_TOL, _sorted_schur_projection,
                       certify_power_bounded, mean_ergodic_projection)
-from .operators import (DiagonalOperator, MatrixOperator, PhaseRange, matrix_norm,
-                        power_chunks)
+from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
 from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
                        sup_norm)
@@ -312,12 +311,11 @@ def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True,
     checks = None
     if cross_check:
         one = constant_one("c")
-        phases = PhaseRange(op)  # first-block phases shared by both clouds
-        grow = compactness_diagnostic(op, one, [1.0], horizons, tol=tol, phases=phases)
+        grow = compactness_diagnostic(op, one, [1.0], horizons, tol=tol)
         probe = lin_comb([1.0, -1.0], [one, op.power(int(m)).apply(one)])
         pn, _ = sup_norm(probe, 1e-9)
         eps = 1.25 * pn
-        probe_cloud = orbit(op, probe, max(horizons), tol=min(tol, eps / 100), phases=phases)
+        probe_cloud = orbit(op, probe, max(horizons), tol=min(tol, eps / 100))
         sat = cloud_diagnostic(probe_cloud, [eps], horizons)
         checks = {
             "orbit_of_one": grow.verdict,

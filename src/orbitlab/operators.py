@@ -16,6 +16,7 @@ tests verify.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -216,6 +217,12 @@ class DiagonalOperator:
     def operator_norm(self) -> float:
         return 1.0
 
+    @functools.cached_property
+    def phase_range(self) -> "PhaseRange":
+        """The first-block phases of this operator's powers, built on first
+        read; every diagonal cloud of the operator reads them here."""
+        return PhaseRange(self)
+
 
 @dataclass(frozen=True)
 class MatrixOperator:
@@ -253,9 +260,6 @@ class MatrixOperator:
 
     def operator_norm(self) -> float:
         return matrix_norm(self.entries, self.norm_tag)
-
-    def adjoint(self) -> "MatrixOperator":
-        return MatrixOperator(self.entries.conj().T, self.norm_tag)
 
 
 def matrix_norm(a: np.ndarray, norm_tag: str):
@@ -355,15 +359,15 @@ class PhaseRange:
     exit), which settles most differences from their lead alone.
 
     Phases depend on the symbol and n only, not on the vector, threshold
-    or tolerance, so every diagonal cloud of one operator can read them
-    from here: the greedy nets of several clouds, and the witness cloud and
-    product clouds of the pair search.  The range holds the lead phases of
-    one block of exponents (64 KB at the default block and lead); asking
-    for another start replaces it.
+    or tolerance, so an operator holds one range (``DiagonalOperator.
+    phase_range``) and every diagonal cloud of it reads it: the greedy nets
+    of several clouds, and the witness cloud and product clouds of the pair
+    search.  The block and lead widths are read when the range is built.
+    The range holds the lead phases of one block of exponents (64 KB at the
+    default block and lead); asking for another start replaces it.
     """
 
     def __init__(self, op: DiagonalOperator):
-        self.symbol = op.symbol
         self.block, self.lead = _SCREEN_BLOCK, _LEAD
         self._base = np.asarray(op.symbol.angle(_HEAD_KS), dtype=np.float64)
         self._table: np.ndarray | None = None

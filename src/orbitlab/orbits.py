@@ -16,36 +16,41 @@ suite pairs them with closed-form oracles.
 
 Greedy nets scan points in label order (seeded from the first point,
 ties broken by smallest label), so prefix clouds give prefix nets and
-one pass yields the whole horizon curve.  Orbits of isometric diagonal
-operators are translation invariant, so each exponent difference d is
-decided at most once per epsilon, on an int8 array over d = 1..h-1.  The
-first-block bracket of each ``(T^d - I) x`` is evaluated once per cloud,
-a block of d at a time and with no vector built: its ``|limit|``, tail
-bound and majorant from the certificate rules every vector takes, run over
-the block (``operators.difference_certificates``), and its head maximum in
-two stages.  The lead stage takes the maximum over the first
-``operators._LEAD`` coordinates, from lead phases of ``T^d`` that clouds
-of one operator share; a lead above eps proves the head above eps.  The completion stage forms the rest of the head only
-for a d whose lead and ``|limit|`` are both at or below an asked eps, or
-that ``separated`` or ``distance`` reads, at most once per d; the
+one pass yields the whole horizon curve.  A net grows a member at a time:
+a joining member rules out each candidate after it that is not certified
+more than eps away, and the next member is the first candidate left.  A
+candidate meets a member exactly when it was apart from every earlier
+one, so the pairs decided are those of the point-by-point rule.
+``OrbitCloud.greedy_net`` asks ``_apart`` which candidates a member
+leaves: pair by pair through ``separated`` (diagonal families), or in one
+stacked call over the rows of a finite-vector cloud.
+
+Orbits of isometric diagonal operators are translation invariant and keep
+a net of their own, which decides each exponent difference d at most once
+per epsilon, on an int8 array over d = 1..h-1.  The first-block bracket
+of each ``(T^d - I) x`` is evaluated once per cloud, a block of d at a
+time and with no vector built: its ``|limit|``, tail bound and majorant
+from the certificate rules every vector takes, run over the block
+(``operators.difference_certificates``), and its head maximum in two
+stages.  The lead stage takes the maximum over the first
+``operators._LEAD`` coordinates, from lead phases of ``T^d`` that every
+cloud of one operator reads from ``op.phase_range``; a lead above eps
+proves the head above eps.  The completion stage forms the rest of the
+head only for a d whose lead and ``|limit|`` are both at or below an asked
+eps, or that ``separated`` or ``distance`` reads, at most once per d; the
 completed head equals the 64-coordinate one bit for bit.
 ``seqspace.exceeds_exit``, the test ``norm_exceeds`` applies after each
 block, decides the whole block at every epsilon; a d it leaves open goes
 to ``norm_exceeds``, which scans on from k = 65, in net order up to the
-first "no", so no decision changes.  The net grows a member at a time: a
-joining member blocks every candidate a decided "no" away, the next
-candidate is the first unblocked one, and free candidates closer together
-than the smallest difference that is not separated join as one batch.
+first "no", so no decision changes.  Free candidates closer together than
+the smallest difference that is not separated join as one batch.
 
-A matrix cloud holds its orbit as one ``(h, N)`` stack of points.  Its net
-also grows a member at a time: a joining member takes the norms of its
-differences to every candidate left in one ``stacked_norms`` call, and
-keeps the candidates whose norm is certified above eps by the lower end of
-the rounding bracket ``v (1 - rho)``; a bracket that straddles eps is a
-"no".  The bracket covers the distance between the stored points, not the
-rounding in forming ``A^n x``.  Family clouds are not translation invariant
-and decide the net pair by pair through the cloud's decision cache, over
-finite vectors by the same bracket.
+A finite-vector cloud (a matrix orbit, or the word points of a matrix
+family) holds its points as one ``(len(labels), N)`` stack.  A row
+difference is separated when the lower end of its ``stacked_norms``
+rounding bracket ``v (1 - rho)`` exceeds eps; a bracket that straddles eps
+is a "no".  The bracket covers the distance between the stored points,
+not the rounding in forming ``A^n x``.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, PhaseRange,
-                        difference_certificates, power_apply, power_chunks, word_apply)
+from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, difference_certificates,
+                        power_apply, power_chunks, word_apply)
 from .seqspace import (FiniteVector, NormResult, SeqVector, exceeds_exit, lin_comb,
                        norm_bracket, norm_exceeds, stacked_norms, sup_norm)
 
@@ -91,8 +96,11 @@ class OrbitCloud:
     ``labels`` are ints (cyclic orbits) or exponent tuples (semigroup
     orbits); a ``range`` is kept as it is, any other sequence as a list
     checked for repeats.  ``diff_vector(l1, l2)`` must return the
-    difference vector of the two labelled points; ``diff_key`` maps a label
-    pair to a cache key and enables translation-invariant sharing.
+    difference SeqVector of the two labelled points; ``diff_key`` maps a
+    label pair to a cache key and enables translation-invariant sharing.
+    The base class decides pair by pair (clouds over diagonal families);
+    subclasses answer ``separated``, ``distance`` and ``_apart`` from
+    their own arrays and share ``greedy_net``, except the diagonal orbit.
     """
 
     def __init__(self, labels, vector_of, diff_vector, tol: float,
@@ -124,13 +132,7 @@ class OrbitCloud:
         key = self._diff_key(l1, l2)
         hit = self._values.get(key)
         if hit is None:
-            d = self._diff_vector(l1, l2)
-            if isinstance(d, FiniteVector):
-                value, rho = stacked_norms(d.coords, d.norm_tag)
-                hit = NormResult(float(value), float(value * rho))
-            else:
-                hit = sup_norm(d, self.tol)
-            self._values[key] = hit
+            hit = self._values[key] = sup_norm(self._diff_vector(l1, l2), self.tol)
         return hit
 
     def separated(self, l1, l2, eps: float) -> bool:
@@ -138,29 +140,34 @@ class OrbitCloud:
         key = (self._diff_key(l1, l2), eps)
         hit = self._decisions.get(key)
         if hit is None:
-            d = self._diff_vector(l1, l2)
-            if isinstance(d, FiniteVector):
-                hit = bool(_certified_above(d.coords, d.norm_tag, eps))
-            else:
-                hit = norm_exceeds(d, eps, self.tol)
-            self._decisions[key] = hit
+            hit = self._decisions[key] = norm_exceeds(self._diff_vector(l1, l2), eps, self.tol)
         return hit
+
+    def _apart(self, member: int, candidates: np.ndarray, eps: float) -> np.ndarray:
+        """Whether each candidate (a position in ``labels``) is certified
+        more than eps away from the member at position ``member``."""
+        m = self.labels[member]
+        return np.array([self.separated(self.labels[c], m, eps) for c in candidates.tolist()],
+                        dtype=bool)
 
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
         """Positions in ``labels`` of the greedy certified eps-separated net.
 
         A point joins when it is certified separated from every current
-        member; the scan stops once the net holds ``cap`` members.
+        member; the scan stops once the net holds ``cap`` members.  The net
+        grows a member at a time: a joining member drops every candidate
+        after it that ``_apart`` does not certify more than eps away, and
+        the next member is the first candidate left.
         """
-        net: list = []
-        positions: list[int] = []
-        for i, lbl in enumerate(self.labels):
-            if all(self.separated(lbl, member, eps) for member in net):
-                net.append(lbl)
-                positions.append(i)
-                if cap is not None and len(net) >= cap:
-                    break
-        return positions
+        limit = len(self.labels) if cap is None else max(cap, 1)
+        net = [0] if len(self.labels) else []
+        free = np.arange(1, len(self.labels))  # candidates after the last member
+        while free.size and len(net) < limit:
+            free = free[self._apart(net[-1], free, eps)]
+            if free.size:
+                net.append(int(free[0]))
+                free = free[1:]
+        return net
 
 
 # states of a difference in _DiagOrbitCloud's decision arrays, as
@@ -179,7 +186,7 @@ class _DiagOrbitCloud(OrbitCloud):
     """
 
     def __init__(self, op: DiagonalOperator, x: SeqVector, horizon: int,
-                 tol: float, description: str, phases: PhaseRange | None = None):
+                 tol: float, description: str):
         vectors: dict[int, SeqVector] = {}
 
         def vector_of(n):
@@ -192,12 +199,8 @@ class _DiagOrbitCloud(OrbitCloud):
 
         super().__init__(range(1, horizon + 1), vector_of, diff_vector, tol,
                          diff_key=lambda a, b: abs(a - b), description=description)
-        if phases is None:
-            phases = PhaseRange(op)
-        elif phases.symbol is not op.symbol:
-            raise ValueError("the phase range belongs to another operator")
-        self._op, self._x, self._phases = op, x, phases
-        self._terms = phases.terms(x)  # x and -x on the head, for every row
+        self._op, self._x, self._phases = op, x, op.phase_range
+        self._terms = self._phases.terms(x)  # x and -x on the head, for every row
         # first-block brackets of d = 0 .. h-1: head maximum (the lead
         # maximum until the head is completed), |limit|, tail bound at
         # k = 64, majorant (column d = 0 is never read)
@@ -274,7 +277,10 @@ class _DiagOrbitCloud(OrbitCloud):
         return super().distance(l1, l2)
 
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
-        """``OrbitCloud.greedy_net``, stepping by member instead of by point.
+        """``OrbitCloud.greedy_net`` over the decision arrays: a joining
+        member marks every candidate at once and free candidates join in
+        batches, so the net does not take a loop step per member.  Open
+        differences are scanned in point-by-point order, up to the cap.
 
         ``blocked[n]``: some member is a decided "no" away from candidate
         n; ``pending[n]``: some member was an open difference away when it
@@ -341,59 +347,52 @@ class _DiagOrbitCloud(OrbitCloud):
 
 
 class _MatrixOrbitCloud(OrbitCloud):
-    """Orbit ``T^1 x .. T^h x`` of a matrix, held as the ``(h, N)`` stack of
-    points the power kernel forms; a FiniteVector is built only for a point
-    or a difference that is asked for."""
+    """Finite-vector cloud held as the ``(len(labels), N)`` stack of its
+    points, in label order: a matrix orbit or the word points of a matrix
+    family.  Every decision reads rows of the stack by the rounding bracket
+    of ``_certified_above``; a FiniteVector is built only for a point that
+    is asked for."""
 
-    def __init__(self, op: MatrixOperator, x: FiniteVector, horizon: int,
-                 tol: float, description: str):
-        points = np.concatenate(list(power_chunks(op.entries, op.entries @ x.coords, horizon)))
+    def __init__(self, labels, points: np.ndarray, tag: str, tol: float, description: str):
         if not np.isfinite(points).all():  # FiniteVector's check, once on the stack
             raise ValueError("FiniteVector coordinates must be finite")
-        tag = x.norm_tag
-        super().__init__(range(1, horizon + 1),
-                         lambda n: FiniteVector(points[n - 1], tag),
-                         lambda n, m: FiniteVector(points[n - 1] - points[m - 1], tag),
-                         tol, description=description)
+        # no difference vector is built: the rows decide
+        super().__init__(labels, lambda l: FiniteVector(self._row(l), tag), None, tol,
+                         description=description)
         self._points, self._tag = points, tag
 
-    def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
-        """``OrbitCloud.greedy_net``, stepping by member instead of by point.
+    def _row(self, label) -> np.ndarray:
+        return self._points[self.labels.index(label)]
 
-        A joining member takes its differences to every candidate after it
-        in one stacked call and drops each candidate that is not certified
-        more than eps away; the next member is the first candidate left.
-        """
-        limit = len(self.labels) if cap is None else max(cap, 1)
-        net = [0]
-        free = np.arange(1, len(self.labels))  # candidates after the last member
-        while free.size and len(net) < limit:
-            free = free[_certified_above(self._points[free] - self._points[net[-1]],
-                                         self._tag, eps)]
-            if free.size:
-                net.append(int(free[0]))
-                free = free[1:]
-        return net
+    def distance(self, l1, l2) -> NormResult:
+        value, rho = stacked_norms(self._row(l1) - self._row(l2), self._tag)
+        return NormResult(float(value), float(value * rho))
+
+    def separated(self, l1, l2, eps: float) -> bool:
+        return bool(_certified_above(self._row(l1) - self._row(l2), self._tag, eps))
+
+    def _apart(self, member: int, candidates: np.ndarray, eps: float) -> np.ndarray:
+        """One stacked call for the differences to every candidate."""
+        return _certified_above(self._points[candidates] - self._points[member], self._tag, eps)
 
 
-def orbit(op, x, horizon: int, tol: float = 1e-8, *,
-          phases: PhaseRange | None = None) -> OrbitCloud:
+def orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
     """Cloud of the points ``T^1 x .. T^horizon x`` with exponent labels.
 
-    A diagonal cloud reads its head phases from ``phases``, a PhaseRange
-    of ``op`` shared with other clouds of it, or from its own.
+    A diagonal cloud reads its head phases from ``op.phase_range``, which
+    every cloud of ``op`` shares.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(op, DiagonalOperator):
-        return _DiagOrbitCloud(op, x, horizon, tol, "orbit", phases)
+        return _DiagOrbitCloud(op, x, horizon, tol, "orbit")
     if isinstance(op, MatrixOperator):
-        return _MatrixOrbitCloud(op, x, horizon, tol, "orbit")
+        points = np.concatenate(list(power_chunks(op.entries, op.entries @ x.coords, horizon)))
+        return _MatrixOrbitCloud(range(1, horizon + 1), points, x.norm_tag, tol, "orbit")
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
-def difference_orbit(op, x, horizon: int, tol: float = 1e-8, *,
-                     phases: PhaseRange | None = None) -> OrbitCloud:
+def difference_orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
     """Cloud of ``T^n (I - T) x`` for ``1 <= n <= horizon``."""
     if isinstance(op, DiagonalOperator):
         y = lin_comb([1.0, -1.0], [x, op.apply(x)])
@@ -401,7 +400,7 @@ def difference_orbit(op, x, horizon: int, tol: float = 1e-8, *,
         y = FiniteVector(x.coords - op.entries @ x.coords, x.norm_tag)
     else:
         raise TypeError(f"unsupported operator type {type(op).__name__}")
-    return orbit(op, y, horizon, tol, phases=phases)
+    return orbit(op, y, horizon, tol)
 
 
 def _graded_lex_words(m: int, max_total_degree: int):
@@ -424,12 +423,15 @@ def orbit_family(family, x, max_total_degree: int, tol: float = 1e-8) -> OrbitCl
     """Finitely generated orbit ``{word(x)}`` over a commuting family.
 
     Words are enumerated in graded lexicographic order up to the given
-    total degree.  For diagonal families the metric cache is keyed by
-    the normalised exponent difference.
+    total degree.  A matrix family's cloud holds the stack of its word
+    points; a diagonal family's metric cache is keyed by the normalised
+    exponent difference.
     """
     gens = family.generators
-    m = len(gens)
-    labels = [OperatorWord(w) for w in _graded_lex_words(m, max_total_degree)]
+    labels = [OperatorWord(w) for w in _graded_lex_words(len(gens), max_total_degree)]
+    if not isinstance(gens[0], DiagonalOperator):
+        points = np.array([word_apply(w, gens, x).coords for w in labels], dtype=np.complex128)
+        return _MatrixOrbitCloud(labels, points, x.norm_tag, tol, "family orbit")
     vectors = {}
 
     def vector_of(word):
@@ -437,25 +439,17 @@ def orbit_family(family, x, max_total_degree: int, tol: float = 1e-8) -> OrbitCl
             vectors[word] = word_apply(word, gens, x)
         return vectors[word]
 
-    if isinstance(gens[0], DiagonalOperator):
-        def norm_key(a: OperatorWord, b: OperatorWord):
-            da = tuple(max(ea - eb, 0) for ea, eb in zip(a.exponents, b.exponents))
-            db = tuple(max(eb - ea, 0) for ea, eb in zip(a.exponents, b.exponents))
-            return (da, db) if da <= db else (db, da)
-
-        def diff_vector(a, b):
-            da, db = norm_key(a, b)
-            u = vector_of(OperatorWord(da))
-            v = vector_of(OperatorWord(db))
-            return lin_comb([1.0, -1.0], [u, v])
-
-        return OrbitCloud(labels, vector_of, diff_vector, tol, diff_key=norm_key,
-                          description="family orbit")
+    def norm_key(a: OperatorWord, b: OperatorWord):
+        da = tuple(max(ea - eb, 0) for ea, eb in zip(a.exponents, b.exponents))
+        db = tuple(max(eb - ea, 0) for ea, eb in zip(a.exponents, b.exponents))
+        return (da, db) if da <= db else (db, da)
 
     def diff_vector(a, b):
-        return FiniteVector(vector_of(a).coords - vector_of(b).coords, x.norm_tag)
+        da, db = norm_key(a, b)
+        return lin_comb([1.0, -1.0], [vector_of(OperatorWord(da)), vector_of(OperatorWord(db))])
 
-    return OrbitCloud(labels, vector_of, diff_vector, tol, description="family orbit")
+    return OrbitCloud(labels, vector_of, diff_vector, tol, diff_key=norm_key,
+                      description="family orbit")
 
 
 def _greedy_counts(cloud: OrbitCloud, eps: float, checkpoints: Sequence[int]) -> list[int]:
@@ -557,11 +551,9 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
 
 
 def compactness_diagnostic(op, x, epsilons: Sequence[float], horizons: Sequence[int],
-                           tol: float = 1e-8, *,
-                           phases: PhaseRange | None = None) -> CompactnessReport:
-    """Orbit compactness diagnostic of ``{T^n x}`` up to ``max(horizons)``;
-    ``phases`` as for ``orbit``."""
-    cloud = orbit(op, x, max(int(h) for h in horizons), tol, phases=phases)
+                           tol: float = 1e-8) -> CompactnessReport:
+    """Orbit compactness diagnostic of ``{T^n x}`` up to ``max(horizons)``."""
+    cloud = orbit(op, x, max(int(h) for h in horizons), tol)
     rep = cloud_diagnostic(cloud, epsilons, horizons)
     rep.description = "orbit"
     return rep

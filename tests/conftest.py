@@ -1,11 +1,13 @@
 """Shared battery generators for the matrix-side tests, the reference
-rows of diagonal difference vectors, and the hypothesis profile."""
+rows of diagonal difference vectors, the point-by-point greedy net, and
+the hypothesis profile."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from orbitlab.operators import MatrixOperator, _difference_rows, _negated_term, _power_angles
+from orbitlab.seqspace import norm_exceeds
 
 # every property test draws the same examples on every run
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -88,3 +90,26 @@ def power_difference_rows(op, s, t: int, y, ks) -> np.ndarray:
         return np.exp(1j * _power_angles(n, base))
 
     return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
+
+
+def ref_net(labels, separated, cap=None) -> list[int]:
+    """The point-by-point greedy net, the reference for every production
+    net: positions in ``labels`` of the points that are ``separated(point,
+    member)`` from every current member, scanned in label order, stopping
+    once the net holds ``cap`` members.  ``separated`` decides each pair on
+    its own."""
+    net: list = []
+    positions: list[int] = []
+    for i, lbl in enumerate(labels):
+        if all(separated(lbl, member) for member in net):
+            net.append(lbl)
+            positions.append(i)
+            if cap is not None and len(net) >= cap:
+                break
+    return positions
+
+
+def scan_decisions(cloud, eps):
+    """Per-pair decisions by a fresh ``norm_exceeds`` scan of the cloud's
+    difference vector, with no cache and no first-block state."""
+    return lambda a, b: norm_exceeds(cloud._diff_vector(a, b), eps, cloud.tol)

@@ -8,7 +8,7 @@ maximum completed from its lead coordinates where the lead proves
 nothing), so every bulk decision and every first-block distance must
 equal the scan's.  The greedy net steps one member at a time over a mask
 of blocked candidates; on any mix of decided and open differences it must
-equal the reference greedy of ``OrbitCloud``.
+equal the point-by-point reference net of ``conftest.ref_net``.
 """
 
 import math
@@ -19,14 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ref_net
 from orbitlab import cli, orbits
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
 from orbitlab.jdlg import diagonal_jdlg
 from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
                                 difference_certificates, harmonic_symbol,
                                 power_apply, root_perturbed_symbol)
-from orbitlab.orbits import OrbitCloud, orbit
-from orbitlab.seqspace import (FiniteVector, TailCertificate, basis_vector, constant_one,
+from orbitlab.orbits import orbit
+from orbitlab.seqspace import (TailCertificate, basis_vector, constant_one,
                                exceeds_exit, from_prefix, lin_comb, norm_bracket,
                                norm_exceeds, sup_norm)
 
@@ -196,10 +197,7 @@ def test_member_stepping_net_equals_the_reference(data):
             mock.patch.object(orbits, "difference_certificates",
                               lambda op, ds, y: brackets[1:, ds]):
         got = cloud.greedy_net(_EPS, cap)
-    ref = OrbitCloud(range(1, h + 1), lambda n: None,
-                     lambda a, b: FiniteVector([2.0 if truth[abs(a - b)] else 0.5], "sup"),
-                     _TOL, diff_key=lambda a, b: abs(a - b))
-    assert got == ref.greedy_net(_EPS, cap)
+    assert got == ref_net(range(1, h + 1), lambda a, b: truth[abs(a - b)], cap)
     assert len(scanned) == len(set(scanned))  # each open difference scanned once
     assert all(states[d] == orbits._UNKNOWN for d in scanned)
     # a head is completed once, and only where its lead proves nothing

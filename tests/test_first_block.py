@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import power_difference_rows
+from conftest import power_difference_rows, ref_net, scan_decisions
 from orbitlab import operators, orbits
 from orbitlab.ergodic import cesaro
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
 from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symbol,
                                 power_apply, root_perturbed_symbol)
-from orbitlab.orbits import OrbitCloud, orbit
+from orbitlab.orbits import orbit
 from orbitlab.seqspace import (SeqVector, TailCertificate, basis_vector, constant_one,
                                from_prefix, lin_comb, norm_exceeds, sup_norm,
                                validate_certificate, zero_vector)
@@ -177,8 +177,9 @@ def test_screened_net_matches_per_pair_reference(block, sym, x, data):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(operators, "_SCREEN_BLOCK", block)
-        cloud = orbit(op, x, h, tol=tol)
-        ref = OrbitCloud(cloud.labels, cloud.vector, cloud._diff_vector, tol)
-        assert cloud.greedy_net(eps, cap) == ref.greedy_net(eps, cap)
+        # a fresh operator, so its phase range is built at this block
+        cloud = orbit(DiagonalOperator(sym, "c"), x, h, tol=tol)
+        ref = scan_decisions(cloud, eps)
+        assert cloud.greedy_net(eps, cap) == ref_net(cloud.labels, ref, cap)
         # a second, uncapped net reuses what the first screened and decided
-        assert cloud.greedy_net(eps) == ref.greedy_net(eps)
+        assert cloud.greedy_net(eps) == ref_net(cloud.labels, ref)

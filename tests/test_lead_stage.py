@@ -15,9 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import power_difference_rows
 from orbitlab import operators
-from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
-                                difference_certificates, harmonic_symbol,
-                                root_perturbed_symbol)
+from orbitlab.operators import (DiagonalOperator, constant_symbol, difference_certificates,
+                                harmonic_symbol, root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import basis_vector, constant_one, exceeds_exit, from_prefix
 
@@ -39,11 +38,15 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def _phase_range(op, lead, block):
+def _operator(sym, lead, block):
+    """A fresh operator whose phase range is built at these widths: a range
+    reads them once, when it is built."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_LEAD", lead)
         mp.setattr(operators, "_SCREEN_BLOCK", block)
-        return PhaseRange(op)
+        op = DiagonalOperator(sym, "c")
+        assert (op.phase_range.lead, op.phase_range.block) == (lead, block)
+        return op
 
 
 def _full_heads(op, ns, y):
@@ -65,8 +68,8 @@ def _around(values, data, label):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(sym=_SYMBOLS, x=_PROBES, data=st.data())
 def test_completed_heads_equal_full_heads(lead, block, sym, x, data):
-    op = DiagonalOperator(sym, "c")
-    ph = _phase_range(op, lead, block)
+    op = _operator(sym, lead, block)
+    ph = op.phase_range
     assert ph.range(1, 1).shape == (1, lead)
     lo = 1 + block * data.draw(st.integers(0, 40), label="block index")
     count = data.draw(st.integers(1, min(block, 40)), label="count")
@@ -88,10 +91,10 @@ def test_completed_heads_equal_full_heads(lead, block, sym, x, data):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(sym=_SYMBOLS, x=_PROBES, data=st.data())
 def test_cloud_states_equal_full_head_states(lead, block, sym, x, data):
-    op = DiagonalOperator(sym, "c")
+    op = _operator(sym, lead, block)
     h = data.draw(st.integers(2, 200), label="horizon")
     tol = data.draw(st.sampled_from([1e-8, 1e-3]), label="tol")
-    cloud = orbit(op, x, h, tol=tol, phases=_phase_range(op, lead, block))
+    cloud = orbit(op, x, h, tol=tol)
     ds = np.arange(1, h)
     full = _full_heads(op, ds, x)
     leads = np.abs(power_difference_rows(op, ds, 0, x, _HEAD[:lead])).max(axis=1)

@@ -1,20 +1,22 @@
 import dataclasses
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import power_difference_rows, random_power_bounded
+from conftest import (commuting_matrix_family, power_difference_rows, random_power_bounded,
+                      ref_net, scan_decisions)
 from orbitlab import orbits
 from orbitlab.ergodic import fix_separation_check
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
-                                make_commuting_family, root_perturbed_symbol)
+                                make_commuting_family, root_perturbed_symbol, word_apply)
 from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
                              difference_orbit, difference_compactness_diagnostic,
                              orbit, orbit_family, packing_number)
 from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one, exceeds_exit,
-                               from_prefix, lin_comb, sup_norm)
+                               from_prefix, lin_comb, stacked_norms, sup_norm)
 
 
 def harmonic_op():
@@ -119,10 +121,11 @@ class TestDiagonalNet:
                           label="checkpoints")
         cap = data.draw(st.integers(1, h), label="cap")
         cloud = orbit(DiagonalOperator(sym, "c"), x, h, tol=tol)
-        ref = OrbitCloud(cloud.labels, cloud.vector, cloud._diff_vector, tol)
+        ref = scan_decisions(cloud, eps)
+        want = ref_net(cloud.labels, ref)
         assert (orbits._greedy_counts(cloud, eps, marks)
-                == orbits._greedy_counts(ref, eps, marks))
-        assert cloud.greedy_net(eps, cap) == ref.greedy_net(eps, cap)
+                == [bisect_left(want, c) for c in sorted(set(marks))])
+        assert cloud.greedy_net(eps, cap) == ref_net(cloud.labels, ref, cap)
 
     @staticmethod
     def _record_decisions(monkeypatch, cloud):
@@ -225,8 +228,7 @@ class TestDiagonalNet:
         op = DiagonalOperator(root_perturbed_symbol(3, 1.3), "c")
         x = from_prefix([0.8 + 0.1j, -0.3 + 0.6j, 0.5 - 0.5j], 0.7)
         cloud = difference_orbit(op, x, 600, tol=1e-8)
-        ref = OrbitCloud(cloud.labels, cloud.vector, cloud._diff_vector, 1e-8)
-        want = ref.greedy_net(2.5)
+        want = ref_net(cloud.labels, scan_decisions(cloud, 2.5))
         rec = self._record_decisions(monkeypatch, cloud)
         assert cloud.greedy_net(2.5) == want
         assert len(rec["led"]) == len(set(rec["led"]))
@@ -258,7 +260,6 @@ class TestCovering:
         pts = [from_prefix([0.0], 0.0), from_prefix([0.1], 0.0),
                from_prefix([10.0], 0.0), from_prefix([10.1], 0.0)]
         cloud_labels = [1, 2, 3, 4]
-        from orbitlab.orbits import OrbitCloud
         cloud = OrbitCloud(cloud_labels, lambda n: pts[n - 1],
                            lambda a, b: lin_comb([1.0, -1.0], [pts[a - 1], pts[b - 1]]),
                            tol=1e-6)
@@ -387,6 +388,87 @@ class TestFamilyOrbits:
         word_norms = [cloud.vector(w).norm() for w in cloud.labels]
         assert max(word_norms) <= x.norm()
         assert packing_number(cloud, 2.1 * x.norm()) == 1
+
+
+def _recorded(separated, pairs):
+    """``separated``, recording each pair it decides, unordered."""
+    def decide(a, b):
+        pairs.add(frozenset((a, b)))
+        return separated(a, b)
+    return decide
+
+
+def _check_family_net(cloud, ref, epsilons):
+    """The family cloud's net equals the point-by-point reference at every
+    eps and cap; uncapped, it also decides the reference's pairs."""
+    for eps in epsilons:
+        for cap in (None, 1, 3):
+            got, want = set(), set()
+            real = cloud._apart
+
+            def apart(member, candidates, eps):
+                got.update(frozenset((cloud.labels[member], cloud.labels[c]))
+                           for c in candidates.tolist())
+                return real(member, candidates, eps)
+
+            cloud._apart = apart
+            net = cloud.greedy_net(eps, cap)
+            del cloud._apart
+            assert net == ref_net(cloud.labels, _recorded(ref(eps), want), cap)
+            if cap is None:
+                assert got == want
+
+
+@pytest.mark.parametrize("family", ["two rotations", "harmonic t and t^2"])
+def test_diagonal_family_net_equals_the_reference(family):
+    if family == "two rotations":
+        ops = [DiagonalOperator(constant_symbol(2 * np.pi * a), "c")
+               for a in (0.618033988749, 0.414213562373)]
+        x = constant_one()
+    else:
+        t = DiagonalOperator(harmonic_symbol(1.0), "c")
+        ops, x = [t, t.power(2)], from_prefix([0.5, 1j, -2.0], 1.0)
+    # under t and t^2 the words (2, 0) and (0, 1) are one point, whose
+    # distance closes only at the tolerance
+    cloud = orbit_family(make_commuting_family(ops), x, 6, tol=1e-3)
+    dists = sorted({cloud.distance(a, b) for a in cloud.labels for b in cloud.labels if a != b})
+    val, err = max(dists, key=lambda r: r[1])
+    # distances (each at the boundary of ">"), one inside the widest
+    # certified bracket, and one between the distances
+    epsilons = [dists[len(dists) // 5][0], dists[len(dists) // 2][0], val + err / 2, 1.0]
+    _check_family_net(cloud, lambda eps: scan_decisions(cloud, eps), epsilons)
+
+
+@pytest.mark.parametrize("tag", ["euclidean", "sup"])
+def test_matrix_family_net_equals_the_reference(rng, tag):
+    fam = make_commuting_family(commuting_matrix_family(rng, norm_tag=tag))
+    x = FiniteVector(rng.standard_normal(8) + 1j * rng.standard_normal(8), tag)
+    cloud = orbit_family(fam, x, 6, tol=1e-9)
+    points = {w: word_apply(w, fam.generators, x).coords for w in cloud.labels}
+
+    def ref(eps):  # one pair at a time, from points formed apart from the cloud
+        def separated(a, b):
+            v, rho = stacked_norms(points[a] - points[b], tag)
+            return v * (1.0 - rho) > eps
+        return separated
+
+    pairs = [(a, b) for i, a in enumerate(cloud.labels) for b in cloud.labels[i + 1:]]
+    norms, rho = stacked_norms(np.array([points[a] - points[b] for a, b in pairs]), tag)
+    # quantiles of the distances, and one inside the rounding bracket of
+    # the first two points, a pair every net decides: it straddles, a "no"
+    inside = float(norms[0] * (1.0 - rho / 2))
+    assert norms[0] > inside and not ref(inside)(*pairs[0])
+    epsilons = [float(np.quantile(norms, q)) for q in (0.2, 0.5, 0.8)] + [inside]
+    _check_family_net(cloud, ref, epsilons)
+
+
+def test_clouds_of_one_operator_share_its_phase_range():
+    op = DiagonalOperator(harmonic_symbol(1.0), "c")
+    a = orbit(op, constant_one(), 10)
+    b = difference_orbit(op, basis_vector(3), 20)
+    assert a._phases is b._phases is op.phase_range
+    assert isinstance(op.phase_range, PhaseRange)
+    assert DiagonalOperator(harmonic_symbol(1.0), "c").phase_range is not op.phase_range
 
 
 def test_report_serialisation_shape():

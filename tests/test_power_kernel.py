@@ -9,12 +9,12 @@ chunk smaller than one matrix (every power its own chunk).
 import numpy as np
 import pytest
 
-from conftest import random_contraction, random_power_bounded
+from conftest import random_contraction, random_power_bounded, ref_net
 from orbitlab import operators
 from orbitlab.ergodic import cesaro, mean_ergodic_projection
 from orbitlab.jdlg import jdlg_split, ktz_check
 from orbitlab.operators import MatrixOperator, power_bound_estimate
-from orbitlab.orbits import OrbitCloud, orbit
+from orbitlab.orbits import orbit
 from orbitlab.seqspace import FiniteVector, stacked_norms
 
 
@@ -254,17 +254,13 @@ def test_jdlg_decay_constants_survive_underflow(rate):
     assert 0.0 <= split.diagnostics["aws_decay_constants"][0] <= 1.0
 
 
-def ref_net(points, tag, eps, cap):
-    """``OrbitCloud.greedy_net``'s rule over FiniteVector differences, one
-    candidate and member pair at a time."""
-    net = []
-    for i, p in enumerate(points):
-        d = [FiniteVector(p - points[m], tag) for m in net]
-        if all(v * (1.0 - rho) > eps for v, rho in (stacked_norms(u.coords, tag) for u in d)):
-            net.append(i)
-            if cap is not None and len(net) >= cap:
-                break
-    return net
+def pair_decisions(points, tag, eps):
+    """The finite-vector decision on one candidate and member pair at a
+    time, over FiniteVector differences."""
+    def separated(i, m):
+        v, rho = stacked_norms(FiniteVector(points[i] - points[m], tag).coords, tag)
+        return v * (1.0 - rho) > eps
+    return separated
 
 
 def net_epsilons(points, tag, rng):
@@ -288,9 +284,8 @@ def test_matrix_net_matches_pairwise_reference(rng, chunk, tag, cap):
             cloud = orbit(op, x, horizon, tol=1e-12)
             points = np.array(ref_cloud(op, x, horizon))
             for eps in net_epsilons(points, tag, rng) if horizon > 1 else [0.5]:
-                want = ref_net(points, tag, eps, cap)
+                want = ref_net(range(len(points)), pair_decisions(points, tag, eps), cap)
                 assert cloud.greedy_net(eps, cap) == want
-                assert OrbitCloud.greedy_net(cloud, eps, cap) == want
 
 
 @TAGS

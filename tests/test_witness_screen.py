@@ -21,7 +21,7 @@ from orbitlab import gallery, operators, orbits, seqspace
 from orbitlab.errors import (HorizonExhaustedError, NotApplicableError,
                              UnreachableToleranceError)
 from orbitlab.gallery import c0_witness
-from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
+from orbitlab.operators import (DiagonalOperator, constant_symbol,
                                 harmonic_symbol, power_apply, root_perturbed_symbol)
 from orbitlab.orbits import _SEPARATED, orbit
 from orbitlab.seqspace import (TailCertificate, basis_vector, constant_one, from_prefix,
@@ -184,12 +184,13 @@ def test_search_decisions_equal_the_closure_reference(lead, block, sym, x, data)
                                                      or [1.0]))), label="tau")
     tol = min(1e-6, tau / 8)  # the product clouds' tolerance in c0_witness
 
-    def clouds():
+    def clouds():  # on a fresh operator, whose range is built at these widths
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "_LEAD", lead)
             mp.setattr(operators, "_SCREEN_BLOCK", block)
-            ph = PhaseRange(op)
-        return ph, [orbit(op, p, h, tol=tol, phases=ph) for p in prods]
+            fresh = DiagonalOperator(sym, "c")
+            ph = fresh.phase_range
+        return ph, [orbit(fresh, p, h, tol=tol) for p in prods]
 
     want, near = set(), set()
     for d in ds.tolist():
@@ -257,3 +258,30 @@ def test_product_log_is_capped_by_products_times_horizon(monkeypatch):
         c0_witness(op, constant_one(), 4, 3000, tol=1e-6)
     monkeypatch.setattr(gallery, "_MAX_PRODUCT_DIFFERENCES", 4 * 3000)
     assert _selection_log(op, constant_one()) == ((2, 1), (1153, 1))
+
+
+def test_a_complete_ladder_is_not_held_to_the_product_cap(monkeypatch):
+    # one entry would double the log to 2 products of 3000 differences, but
+    # a count-1 ladder is complete and builds no further product cloud
+    op = DiagonalOperator(harmonic_symbol(2.0), "c")
+    monkeypatch.setattr(gallery, "_MAX_PRODUCT_DIFFERENCES", 2 * 3000 - 1)
+    audit = c0_witness(op, constant_one(), 1, 3000, tol=1e-6)
+    assert audit.achieved_count == 1 and audit.selection_log == ((2, 1),)
+
+
+def test_the_product_cap_raises_before_the_next_step_builds(monkeypatch):
+    op, x = DiagonalOperator(harmonic_symbol(2.0), "c"), constant_one()
+    monkeypatch.setattr(gallery, "_MAX_PRODUCT_DIFFERENCES", 2 * 3000 - 1)
+    probes = []  # whether each cloud c0_witness builds is of the probe itself
+    real = gallery.orbit
+
+    def recording(op, y, *args, **kwargs):
+        probes.append(y is x)
+        return real(op, y, *args, **kwargs)
+
+    monkeypatch.setattr(gallery, "orbit", recording)
+    with pytest.raises(ValueError, match="product log"):
+        c0_witness(op, x, 2, 3000, tol=1e-6)
+    # step 1 has no product cloud (the log holds only the empty product),
+    # and step 2's cloud of (T^2 - T) x is never built
+    assert probes and all(probes)
