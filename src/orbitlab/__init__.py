@@ -31,7 +31,7 @@ from .ergodic import (cesaro, mean_ergodic_projection, fix_separation_check,
                       certify_power_bounded)
 from .jdlg import (jdlg_split, ktz_check, countable_peripheral_check,
                    half_sum, diagonal_jdlg, spectrum_report)
-from .gallery import (SymbolFamily, WitnessAudit, limit_one_operator,
+from .gallery import (WitnessAudit, limit_one_operator,
                       root_limit_operator, one_minus_symbol_vector,
                       c0_witness, bp_test, unconditional_constant,
                       write_certificate, verify_certificate)

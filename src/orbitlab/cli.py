@@ -28,7 +28,7 @@ import numpy as np
 from . import gallery, jdlg
 from .ergodic import diagonal_mean_ergodic_verdict, decomposition_check
 from .errors import ConfigError, HorizonExhaustedError, OrbitLabError
-from .gallery import (SymbolFamily, c0_witness, limit_one_operator,
+from .gallery import (c0_witness, limit_one_operator,
                       one_minus_symbol_vector, operator_from_spec, probe_for,
                       probe_from_spec, root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
@@ -109,7 +109,7 @@ def _emit(kind: str, name: str, seed: int, tol: float, config: dict, out_dir: st
 # Demos
 
 def _demo_limit_one(seed: int, tol: float, out_dir: str):
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     one = constant_one("c")
     horizons = [100, 200, 400]
     grow = compactness_diagnostic(op, one, [1.0], horizons, tol=1e-8)
@@ -139,7 +139,7 @@ def _demo_limit_one(seed: int, tol: float, out_dir: str):
 
 
 def _demo_root_limit(seed: int, tol: float, out_dir: str):
-    op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+    op = root_limit_operator(2)
     one = constant_one("c")
     horizons = [100, 200, 400]
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])

@@ -328,12 +328,13 @@ def diagonal_mean_ergodic_verdict(op: DiagonalOperator,
     the operator is always mean ergodic.  Numeric Cesaro cross-checks at
     ``sample_ns`` are recorded as evidence.
 
-    Symbols without family metadata are refused rather than guessed.
+    Powers of a catalogued symbol are refused rather than guessed.
     """
     sym = op.symbol
-    if sym.limit_attained is None or (sym.kind == "custom"):
+    if sym.exponent != 1:
         raise UnsupportedSymbolError(
-            "mean-ergodicity verdict needs a catalogued symbol family")
+            f"mean-ergodicity verdicts cover the catalogued symbols, not their powers "
+            f"(exponent {sym.exponent})")
 
     evidence: dict = {"kind": sym.kind, "space": op.space_tag}
     limit_is_one = sym.limit_value == 1
@@ -347,8 +348,8 @@ def diagonal_mean_ergodic_verdict(op: DiagonalOperator,
         evidence["cesaro_probe_curve"] = curve
         return MeanErgodicVerdict(True, "cesaro-converged", evidence)
 
-    if limit_is_one and sym.kind == "constant":
-        # identity operator: A_n x = x
+    if limit_is_one and sym.limit_attained:
+        # a constant symbol at angle 0, the identity operator: A_n x = x
         evidence["note"] = "identity symbol"
         return MeanErgodicVerdict(True, "fix-separates", evidence)
 

@@ -38,16 +38,15 @@ import numpy as np
 from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
-from .operators import (DiagonalOperator, MatrixOperator, constant_symbol,
-                        harmonic_symbol, power_apply, read_matrix_file,
-                        root_perturbed_symbol)
+from .operators import (SYMBOL_FAMILIES, DiagonalOperator, DiagonalSymbol,
+                        MatrixOperator, harmonic_symbol, power_apply,
+                        read_matrix_file, root_perturbed_symbol)
 from .orbits import (_NOT_SEPARATED, _SEPARATED, cloud_diagnostic, difference_orbit,
                      orbit)
 from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
                        from_prefix, lin_comb, sup_norm)
 
 __all__ = [
-    "SymbolFamily",
     "WitnessAudit",
     "BpReport",
     "limit_one_operator",
@@ -70,67 +69,27 @@ _PREFIX_CHECK_LEN = 32
 # difference, so the product clouds of one step take at most about 64 MB
 _MAX_PRODUCT_DIFFERENCES = (64 << 20) // 34
 _DIAG_HORIZONS = (100, 200, 400)  # horizons of the c0_witness precondition diagnostics
+_SPEC_DEFAULTS = {"rate": 1.0, "m": 2, "angle": 0.0}  # of the symbol parameters
 
 
-@dataclass(frozen=True)
-class SymbolFamily:
-    """Catalogued unimodular symbol family.
-
-    ``harmonic``: angles pi / k**rate, limit 1.
-    ``root_perturbed``: angles 2 pi / m + pi / k**rate, limit the m-th
-    root of unity.  Both families never attain their limit value.
-    """
-
-    kind: str
-    m: int = 1
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("harmonic", "root_perturbed", "custom"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.m < 1:
-            raise ValueError("root order m must be >= 1")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+def limit_one_operator(rate: float = 1.0) -> DiagonalOperator:
+    """Isometry on c whose symbol tends to 1 without attaining it (the
+    harmonic symbol): no fixed coordinates, and every difference ``(I -
+    T^n) x`` has limit coordinate 0, so difference orbits live in c0."""
+    return DiagonalOperator(harmonic_symbol(rate), "c")
 
 
-def limit_one_operator(family: SymbolFamily) -> DiagonalOperator:
-    """Invertible isometry whose symbol tends to 1 without attaining it.
-
-    Requires a family with root order 1.  The returned operator has no
-    fixed coordinates, and every difference ``(I - T^n) x`` has limit
-    coordinate 0, so difference orbits live in c0.
-    """
-    if family.m != 1:
-        raise ValueError("this constructor needs m = 1; use root_limit_operator for m >= 2")
-    if family.kind == "custom":
-        raise ValueError("custom families are not catalogued")
-    op = DiagonalOperator(harmonic_symbol(family.rate), "c")
-    sym = op.symbol
-    assert sym.limit_value == 1 and sym.unit_fixed_indices == ()
-    # spot isometry check on a basis direction
-    e1 = basis_vector(1, "c0")
-    val, err = sup_norm(op.apply(e1), 1e-12)
-    assert abs(val - 1.0) <= err + 1e-12
-    return op
-
-
-def root_limit_operator(family: SymbolFamily) -> DiagonalOperator:
-    """Isometry whose symbol tends to a primitive root of unity of order
-    m >= 2.
+def root_limit_operator(m: int, rate: float = 1.0) -> DiagonalOperator:
+    """Isometry on c whose symbol tends to a primitive root of unity of
+    order m >= 2: the root-perturbed symbol at ``m`` and ``rate``.
 
     ``(I - T^m) x`` has limit coordinate 0 while ``1 - (a_k)`` keeps the
     nonzero limit ``1 - xi``, which is the source of the compactness
     asymmetry between rg(I - T^m) and rg(I - T).
     """
-    if family.m < 2:
+    if m < 2:
         raise ValueError("this constructor needs m >= 2; use limit_one_operator for m = 1")
-    if family.kind == "custom":
-        raise ValueError("custom families are not catalogued")
-    op = DiagonalOperator(root_perturbed_symbol(family.m, family.rate), "c")
-    xi = op.symbol.limit_value
-    assert abs(xi ** family.m - 1) < 1e-12 and abs(xi - 1) > 1e-9
-    return op
+    return DiagonalOperator(root_perturbed_symbol(m, rate), "c")
 
 
 def one_minus_symbol_vector(op: DiagonalOperator) -> SeqVector:
@@ -470,15 +429,10 @@ def operator_from_spec(spec: dict, base_dir: str = "."):
                                     spec.get("norm", "euclidean"))
         if space not in ("c", "c0"):
             raise ConfigError(f"unknown space {space!r}; choose c or c0")
-        if kind == "harmonic":
-            symbol = harmonic_symbol(float(spec.get("rate", 1.0)))
-        elif kind == "root_perturbed":
-            symbol = root_perturbed_symbol(int(spec.get("m", 2)),
-                                           float(spec.get("rate", 1.0)))
-        elif kind == "constant":
-            symbol = constant_symbol(float(spec.get("angle", 0.0)))
-        else:
+        if kind not in SYMBOL_FAMILIES:
             raise ConfigError(f"unknown operator kind {kind!r}")
+        symbol = DiagonalSymbol(kind, tuple(spec.get(name, _SPEC_DEFAULTS[name])
+                                            for name in SYMBOL_FAMILIES[kind]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return DiagonalOperator(symbol, space)

@@ -16,7 +16,6 @@ Peripheral thresholds default to 1e-9 for exact inputs; pass a larger
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -46,6 +45,8 @@ __all__ = [
 ]
 
 _HALF_SUM_SAMPLES = 512  # indices k whose (1 + a_k) / 2 a diagonal half_sum samples
+_DIAG_HORIZONS, _DIAG_TOL = (100, 200, 400), 1e-8  # diagonal_jdlg's cross-check
+_PERIPHERAL_SEED, _PERIPHERAL_HORIZONS = 7, (200, 400, 800)  # countable_peripheral_check's
 
 
 @dataclass(frozen=True)
@@ -193,31 +194,25 @@ class CountablePeripheralReport:
 
 
 def countable_peripheral_check(op: MatrixOperator, tol: float = 1e-8,
-                               peri_tol: float = PERIPHERAL_TOL,
-                               probes: Sequence[FiniteVector] | None = None,
-                               seed: int = 7,
-                               horizons: Sequence[int] = (200, 400, 800)) -> CountablePeripheralReport:
+                               peri_tol: float = PERIPHERAL_TOL) -> CountablePeripheralReport:
     """Almost periodicity from a finite peripheral spectrum.
 
     Splits the space, verifies the stable decay, and confirms orbit
-    compactness numerically: packing diagnostics on probe vectors must
-    saturate.  The probe epsilon is a sizable fraction of the probe norm
-    because saturation must occur within the horizon (each irrational
-    rotation direction fills its circle at rate ~1/n).  Rejects
+    compactness numerically: packing diagnostics on two seeded random unit
+    probes must saturate.  The probe epsilon is a sizable fraction of the
+    probe norm because saturation must occur within the horizon (each
+    irrational rotation direction fills its circle at rate ~1/n).  Rejects
     non-power-bounded inputs at the precondition.
     """
     split = jdlg_split(op, tol, peri_tol)
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = []
-        for _ in range(2):
-            z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-            z /= np.linalg.norm(z)
-            probes.append(FiniteVector(z, op.norm_tag))
+    rng = np.random.default_rng(_PERIPHERAL_SEED)
     verdicts = []
-    for x in probes:
+    for _ in range(2):
+        z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        x = FiniteVector(z / np.linalg.norm(z), op.norm_tag)
         eps = max(0.75 * x.norm(), 1e-6)
-        rep = compactness_diagnostic(op, x, [eps], horizons, tol=min(eps / 8, 1e-6))
+        rep = compactness_diagnostic(op, x, [eps], _PERIPHERAL_HORIZONS,
+                                     tol=min(eps / 8, 1e-6))
         verdicts.append(rep.verdict)
     ok = bool(split.residual <= 10 * tol and all(v == "saturating" for v in verdicts))
     return CountablePeripheralReport(ok, split, tuple(verdicts))
@@ -287,36 +282,34 @@ class DiagonalJdlgReport:
     cross_check: dict | None = None
 
 
-def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True,
-                  horizons: Sequence[int] = (100, 200, 400),
-                  tol: float = 1e-8) -> DiagonalJdlgReport:
-    """Symbolic splitting for the supported diagonal symbol families.
+def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True) -> DiagonalJdlgReport:
+    """Symbolic splitting for the catalogued diagonal symbol families.
 
     For a unimodular symbol converging to a root of unity without
     attaining the limit, the almost periodic subspace coincides with the
     reversible one and equals c0, and the splitting projection acts as
     the identity there.  Constant symbols are plain rotations: the whole
-    space is almost periodic.  Anything outside the catalogue is refused.
+    space is almost periodic.  Powers of a symbol are refused.
     """
     sym = op.symbol
-    if sym.kind == "constant":
-        report = DiagonalJdlgReport("whole", True, True,
-                                    "rotation by a fixed angle; every orbit lies on a circle")
-        return report
-    if sym.kind not in ("harmonic", "root_perturbed") or sym.limit_attained is not False:
+    if sym.exponent != 1:
         raise UnsupportedSymbolError(
-            f"symbol kind {sym.kind!r} is outside the supported families")
+            f"the symbolic splitting covers the catalogued symbols, not their powers "
+            f"(exponent {sym.exponent})")
+    if sym.kind == "constant":
+        return DiagonalJdlgReport("whole", True, True,
+                                  "rotation by a fixed angle; every orbit lies on a circle")
 
     m = sym.params[0] if sym.kind == "root_perturbed" else 1
     checks = None
     if cross_check:
         one = constant_one("c")
-        grow = compactness_diagnostic(op, one, [1.0], horizons, tol=tol)
-        probe = lin_comb([1.0, -1.0], [one, op.power(int(m)).apply(one)])
+        grow = compactness_diagnostic(op, one, [1.0], _DIAG_HORIZONS, tol=_DIAG_TOL)
+        probe = lin_comb([1.0, -1.0], [one, op.power(m).apply(one)])
         pn, _ = sup_norm(probe, 1e-9)
         eps = 1.25 * pn
-        probe_cloud = orbit(op, probe, max(horizons), tol=min(tol, eps / 100))
-        sat = cloud_diagnostic(probe_cloud, [eps], horizons)
+        probe_cloud = orbit(op, probe, max(_DIAG_HORIZONS), tol=min(_DIAG_TOL, eps / 100))
+        sat = cloud_diagnostic(probe_cloud, [eps], _DIAG_HORIZONS)
         checks = {
             "orbit_of_one": grow.verdict,
             "c0_probe": sat.verdict,

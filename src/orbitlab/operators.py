@@ -1,11 +1,13 @@
 """Concrete operator classes and the telescoping expansion.
 
 Two operator worlds are implemented: unimodular diagonal multiplication
-operators on c/c0 (stored as angle oracles so powers never drift off the
-unit circle) and dense complex matrices as the desk-scale model of a
-reflexive space.  Formal words over an ordered list of commuting
-generators support the expansion of ``I - prod T_j^{k_j}`` into a sum of
-``word * (I - T_j)`` factors.
+operators on c/c0 and dense complex matrices as the desk-scale model of a
+reflexive space.  A diagonal symbol is a record: a catalogued family, its
+parameters and an exponent.  Its angles follow one rule (reduced mod 2 pi,
+multiplied by the exponent, reduced again), so powers never drift off the
+unit circle and every power of a symbol is again a record.  Formal words
+over an ordered list of commuting generators support the expansion of
+``I - prod T_j^{k_j}`` into a sum of ``word * (I - T_j)`` factors.
 
 The displayed inner sum of that expansion runs over ``l = 0 .. k_j - 1``:
 ``I - T^k = sum_{l<k} T^l (I - T)``.  This is the identity the statement
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, TailCertificate,
                        tail_bound)
 
 __all__ = [
+    "SYMBOL_FAMILIES",
     "DiagonalSymbol",
     "DiagonalOperator",
     "MatrixOperator",
@@ -59,135 +63,146 @@ _SCREEN_BLOCK = 1024
 
 
 def _power_angles(n, base):
-    """Angles of the n-th power symbol: ``n * base`` reduced mod 2 pi.
-
-    ``n`` may be an int array broadcast against ``base``; every power
-    symbol, its limit and every PhaseRange form their angles here, so they
-    agree bit for bit.  A scalar zero ``base`` (of either sign) gives the
-    +0.0 that ``np.mod`` makes of every ``n * base``, without its slow path
-    on zeros.
-    """
+    """``n * base`` mod 2 pi, the angle rule of ``DiagonalSymbol``; a scalar
+    zero ``base`` gives np.mod's +0.0 without its slow path on zeros."""
     if np.ndim(base) == 0 and base == 0:
         return np.zeros(np.shape(n))[()]
     return np.mod(n * base, _TWO_PI)
 
 
+# the catalogued symbol families and the names of their parameters
+SYMBOL_FAMILIES = {"harmonic": ("rate",), "root_perturbed": ("m", "rate"),
+                   "constant": ("angle",)}
+
+
 @dataclass(frozen=True)
 class DiagonalSymbol:
-    """Unimodular symbol ``a_k = exp(i * angle(k))`` stored as angles.
+    """Unimodular symbol ``a_k = exp(i * theta_k)`` of a catalogued family,
+    raised to the power ``exponent``.  The families' angles: ``harmonic
+    (rate)`` ``pi / k**rate``, tending to 1; ``root_perturbed (m, rate)``
+    ``2 pi / m + pi / k**rate``, tending to the m-th root of unity (m = 1
+    is the harmonic symbol); ``constant (angle)`` ``angle``, a rotation.
 
-    ``tail`` certifies ``|a_k - a_limit| <= bound(K)`` for ``k > K``.
-    ``unit_fixed_indices`` lists the k with ``a_k == 1`` exactly when the
-    constructing family knows them (None means unknown), and
-    ``limit_attained`` records whether some ``a_k`` equals the limit
-    value; symbolic verdicts refuse to guess when these are unknown.
+    One angle rule: ``theta_k`` and the limit angle are reduced into
+    ``[0, 2 pi)``, and the angle of ``a_k^n`` is ``n * theta_k mod 2 pi``,
+    so ``power(a).power(b) == power(a * b)``.  All else is derived.
     """
 
-    angle: Callable[[np.ndarray], np.ndarray]
-    limit_angle: float
-    tail: TailCertificate
-    kind: str = "custom"
-    params: tuple = ()
-    unit_fixed_indices: tuple[int, ...] | None = None
-    limit_attained: bool | None = None
+    kind: str
+    params: tuple
+    exponent: int = 1
+
+    def __post_init__(self):
+        names = SYMBOL_FAMILIES.get(self.kind)
+        if names is None or len(self.params) != len(names):
+            raise ValueError(f"no symbol family {self.kind}{self.params!r} in {SYMBOL_FAMILIES}")
+        params = [float(v) for v in self.params]
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"symbol parameters must be finite, got {self.params!r}")
+        if self.kind != "constant" and params[-1] <= 0:
+            raise ValueError("rate must be positive")
+        if self.kind == "root_perturbed":
+            if params[0] < 1 or params[0] != int(params[0]):
+                raise ValueError("m must be a positive integer")
+            params[0] = int(params[0])
+        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "exponent", operator.index(self.exponent))
+
+    def _thetas(self, ks: np.ndarray) -> np.ndarray:
+        """The family's angles at the int array ``ks``, in [0, 2 pi)."""
+        if self.kind == "constant":
+            return np.full(np.shape(ks), self._theta_limit)
+        theta = math.pi / np.asarray(ks, dtype=np.float64) ** self.params[-1]
+        if self.kind == "harmonic":
+            return theta  # in (0, pi]
+        theta = _TWO_PI / self.params[0] + theta
+        # np.mod is slow, so only m = 1 (past 2 pi) and m = 2 (2 pi at k = 1) take it
+        return np.mod(theta, _TWO_PI) if self.params[0] <= 2 else theta
+
+    @functools.cached_property
+    def _theta_limit(self) -> float:
+        if self.kind == "harmonic":
+            return 0.0
+        p = self.params[0]
+        return float(np.mod(_TWO_PI / p if self.kind == "root_perturbed" else p, _TWO_PI))
+
+    @functools.cached_property
+    def _family_tail(self) -> TailCertificate:
+        if self.kind == "constant":
+            return TailCertificate.zero()
+        return TailCertificate(math.pi, self.params[-1])  # |theta_k - theta_limit|
+
+    def power_angles(self, ns, ks=None):
+        """Angles of the symbol of ``T^n`` for int ``ns`` (broadcast against
+        ``ks``) at ``ks``, or of the limit: every power reads them here."""
+        theta = self._theta_limit if ks is None else self._thetas(np.asarray(ks, dtype=np.int64))
+        return _power_angles(ns * self.exponent, theta)
+
+    def power_tails(self, ns) -> tuple:
+        """Tail ``(constant, exponent, after)`` of the symbol of ``T^n``."""
+        return power_tail(ns * self.exponent, self._family_tail)
 
     def angles(self, ks) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        return np.asarray(self.angle(ks), dtype=np.float64)
+        theta = self._thetas(np.asarray(ks, dtype=np.int64))
+        # n = 1 leaves a reduced angle as it is
+        return theta if self.exponent == 1 else _power_angles(self.exponent, theta)
 
     def values(self, ks) -> np.ndarray:
         return np.exp(1j * self.angles(ks))
 
-    @property
+    @functools.cached_property
+    def limit_angle(self) -> float:
+        return float(self.power_angles(1))
+
+    @functools.cached_property
     def limit_value(self) -> complex:
         return complex(np.exp(1j * self.limit_angle))
 
+    @functools.cached_property
+    def tail(self) -> TailCertificate:
+        return TailCertificate(*self.power_tails(1))
+
+    @property
+    def unit_fixed_indices(self) -> tuple[int, ...] | None:
+        """The k with ``a_k == 1`` exactly (k = 1 for m = 2, where 2 pi
+        reduces to 0); None where unknown: constants and powers."""
+        if self.kind == "constant" or self.exponent != 1:
+            return None
+        return (1,) if self.kind == "root_perturbed" and self.params[0] == 2 else ()
+
+    @property
+    def limit_attained(self) -> bool | None:
+        """Whether some ``a_k`` equals the limit; None for powers of the
+        families that never attain it."""
+        return True if self.kind == "constant" else (None if self.exponent != 1 else False)
+
     def power(self, n: int) -> "DiagonalSymbol":
-        """Symbol of the n-th power, computed by angle multiplication.
-
-        Valid for negative n as well (the inverse symbol).  Uses
-        ``|a^n - b^n| <= |n| |a - b|`` for the tail certificate.
-        """
-        n = int(n)
-        if n == 0:
-            return constant_symbol(0.0)
-        base = self.angle
-
-        def angle(ks, _n=n, _base=base):
-            return _power_angles(_n, np.asarray(_base(ks), dtype=np.float64))
-
-        return DiagonalSymbol(
-            angle,
-            float(_power_angles(n, self.limit_angle)),
-            TailCertificate(*power_tail(n, self.tail)),
-            kind="custom",
-            params=("power", self.kind, self.params, n),
-        )
-
-    def inverse(self) -> "DiagonalSymbol":
-        return self.power(-1)
+        """Symbol of the n-th power: the exponent multiplies (n = -1 gives the
+        inverse), and n = 0 gives the identity constant."""
+        n = operator.index(n)
+        return type(self)(self.kind, self.params, self.exponent * n) if n else constant_symbol(0.0)
 
 
 def harmonic_symbol(rate: float = 1.0) -> DiagonalSymbol:
-    """Angles ``theta_k = pi / k**rate``; the symbol tends to 1 and never
-    equals it."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-
-    def angle(ks, _p=rate):
-        return math.pi / np.asarray(ks, dtype=np.float64) ** _p
-
-    # |e^{i theta} - 1| = 2|sin(theta/2)| <= pi / k**rate
-    return DiagonalSymbol(angle, 0.0, TailCertificate(math.pi, rate),
-                          kind="harmonic", params=(rate,),
-                          unit_fixed_indices=(), limit_attained=False)
+    """Angles ``pi / k**rate``: tends to 1 and never equals it."""
+    return DiagonalSymbol("harmonic", (rate,))
 
 
 def root_perturbed_symbol(m: int, rate: float = 1.0) -> DiagonalSymbol:
-    """Angles ``theta_k = 2 pi / m + pi / k**rate``.
-
-    The symbol converges to the m-th root of unity ``exp(2 pi i / m)``
-    and never equals it.  For m = 2 the single index k = 1 has
-    ``a_1 = 1`` (angle 2 pi); for m >= 3 no a_k is 1.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    base = _TWO_PI / m
-
-    def angle(ks, _b=base, _p=rate):
-        return _b + math.pi / np.asarray(ks, dtype=np.float64) ** _p
-
-    fixed: tuple[int, ...] = ()
-    if m == 2 and rate > 0:
-        fixed = (1,)  # pi + pi = 2 pi
-    return DiagonalSymbol(angle, base, TailCertificate(math.pi, rate),
-                          kind="root_perturbed", params=(m, rate),
-                          unit_fixed_indices=fixed, limit_attained=False)
+    """Angles ``2 pi / m + pi / k**rate``: tends to ``exp(2 pi i / m)``."""
+    return DiagonalSymbol("root_perturbed", (m, rate))
 
 
-def constant_symbol(angle_value: float) -> DiagonalSymbol:
-    """Constant symbol ``a_k = exp(i * angle_value)`` (a plain rotation)."""
-    a = float(np.mod(angle_value, _TWO_PI))
-
-    def angle(ks, _a=a):
-        return np.full(np.shape(ks), _a, dtype=np.float64)
-
-    # a_k == 1 for every k iff the angle is 0; verdict logic branches on
-    # kind == "constant" rather than enumerating indices
-    return DiagonalSymbol(angle, a, TailCertificate.zero(),
-                          kind="constant", params=(a,),
-                          unit_fixed_indices=None,
-                          limit_attained=True)
+def constant_symbol(angle: float) -> DiagonalSymbol:
+    """Angle ``angle`` at every k: a plain rotation."""
+    return DiagonalSymbol("constant", (angle,))
 
 
 @dataclass(frozen=True)
 class DiagonalOperator:
     """Multiplication operator ``(T x)_k = a_k x_k`` on c or c0.
 
-    An exact isometry for the sup-norm, invertible with inverse symbol
-    ``-theta_k``.
+    An exact isometry for the sup-norm, invertible with inverse ``power(-1)``.
     """
 
     symbol: DiagonalSymbol
@@ -210,9 +225,6 @@ class DiagonalOperator:
 
     def power(self, n: int) -> "DiagonalOperator":
         return DiagonalOperator(self.symbol.power(n), self.space_tag)
-
-    def inverse(self) -> "DiagonalOperator":
-        return DiagonalOperator(self.symbol.inverse(), self.space_tag)
 
     def operator_norm(self) -> float:
         return 1.0
@@ -338,8 +350,8 @@ def difference_certificates(op: DiagonalOperator, ds, y: SeqVector) -> np.ndarra
     if (ds < 1).any():
         raise ValueError("difference_certificates needs exponents >= 1")
     sym = op.symbol
-    a = np.exp(1j * _power_angles(ds, sym.limit_angle))  # limit of the symbol of T^d
-    u = apply_certificate(a, power_tail(ds, sym.tail), y)
+    a = np.exp(1j * sym.power_angles(ds))  # limit of the symbol of T^d
+    u = apply_certificate(a, sym.power_tails(ds), y)
     v = lin_comb_certificate([1.0, -1.0], [u, y])
     out = np.empty((3,) + ds.shape)
     out[0], out[1], out[2] = v.abs_limit, tail_bound(*v.tail, _FIRST_BLOCK), v.majorant
@@ -369,14 +381,14 @@ class PhaseRange:
 
     def __init__(self, op: DiagonalOperator):
         self.block, self.lead = _SCREEN_BLOCK, _LEAD
-        self._base = np.asarray(op.symbol.angle(_HEAD_KS), dtype=np.float64)
+        self.symbol = op.symbol
         self._table: np.ndarray | None = None
         self._lo, self._filled = 0, 0
 
     def phases(self, n, part: slice = slice(None)) -> np.ndarray:
         """Phases of the exponent ``n`` (or of an int column of them) at the
         head coordinates ``_HEAD_KS[part]``."""
-        return np.exp(1j * _power_angles(n, self._base[part]))
+        return np.exp(1j * self.symbol.power_angles(n, _HEAD_KS[part]))
 
     def range(self, lo: int, count: int) -> np.ndarray:
         """Lead phases of the exponents ``lo .. lo + count - 1``, one row

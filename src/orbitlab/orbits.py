@@ -466,14 +466,12 @@ def _check_eps(cloud: OrbitCloud, eps: float):
         raise ValueError(f"epsilon {eps:g} must exceed 4 * metric tolerance {cloud.tol:g}")
 
 
-def packing_number(cloud: OrbitCloud, epsilon: float, tol: float | None = None) -> int:
+def packing_number(cloud: OrbitCloud, epsilon: float) -> int:
     """Size of the greedy maximal certified eps-separated subset.
 
     Greedy over label order: a point joins the net only if its distance
     to every current member is certified > eps.
     """
-    if tol is not None and epsilon <= 4 * tol:
-        raise ValueError(f"epsilon {epsilon:g} must exceed 4 * tol {tol:g}")
     _check_eps(cloud, epsilon)
     return _greedy_counts(cloud, epsilon, [len(cloud)])[0]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from orbitlab.operators import MatrixOperator, _difference_rows, _negated_term, _power_angles
+from orbitlab.operators import MatrixOperator, _difference_rows, _negated_term
 from orbitlab.seqspace import norm_exceeds
 
 # every property test draws the same examples on every run
@@ -76,18 +76,18 @@ def power_difference_rows(op, s, t: int, y, ks) -> np.ndarray:
     ``s`` (all exponents >= 0): the reference for ``PhaseRange`` rows.
 
     Row i equals ``lin_comb([1.0, -1.0], [power_apply(op, s[i], y),
-    power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles,
-    products and sums, broadcast over the rows.
+    power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles (the
+    symbol's rule for the angles of ``T^n``), products and sums, broadcast
+    over the rows.
     """
     s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
     if t < 0 or (s < 0).any():
         raise ValueError("power_difference_rows needs exponents >= 0")
     ks = np.asarray(ks, dtype=np.int64)
     yk = y.coords(ks)
-    base = np.asarray(op.symbol.angle(ks), dtype=np.float64)
 
     def phases(n):  # at n = 0 the phase is exactly 1
-        return np.exp(1j * _power_angles(n, base))
+        return np.exp(1j * op.symbol.power_angles(n, ks))
 
     return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
 

@@ -22,7 +22,7 @@ from orbitlab.ergodic import (cesaro, decomposition_check,
                               diagonal_mean_ergodic_verdict,
                               mean_ergodic_projection)
 from orbitlab.errors import HorizonExhaustedError, NotPowerBoundedError
-from orbitlab.gallery import (SymbolFamily, bp_test, c0_witness,
+from orbitlab.gallery import (bp_test, c0_witness,
                               limit_one_operator, one_minus_symbol_vector,
                               root_limit_operator, verify_certificate,
                               write_certificate)
@@ -73,7 +73,7 @@ def test_criterion_01_telescoping_identity():
     "eps = 0.1 equals the horizon (100/200/400) and cannot be constant; "
     "saturation at eps = 0.1 would require horizons beyond ~2000"))
 def test_criterion_02_separation_verbatim():
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     one = constant_one("c")
     horizons = [100, 200, 400]
     cloud = orbit(op, one, 400, tol=1e-8)
@@ -101,7 +101,7 @@ def test_criterion_02_companion_saturation_at_calibrated_eps():
     # the attainable form of the same statement: the difference orbit is
     # relatively compact and its packing saturates (at 48) once eps sits
     # above the desk-scale filling resolution
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     one = constant_one("c")
     horizons = [100, 200, 400]
     cloud = orbit(op, one, 400, tol=1e-8)
@@ -121,7 +121,7 @@ ONSET_HORIZONS = [500, 1000, 2000, 4000, 8000]
 def test_criterion_02_companion_no_onset_to_8000():
     # the reason above places saturation at eps = 0.1 "beyond ~2000"; the
     # measured packing still equals the horizon at 8000
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     cloud = difference_orbit(op, constant_one("c"), ONSET_HORIZONS[-1], tol=1e-8)
     drep = cloud_diagnostic(cloud, [0.1], ONSET_HORIZONS)
     ok = drep.packing[0].tolist() == ONSET_HORIZONS
@@ -131,7 +131,7 @@ def test_criterion_02_companion_no_onset_to_8000():
 
 def test_criterion_03_mean_ergodicity_dichotomy():
     t0 = time.perf_counter()
-    op_c = limit_one_operator(SymbolFamily("harmonic"))
+    op_c = limit_one_operator()
     verdict = diagonal_mean_ergodic_verdict(op_c, sample_ns=(10, 100, 1000))
     not_me = not verdict.is_mean_ergodic
     curve = verdict.evidence["cesaro_sup_curve"]
@@ -265,7 +265,7 @@ def test_criterion_07_half_sum_battery():
     "cannot be constant over the last doubling; saturation happens at "
     "eps = 2.5 (at 24) or at horizons beyond ~5000"))
 def test_criterion_08_root_asymmetry_verbatim():
-    op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+    op = root_limit_operator(2)
     one = constant_one("c")
     horizons = [100, 200, 400]
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
@@ -283,7 +283,7 @@ def test_criterion_08_root_asymmetry_verbatim():
 
 
 def test_criterion_08_companion_asymmetry_at_calibrated_eps():
-    op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+    op = root_limit_operator(2)
     one = constant_one("c")
     horizons = [100, 200, 400]
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
@@ -303,7 +303,7 @@ def test_criterion_08_companion_asymmetry_at_calibrated_eps():
 def test_criterion_08_companion_no_onset_to_8000():
     # the reason above places saturation at eps = 0.1 "beyond ~5000"; the
     # measured packing still equals the horizon at 8000
-    op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+    op = root_limit_operator(2)
     one = constant_one("c")
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
     rep_sq = cloud_diagnostic(orbit(op, y_sq, ONSET_HORIZONS[-1], tol=1e-8), [0.1],
@@ -319,7 +319,7 @@ def test_criterion_08_companion_no_onset_to_8000():
     "admissible differences achieves 0.392), so the inductive selection "
     "honestly exhausts after one ladder entry instead of reaching count 20"))
 def test_criterion_09_witness_verbatim(tmp_path):
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     one = constant_one("c")
     try:
         audit = c0_witness(op, one, 20, 10_000, tol=1e-6)
@@ -345,7 +345,7 @@ def test_criterion_09_companion_honest_partial_ladder(tmp_path):
     # what the construction can certify at desk scale: the first entry with
     # delta = 2, M = 2, norm 2 in [delta/M, 2 M ||x||], partial sums within
     # the bound, and a re-verifiable certificate
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     one = constant_one("c")
     with pytest.raises(HorizonExhaustedError) as info:
         c0_witness(op, one, 20, 10_000, tol=1e-6)
@@ -376,7 +376,7 @@ def test_criterion_09_companion_best_pair_0392():
     # (1 + d, 1) with 2 <= d < 10^4 is rejected at threshold 1/8.  The first
     # 64 coordinates bound each ||(T^{1+d} - T) P|| from below; the smallest
     # bound is attained, and certified exactly, at d = 5040.
-    op = limit_one_operator(SymbolFamily("harmonic"))
+    op = limit_one_operator()
     one = constant_one("c")
     p = lin_comb([1.0, -1.0], [power_apply(op, 2, one), power_apply(op, 1, one)])
     ds = np.arange(2, 10_000)

@@ -12,7 +12,6 @@ equal the point-by-point reference net of ``conftest.ref_net``.
 """
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,9 +22,9 @@ from conftest import ref_net
 from orbitlab import cli, orbits
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
 from orbitlab.jdlg import diagonal_jdlg
-from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
-                                difference_certificates, harmonic_symbol,
-                                power_apply, root_perturbed_symbol)
+from orbitlab.operators import (DiagonalOperator, DiagonalSymbol, PhaseRange,
+                                constant_symbol, difference_certificates,
+                                harmonic_symbol, power_apply, root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import (TailCertificate, basis_vector, constant_one,
                                exceeds_exit, from_prefix, lin_comb, norm_bracket,
@@ -67,12 +66,18 @@ def test_certificates_equal_the_vectors_bit_for_bit(sym, y, ds):
     _assert_certificates_match(DiagonalOperator(sym, "c"), ds, y)
 
 
-_LATE_SYMBOL = replace(harmonic_symbol(), tail=TailCertificate(math.pi, 1.0, 100))
+class _LateSymbol(DiagonalSymbol):
+    """A harmonic symbol whose tail certificate starts only past k = 100
+    (no catalogued family does), and so do its powers'."""
+
+    _family_tail = TailCertificate(math.pi, 1.0, 100)
 
 
 @pytest.mark.parametrize("sym", [harmonic_symbol(1.3), root_perturbed_symbol(4, 0.7),
-                                 constant_symbol(2.0), _LATE_SYMBOL],
-                         ids=["harmonic", "root", "constant", "late-symbol"])
+                                 constant_symbol(2.0), _LateSymbol("harmonic", (1.0,)),
+                                 root_perturbed_symbol(2), harmonic_symbol(1.3).power(3)],
+                         ids=["harmonic", "root", "constant", "late-symbol", "root-2",
+                              "power-3"])
 @pytest.mark.parametrize("limit", [0.0, 0.6 - 0.8j], ids=["c0-limit", "unit-limit"])
 @pytest.mark.parametrize("tail", [None, TailCertificate(0.25, 0.5), TailCertificate(0.25, 3.0),
                                   TailCertificate(0.25, 3.0, 10), TailCertificate(0.25, 0.5, 64),

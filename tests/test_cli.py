@@ -117,6 +117,25 @@ horizons = 50 100 200
         report = json.loads((out / "c0prefix.json").read_text())
         assert report["results"]["diagnostic"]["verdict"] == "saturating"
 
+    def test_root_of_order_one_has_the_harmonic_verdict(self, tmp_path, capsys):
+        # m = 1 is the harmonic symbol: the limit angle 2 pi reduces to 0, so
+        # the limit is 1 exactly and the verdict is the harmonic one
+        verdicts = []
+        for name, operator in (("harm", "kind = harmonic"),
+                               ("root1", "kind = root_perturbed\nm = 1")):
+            cfg = self._write(tmp_path, f"[run]\nname = {name}\n[operator]\n{operator}\n"
+                                        "rate = 1.3\n[diagnostic]\nop = mean-ergodic\n",
+                              name=f"{name}.ini")
+            capsys.readouterr()
+            assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+            assert capsys.readouterr().err == ""
+            verdicts.append(json.loads((tmp_path / f"{name}.json").read_text())
+                            ["results"]["verdict"])
+        for v in verdicts:
+            assert v["is_mean_ergodic"] is False
+            assert v["reason"] == "limit-functional-obstruction"
+            assert v["evidence"]["fixed_indices"] == []
+
     def test_basis_probe_past_the_first_block(self, tmp_path, capsys):
         # T^n e_100 = a_100^n e_100 with |1 - a_100^d| = 2 sin(pi d / 200):
         # points 17 apart are 0.5-separated, so the packing grows
@@ -273,12 +292,17 @@ horizon = 1500
         ("kind = matrix\npath = m0.txt", "kind = one", "op = halfsum"),
         ("kind = matrix\npath = m3.txt", "kind = one", "op = compactness\nhorizons = -5 0 5"),
         ("kind = harmonic", "kind = one", "op = difference-compactness\nhorizons = 0 1 2"),
+        ("kind = root_perturbed\nm = 0", "kind = one", "op = jdlg"),
+        ("kind = root_perturbed\nm = 2.5", "kind = one", "op = jdlg"),
+        ("kind = harmonic\nrate = nan", "kind = one", "op = jdlg"),
+        ("kind = constant\nangle = inf", "kind = one", "op = jdlg"),
     ], ids=["matrix-index-0", "matrix-index-9", "matrix-unknown-kind", "matrix-no-values",
             "index-0", "no-values", "bad-space", "ktz-diagonal", "spectrum-diagonal",
             "witness-matrix", "c0-one", "c0-prefix-limit", "ktz-horizon-0",
             "ktz-horizon-negative", "epsilons-nan", "epsilons-inf", "epsilons-empty",
             "ktz-tol-nan", "matrix-dimension-0", "horizons-below-one",
-            "horizons-from-zero"])
+            "horizons-from-zero", "root-order-0", "root-order-2.5", "rate-nan",
+            "angle-inf"])
     def test_bad_spec_is_one_line_usage_error(self, tmp_path, capsys, operator, probe,
                                               diagnostic):
         write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.diag([1.0, 0.5, 0.25])))
@@ -339,6 +363,7 @@ def test_ini_and_certificate_specs_build_the_same(tmp_path, op_ini, op_spec, pro
     op = operator_from_spec(cfg["operator"], str(tmp_path))
     want_op = operator_from_spec(op_spec)
     assert op.space_tag == want_op.space_tag
+    assert op.symbol == want_op.symbol
     assert np.array_equal(op.symbol.angles(ks), want_op.symbol.angles(ks))
     probe = probe_from_spec(_probe_spec(cfg["probe"]), op)
     want = probe_from_spec(probe_spec)

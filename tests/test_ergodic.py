@@ -7,11 +7,9 @@ from orbitlab.ergodic import (cesaro, certify_power_bounded,
                               diagonal_mean_ergodic_verdict,
                               fix_separation_check, mean_ergodic_projection)
 from orbitlab.errors import NotPowerBoundedError, UnsupportedSymbolError
-from orbitlab.operators import (DiagonalOperator, DiagonalSymbol,
-                                MatrixOperator, constant_symbol,
+from orbitlab.operators import (DiagonalOperator, MatrixOperator, constant_symbol,
                                 harmonic_symbol, root_perturbed_symbol)
-from orbitlab.seqspace import (FiniteVector, TailCertificate, constant_one,
-                               sup_norm)
+from orbitlab.seqspace import FiniteVector, constant_one, sup_norm
 
 
 def harmonic_op(space="c"):
@@ -160,10 +158,9 @@ class TestDiagonalVerdict:
         assert v.evidence["symbol_gap"] == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
     def test_custom_symbol_refused(self):
-        sym = DiagonalSymbol(lambda ks: np.pi / np.asarray(ks, dtype=float),
-                             0.0, TailCertificate(np.pi, 1.0))
-        with pytest.raises(UnsupportedSymbolError):
-            diagonal_mean_ergodic_verdict(DiagonalOperator(sym, "c"))
+        # a power of a catalogued symbol has no closed-form verdict here
+        with pytest.raises(UnsupportedSymbolError, match="powers"):
+            diagonal_mean_ergodic_verdict(DiagonalOperator(harmonic_symbol().power(2), "c"))
 
 
 class TestDecompositionCheck:

@@ -3,7 +3,7 @@ import pytest
 
 from orbitlab.errors import (CertificateError, HorizonExhaustedError,
                              NotApplicableError)
-from orbitlab.gallery import (SymbolFamily, bp_test, c0_witness,
+from orbitlab.gallery import (bp_test, c0_witness,
                               limit_one_operator, one_minus_symbol_vector,
                               operator_from_spec, probe_from_spec,
                               root_limit_operator, verify_certificate,
@@ -19,39 +19,35 @@ from orbitlab.seqspace import (basis_vector, constant_one, lin_comb,
 
 class TestBuilders:
     def test_limit_one_operator(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         assert op.symbol.limit_value == 1
         assert op.symbol.unit_fixed_indices == ()
 
-    def test_limit_one_rejects_roots(self):
-        with pytest.raises(ValueError):
-            limit_one_operator(SymbolFamily("root_perturbed", m=2))
-
     def test_root_operator(self):
-        op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+        op = root_limit_operator(2)
         assert abs(op.symbol.limit_value + 1.0) < 1e-14
         y = one_minus_symbol_vector(op)
         assert abs(y.limit - 2.0) < 1e-14
 
     def test_root_rejects_m_one(self):
         with pytest.raises(ValueError):
-            root_limit_operator(SymbolFamily("root_perturbed", m=1))
+            root_limit_operator(1)
 
     def test_square_difference_has_zero_limit(self):
-        op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+        op = root_limit_operator(2)
         one = constant_one()
         y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
         assert abs(y_sq.limit) < 1e-14
 
     def test_first_basis_orbit_is_two_points(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         cloud = orbit(op, basis_vector(1), 40, tol=1e-8)
         assert packing_number(cloud, 0.5) <= 2
 
 
 class TestIsometryInvariants:
     def test_norm_preserved_along_orbit(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         rng = np.random.default_rng(11)
         v = lin_comb([1.0, 0.5j], [constant_one(), basis_vector(3, "c")])
         base, base_err = sup_norm(v, 1e-9)
@@ -61,16 +57,16 @@ class TestIsometryInvariants:
             assert abs(val - base) <= base_err + err + 1e-11
 
     def test_inverse_round_trip(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         v = basis_vector(4)
-        back = op.inverse().apply(op.apply(v))
+        back = op.power(-1).apply(op.apply(v))
         val, _ = sup_norm(lin_comb([1.0, -1.0], [back, v]), 1e-12)
         assert val <= 1e-12
 
 
 class TestWitness:
     def test_not_applicable_on_compact_orbit(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         with pytest.raises(NotApplicableError):
             c0_witness(op, basis_vector(1, "c"), 3, 500)
 
@@ -80,7 +76,7 @@ class TestWitness:
             c0_witness(op, constant_one(), 3, 500)
 
     def test_single_entry_ladder(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6)
         assert audit.achieved_count == 1 and not audit.exhausted
         assert audit.delta == pytest.approx(2.0, abs=1e-9)
@@ -91,7 +87,7 @@ class TestWitness:
         assert audit.norms_ok and audit.subset_bound_ok
 
     def test_ladder_entries_live_in_c0(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6)
         for v in audit.ladder:
             assert v.limit == 0
@@ -99,7 +95,7 @@ class TestWitness:
     def test_exhaustion_carries_partial_audit(self):
         # the second smallness threshold (1/8) is unreachable within any
         # desk horizon, so the selection honestly exhausts after one entry
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         with pytest.raises(HorizonExhaustedError) as info:
             c0_witness(op, constant_one(), 3, 3000, tol=1e-6)
         audit = info.value.audit
@@ -120,7 +116,7 @@ class TestWitness:
         with pytest.raises(NotApplicableError):
             c0_witness(rot1, constant_one(), 2, 400)
 
-        harm = limit_one_operator(SymbolFamily("harmonic"))
+        harm = limit_one_operator()
         fam2 = make_commuting_family([harm, harm.power(2)])
         joint2 = orbit_family(fam2, constant_one(), 25, tol=1e-8)
         assert packing_number(joint2, 1.0) > 20  # grows with the degree
@@ -130,8 +126,8 @@ class TestWitness:
     def test_identity_projection_certified_for_isometries(self):
         # the stable part is trivial for the catalogued isometry families,
         # so the witness precondition on the projection is vacuous
-        for op in (limit_one_operator(SymbolFamily("harmonic")),
-                   root_limit_operator(SymbolFamily("root_perturbed", m=2))):
+        for op in (limit_one_operator(),
+                   root_limit_operator(2)):
             rep = diagonal_jdlg(op, cross_check=False)
             assert rep.p_is_identity_on_aap
 
@@ -155,7 +151,7 @@ class TestBpTest:
         assert not rep.ladder_detected
 
     def test_witness_ladder_statistics(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         x = constant_one()
         # hand-built two-entry ladder of orbit differences
         ladder = [lin_comb([1.0, -1.0], [x, power_apply(op, d, x)]) for d in (1, 5040)]
@@ -170,7 +166,7 @@ class TestBpTest:
 
 class TestCertificates:
     def test_roundtrip_and_verify(self, tmp_path):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6)
         path = tmp_path / "cert.json"
         write_certificate(path, audit, {"kind": "harmonic", "rate": 1.0, "space": "c"},
@@ -180,7 +176,7 @@ class TestCertificates:
 
     def test_tampered_certificate_rejected(self, tmp_path):
         import json
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6)
         path = tmp_path / "cert.json"
         write_certificate(path, audit, {"kind": "harmonic", "rate": 1.0, "space": "c"},
@@ -208,7 +204,7 @@ class TestCertificates:
     def test_malformed_certificate_is_one_line_error(self, tmp_path, capsys, field, value):
         import json
         from orbitlab.cli import main
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6)
         path = tmp_path / "cert.json"
         write_certificate(path, audit, {"kind": "harmonic", "rate": 1.0, "space": "c"},
@@ -228,7 +224,7 @@ class TestCertificates:
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
 
     def test_separation_scale_override(self):
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6,
                            separation_eps=0.5)
         assert audit.achieved_count == 1
@@ -247,7 +243,7 @@ class TestCertificates:
 class TestGalleryDiagnostics:
     def test_limit_one_scenario(self):
         # orbit of the constant sequence grows, difference probes saturate
-        op = limit_one_operator(SymbolFamily("harmonic"))
+        op = limit_one_operator()
         one = constant_one()
         grow = compactness_diagnostic(op, one, [1.0], [50, 100, 200], tol=1e-8)
         assert grow.verdict == "growing"
@@ -256,7 +252,7 @@ class TestGalleryDiagnostics:
             assert diff.limit == 0  # rg(I - T^n) lands in c0
 
     def test_root_scenario_asymmetry_vector(self):
-        op = root_limit_operator(SymbolFamily("root_perturbed", m=2))
+        op = root_limit_operator(2)
         one = constant_one()
         y = one_minus_symbol_vector(op)
         y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])

@@ -7,11 +7,10 @@ from orbitlab.errors import (NotPowerBoundedError, PeripheralSpectrumError,
                              UnsupportedSymbolError)
 from orbitlab.jdlg import (countable_peripheral_check, diagonal_jdlg,
                            half_sum, jdlg_split, ktz_check, spectrum_report)
-from orbitlab.operators import (DiagonalOperator, DiagonalSymbol,
-                                MatrixOperator, constant_symbol,
+from orbitlab.operators import (DiagonalOperator, MatrixOperator, constant_symbol,
                                 harmonic_symbol, root_perturbed_symbol)
 from orbitlab.orbits import compactness_diagnostic
-from orbitlab.seqspace import FiniteVector, TailCertificate, basis_vector, sup_norm
+from orbitlab.seqspace import FiniteVector, basis_vector, sup_norm
 
 
 class TestSplit:
@@ -206,10 +205,9 @@ class TestDiagonalJdlg:
         assert rep.p_is_identity_on_aap
 
     def test_custom_symbol_refused(self):
-        sym = DiagonalSymbol(lambda ks: np.pi / np.asarray(ks, dtype=float),
-                             0.0, TailCertificate(np.pi, 1.0))
-        with pytest.raises(UnsupportedSymbolError):
-            diagonal_jdlg(DiagonalOperator(sym, "c"))
+        # a power of a catalogued symbol has no symbolic splitting here
+        with pytest.raises(UnsupportedSymbolError, match="powers"):
+            diagonal_jdlg(DiagonalOperator(harmonic_symbol().power(2), "c"))
 
 
 def test_spectrum_report_shape():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import commuting_matrix_family
 from orbitlab.errors import EmptyWordError
-from orbitlab.operators import (DiagonalOperator,
+from orbitlab.operators import (DiagonalOperator, DiagonalSymbol,
                                 MatrixOperator, OperatorWord,
                                 commutation_defect, constant_symbol,
                                 harmonic_symbol, make_commuting_family,
@@ -215,7 +215,7 @@ def test_unimodular_power_has_exact_modulus():
 def test_inverse_symbol_composes_to_identity():
     op = harmonic_op()
     v = basis_vector(5)
-    round_trip = op.inverse().apply(op.apply(v))
+    round_trip = op.power(-1).apply(op.apply(v))
     assert distance(round_trip, v, 1e-12).value <= 1e-12
 
 
@@ -227,3 +227,70 @@ def test_power_angles_of_zero_base_match_mod(base, n):
     got, want = _power_angles(n, base), np.mod(n * base, 2 * np.pi)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+_CATALOGUE = [harmonic_symbol(), harmonic_symbol(1.7), root_perturbed_symbol(1),
+              root_perturbed_symbol(2), root_perturbed_symbol(3, 0.7), constant_symbol(2.0),
+              constant_symbol(-1.0), constant_symbol(0.0)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("sym", _CATALOGUE)
+@pytest.mark.parametrize("a, b", [(3, 5), (5, 3), (-2, 7), (7, -1), (12, 1), (1, 1)])
+def test_powers_compose(sym, a, b):
+    # the exponent multiplies, so a power of a power is the power of the product
+    ks = np.arange(1, 257)
+    got, want = sym.power(a).power(b), sym.power(a * b)
+    assert got == want and got.exponent == a * b * sym.exponent
+    assert np.array_equal(_bits(got.angles(ks)), _bits(want.angles(ks)))
+    assert got.limit_angle == want.limit_angle and got.tail == want.tail
+
+
+def test_power_zero_is_the_identity_constant():
+    assert harmonic_symbol().power(3).power(0) == constant_symbol(0.0)
+
+
+@pytest.mark.parametrize("sym", _CATALOGUE)
+def test_angles_are_reduced(sym):
+    ks = np.arange(1, 4097)
+    for n in (1, 2, -3, 1000):
+        ang = sym.power(n).angles(ks)
+        assert ((ang >= 0) & (ang < 2 * np.pi)).all()
+        assert 0 <= sym.power(n).limit_angle < 2 * np.pi
+
+
+def test_root_of_order_two_fixes_the_first_coordinate_exactly():
+    # theta_1 = pi + pi = 2 pi reduces to 0, for the symbol and every power
+    sym = root_perturbed_symbol(2)
+    assert sym.unit_fixed_indices == (1,)
+    assert sym.values([1])[0] == 1
+    for n in range(1, 2001):
+        assert sym.power(n).values([1])[0] == 1, n
+
+
+def test_root_of_order_one_is_the_harmonic_symbol():
+    # the limit angle 2 pi reduces to 0: the limit is 1 exactly
+    sym, harm = root_perturbed_symbol(1, 1.3), harmonic_symbol(1.3)
+    assert sym.limit_value == 1 and sym.unit_fixed_indices == ()
+    ks = np.arange(1, 4097)
+    assert np.allclose(sym.values(ks), harm.values(ks), rtol=0, atol=1e-15)
+    assert sym.tail == harm.tail
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("harmonic", (0.0,)), ("harmonic", (-1.0,)), ("harmonic", (float("nan"),)),
+    ("harmonic", (float("inf"),)), ("root_perturbed", (0, 1.0)),
+    ("root_perturbed", (2.5, 1.0)), ("root_perturbed", (2, 0.0)),
+    ("constant", (float("inf"),)), ("constant", (1.0, 2.0)), ("custom", (1.0,)),
+    ("harmonic", ())])
+def test_symbol_parameters_are_checked_at_construction(kind, params):
+    with pytest.raises(ValueError):
+        DiagonalSymbol(kind, params)
+
+
+def test_symbol_exponent_must_be_an_int():
+    with pytest.raises(TypeError):
+        DiagonalSymbol("harmonic", (1.0,), 1.5)

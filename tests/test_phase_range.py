@@ -78,6 +78,27 @@ def test_rows_equal_difference_rows_and_closures(block, sym, x, data):
                               _bits(np.abs(got).max(axis=1)))
 
 
+@pytest.mark.parametrize("sym", [root_perturbed_symbol(2), harmonic_symbol(1.3).power(3),
+                                 root_perturbed_symbol(3, 0.7).power(3),
+                                 constant_symbol(2.0).power(3)],
+                         ids=["root-2", "harmonic-cubed", "root-3-cubed", "constant-cubed"])
+@pytest.mark.parametrize("x", [constant_one(), basis_vector(1),
+                               from_prefix([0.5, -0.25j, 0.75], 0.6 - 0.8j)],
+                         ids=["one", "e1", "prefix"])
+def test_rows_of_powers_and_of_the_order_two_root(sym, x, monkeypatch):
+    # an operator that is itself a power reads its phases through the same
+    # rule as its closure vectors; so does the root whose a_1 is exactly 1
+    monkeypatch.setattr(operators, "_SCREEN_BLOCK", 7)
+    op = DiagonalOperator(sym, "c")
+    ph = PhaseRange(op)
+    terms = ph.terms(x)
+    for lo, count in ((1, 7), (8, 3), (1 + 7 * 140, 7)):
+        ns = np.arange(lo, lo + count)
+        got = np.hstack([ph.rows(lo, count, terms), ph.rest_rows(ns, terms)])
+        assert np.array_equal(_bits(got), _bits(power_difference_rows(op, ns, 0, x, _HEAD)))
+        assert np.array_equal(_bits(got), _bits(_closure_rows(op, ns.tolist(), x)))
+
+
 def test_range_is_bounded_by_its_block(monkeypatch):
     monkeypatch.setattr(operators, "_SCREEN_BLOCK", 7)
     ph = PhaseRange(DiagonalOperator(harmonic_symbol(), "c"))

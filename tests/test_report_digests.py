@@ -1,4 +1,4 @@
-"""Golden sha256 digests of the five demo reports and of four ``run``
+"""Golden sha256 digests of the five demo reports and of eight ``run``
 reports.
 
 Every demo runs through ``orbitlab.cli.main`` at a fixed seed, and every
@@ -14,9 +14,11 @@ h = 600 whose open differences scan past the first block (over a hundred
 of them); an orbit net on c0 with a basis probe; a witness ladder at
 h = 410; a witness ladder at h = 1500, whose pair search crosses a phase
 block (its second entry is d = 1152) and decides its product clouds at
-two thresholds; and a two-epsilon difference-orbit net at h = 1200 whose
+two thresholds; a two-epsilon difference-orbit net at h = 1200 whose
 larger epsilon completes the heads of 250 differences the smaller one
-proved from their lead coordinates.
+proved from their lead coordinates; and the mean-ergodic verdicts of the
+root-perturbed symbols of order 2 (whose a_1 is exactly 1) and of order 1
+(the harmonic symbol, whose limit angle 2 pi reduces to 0).
 
 A change that moves a report byte must update the digest and declare the
 moved values.  The matrix demos (``ktz``, ``halfsum``) go through LAPACK,
@@ -176,6 +178,34 @@ RUN_CONFIGS = {
         epsilons = 1.0 2.5
         horizons = 300 600 1200
         """,
+    "mean-ergodic-root2": """
+        [run]
+        name = meroot2
+        seed = 17
+        tol = 1e-8
+
+        [operator]
+        kind = root_perturbed
+        m = 2
+        rate = 1.0
+
+        [diagnostic]
+        op = mean-ergodic
+        """,
+    "mean-ergodic-root1": """
+        [run]
+        name = meroot1
+        seed = 18
+        tol = 1e-8
+
+        [operator]
+        kind = root_perturbed
+        m = 1
+        rate = 1.0
+
+        [diagnostic]
+        op = mean-ergodic
+        """,
 }
 
 RUN_DIGESTS = {
@@ -200,6 +230,12 @@ RUN_DIGESTS = {
     "diff-harmonic-2eps-completes-lead-proofs": (0, {
         "diffharm2.diagnostic.csv": "25762565dc540b4e085ac3dbf07e89e761d31b358cd01813e95021fe5705cf46",
         "diffharm2.json": "4392ad00b4ef7687322ea8296b81394739c267bf33853a7cfe9918a2b4ab7cd7",
+    }),
+    "mean-ergodic-root2": (0, {
+        "meroot2.json": "612f0d3c445e96cd871f6ba772553d225961ebd482a5c20d96ffedd2ebe4bb89",
+    }),
+    "mean-ergodic-root1": (0, {
+        "meroot1.json": "6040fb48080cbb9c4c8b7900453d0d13a60cc823965c033e70dcba2e87083a33",
     }),
 }
 
