@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import (DecompositionError, NotPowerBoundedError,
                      UnsupportedSymbolError)
-from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
+from .operators import DiagonalOperator, MatrixOperator, matrix_norm, max_matrix_norm, power_chunks
 from .seqspace import (FiniteVector, SeqVector, TailCertificate, basis_vector,
                        constant_one, lin_comb, sup_norm)
 
@@ -109,7 +109,10 @@ def cesaro(op, x, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(op, MatrixOperator):
-        return FiniteVector(_power_sums(op.entries, x.coords, [n])[n] / n, x.norm_tag)
+        acc = np.zeros_like(x.coords)  # x + a x + ... in the order of a loop from zero
+        for chunk in power_chunks(op.entries, x.coords, n):
+            acc = np.cumsum(np.concatenate((acc[None], chunk)), axis=0)[-1]
+        return FiniteVector(acc / n, x.norm_tag)
     if not isinstance(op, DiagonalOperator):
         raise TypeError(f"unsupported operator type {type(op).__name__}")
 
@@ -137,18 +140,6 @@ def cesaro(op, x, n: int):
         (abs(x.limit) * (n - 1) / 2.0, sym.tail),
     ])
     return SeqVector(coord, limit, tail, x.space_tag, max(x.majorant, abs(limit)))
-
-
-def _power_sums(a: np.ndarray, start: np.ndarray, counts) -> dict:
-    """``{n: sum_{k<n} a^k start}`` for each n in ``counts``, added in the
-    order of a loop that starts from zero."""
-    sums, acc, done = {}, np.zeros_like(start), 0
-    for chunk in power_chunks(a, start, max(counts)):
-        run = np.cumsum(np.concatenate((acc[None], chunk)), axis=0)
-        sums.update((n, run[n - done]) for n in counts if done < n <= done + len(chunk))
-        done += len(chunk)
-        acc = run[-1]
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +185,30 @@ def _sorted_schur_projection(a: np.ndarray, select, semisimple_check: bool,
     return z @ p @ z.conj().T, sdim, a11
 
 
+class _CesaroStack:
+    """M, the largest ``||a^k||`` for k <= 200, and the Cesaro sums ``I + a +
+    ... + a^(n-1)``, n in ``counts``, from the chunks of a stack a^1, a^2, ...
+    (past a^255 unread), added in the order of a loop from zero.  The stack
+    starts at a: a @ I drops the signs of zeros and can move a 2-norm by an
+    ulp, while a sum from I = 0 + I has no negative zero, so the sums are an
+    I-started stack's, bit for bit."""
+
+    counts, bound_horizon = (16, 64, 256), 200
+
+    def __init__(self, dim: int, norm_tag: str):
+        self.norm_tag, self.m_est, self.sums, self.done = norm_tag, 0.0, {}, 1
+        self.acc = np.eye(dim, dtype=np.complex128)  # the sum of a^0 .. a^(done-1)
+
+    def add(self, chunk: np.ndarray) -> None:  # chunk: a^done, a^(done+1), ...
+        done, chunk = self.done, chunk[:self.counts[-1] - self.done]
+        if done <= self.bound_horizon:
+            bounded = chunk[:self.bound_horizon + 1 - done]
+            self.m_est = max(self.m_est, max_matrix_norm(bounded, self.norm_tag))
+        run = np.cumsum(np.concatenate((self.acc[None], chunk)), axis=0)
+        self.sums.update((n, run[n - done]) for n in self.counts if done < n <= done + len(chunk))
+        self.done, self.acc = done + len(chunk), run[-1]
+
+
 def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
                             certificate: SpectralCertificate | None = None
                             ) -> ErgodicDecomposition:
@@ -206,6 +221,11 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
     make, so ``op`` is not certified again; made at any other tolerance it
     is ignored.
     """
+    return _mean_ergodic_projection(op, tol, certificate)
+
+
+def _mean_ergodic_projection(op, tol, certificate, stack: _CesaroStack | None = None):
+    """``mean_ergodic_projection``, with M and the Cesaro sums from ``stack``."""
     if certificate is None or (certificate.tol, certificate.peri_tol) != (tol, PERIPHERAL_TOL):
         certify_power_bounded(op, tol)
     a = op.entries
@@ -230,33 +250,21 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
     fix_basis = tuple(FiniteVector(fix_cols[:, i], op.norm_tag) for i in range(fix_cols.shape[1]))
     range_basis = tuple(FiniteVector(range_cols[:, i], op.norm_tag) for i in range(range_cols.shape[1]))
 
-    # One stack of a^1 .. a^255 gives M, the largest ||a^k|| for k <= 200,
-    # and the Cesaro sums I + a + ... + a^(n-1), added in the order of a loop
-    # that starts from zero.  The stack starts at a, not at I: a @ I drops
-    # the signs of zeros, and can move a 2-norm by an ulp.  A sum that starts
-    # from I = 0 + I has no negative zero, so the sums are the ones an
-    # I-started stack gives, bit for bit.
-    counts, bound_horizon = (16, 64, 256), 200
-    m_est, sums, acc, done = 0.0, {}, eye, 1  # acc: the sum of a^0 .. a^(done-1)
-    for chunk in power_chunks(a, a, counts[-1] - 1):  # a^done, a^(done+1), ...
-        if done <= bound_horizon:
-            norms = matrix_norm(chunk[:bound_horizon + 1 - done], op.norm_tag)
-            m_est = max(m_est, float(norms.max()))
-        run = np.cumsum(np.concatenate((acc[None], chunk)), axis=0)
-        sums.update((nn, run[nn - done]) for nn in counts if done < nn <= done + len(chunk))
-        done += len(chunk)
-        acc = run[-1]
+    if stack is None:  # one stack of a^1 .. a^255 gives M and the Cesaro sums
+        stack = _CesaroStack(n, op.norm_tag)
+        for chunk in power_chunks(a, a, stack.counts[-1] - 1):
+            stack.add(chunk)
 
     # ||A_n - P|| = ||(1/n)(I - T^n)(I - T)^{-1}(I - P)|| <= (1 + M)/n * ||Y||
     if sdim < n:
         y = np.linalg.solve(eye - a + p, q)
-        c_bound = (1.0 + m_est) * matrix_norm(y, op.norm_tag)
+        c_bound = (1.0 + stack.m_est) * matrix_norm(y, op.norm_tag)
     else:
         c_bound = 0.0
 
     samples = {}
-    for nn in counts:
-        diff = matrix_norm(sums[nn] / nn - p, op.norm_tag)
+    for nn in stack.counts:
+        diff = matrix_norm(stack.sums[nn] / nn - p, op.norm_tag)
         samples[nn] = diff
         if diff > c_bound / nn + max(tol, 1e-9) * scale:
             raise DecompositionError(

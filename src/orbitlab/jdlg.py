@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
-from .ergodic import (PERIPHERAL_TOL, _sorted_schur_projection,
-                      certify_power_bounded, mean_ergodic_projection)
+from .ergodic import (PERIPHERAL_TOL, _CesaroStack, _mean_ergodic_projection,
+                      _sorted_schur_projection, certify_power_bounded)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
 from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
@@ -174,12 +174,18 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9,
             f"peripheral spectrum not contained in {{1}}: {bad}")
     a = op.entries
     diff = np.eye(op.dim, dtype=np.complex128) - a
-    curve = []
-    for chunk in power_chunks(a, a, horizon):  # T^1 .. T^horizon
-        curve.append(matrix_norm(chunk @ diff, op.norm_tag))
+    # T^1 .. T^max(horizon, 255): the decay curve and the projection's Cesaro stack
+    stack, curve, done = _CesaroStack(op.dim, op.norm_tag), [], 0
+    for chunk in power_chunks(a, a, max(horizon, _CesaroStack.counts[-1] - 1)):
+        if done < horizon:
+            powers = chunk[:horizon - done]
+            curve.append(matrix_norm(powers @ diff, op.norm_tag))
+            last = powers[-1]  # T^horizon once the curve is complete
+        stack.add(chunk)
+        done += len(chunk)
     curve = np.concatenate(curve)
-    dec = mean_ergodic_projection(op, max(tol, 1e-10), cert)
-    limit_defect = matrix_norm(chunk[-1] - dec.projection.entries, op.norm_tag)
+    dec = _mean_ergodic_projection(op, max(tol, 1e-10), cert, stack)
+    limit_defect = matrix_norm(last - dec.projection.entries, op.norm_tag)
     tail = curve[horizon // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1]))
     passed = bool(eventually_decreasing and curve[-1] <= tol and limit_defect <= tol)

@@ -39,7 +39,6 @@ __all__ = [
     "zero_vector",
     "basis_vector",
     "from_prefix",
-    "validate_certificate",
 ]
 
 # Hard cap on coordinate evaluations in a single certified norm; beyond
@@ -547,24 +546,3 @@ def from_prefix(prefix: Sequence[complex], limit: complex,
     majorant = max(float(np.abs(arr).max(initial=0.0)), abs(lim),
                    float(np.abs(np.complex128(lim))))
     return SeqVector(coord, lim, tail, space_tag, majorant)
-
-
-def validate_certificate(v: SeqVector, after: int = 16, samples: int = 10_000,
-                         rng: np.random.Generator | None = None) -> float:
-    """Sampled soundness check of a vector's certificates.
-
-    Draws ``samples`` indices k > ``after`` (log-uniformly up to 1e6)
-    and returns the worst slack of the two promises: the tail slack
-    ``|x_k - limit| - bound(after)`` there, and the majorant slack
-    ``|x_k| - majorant`` there and at every k <= ``after``.  Sound
-    certificates keep this <= 0 up to rounding.
-    """
-    rng = rng or np.random.default_rng(0)
-    ks = np.unique((10 ** rng.uniform(np.log10(after + 1), 6, size=samples)).astype(np.int64))
-    ks = ks[ks > after]
-    if ks.size == 0:
-        return 0.0
-    vals = v.coords(ks)
-    tail_slack = np.abs(vals - v.limit) - v.tail.bound(after)
-    majorant_slack = np.abs(np.concatenate([v.prefix(after), vals])) - v.majorant
-    return float(max(tail_slack.max(), majorant_slack.max()))

@@ -1,13 +1,13 @@
 """Shared battery generators for the matrix-side tests, the reference
-rows of diagonal difference vectors, the point-by-point greedy net, and
-the hypothesis profile."""
+rows of diagonal difference vectors, the point-by-point greedy net, the
+sampled certificate check, and the hypothesis profile."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from orbitlab.operators import MatrixOperator, _difference_rows, _negated_term
-from orbitlab.seqspace import norm_exceeds
+from orbitlab.seqspace import SeqVector, norm_exceeds
 
 # every property test draws the same examples on every run
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -113,3 +113,24 @@ def scan_decisions(cloud, eps):
     """Per-pair decisions by a fresh ``norm_exceeds`` scan of the cloud's
     difference vector, with no cache and no first-block state."""
     return lambda a, b: norm_exceeds(cloud._diff_vector(a, b), eps, cloud.tol)
+
+
+def validate_certificate(v: SeqVector, after: int = 16, samples: int = 10_000,
+                         rng=None) -> float:
+    """Sampled soundness check of a vector's certificates.
+
+    Draws ``samples`` indices k > ``after`` (log-uniformly up to 1e6)
+    and returns the worst slack of the two promises: the tail slack
+    ``|x_k - limit| - bound(after)`` there, and the majorant slack
+    ``|x_k| - majorant`` there and at every k <= ``after``.  Sound
+    certificates keep this <= 0 up to rounding.
+    """
+    rng = rng or np.random.default_rng(0)
+    ks = np.unique((10 ** rng.uniform(np.log10(after + 1), 6, size=samples)).astype(np.int64))
+    ks = ks[ks > after]
+    if ks.size == 0:
+        return 0.0
+    vals = v.coords(ks)
+    tail_slack = np.abs(vals - v.limit) - v.tail.bound(after)
+    majorant_slack = np.abs(np.concatenate([v.prefix(after), vals])) - v.majorant
+    return float(max(tail_slack.max(), majorant_slack.max()))

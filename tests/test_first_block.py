@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import power_difference_rows, ref_net, scan_decisions
+from conftest import power_difference_rows, ref_net, scan_decisions, validate_certificate
 from orbitlab import operators, orbits
 from orbitlab.ergodic import cesaro
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
@@ -25,8 +25,7 @@ from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symb
                                 power_apply, root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import (SeqVector, TailCertificate, basis_vector, constant_one,
-                               from_prefix, lin_comb, norm_exceeds, sup_norm,
-                               validate_certificate, zero_vector)
+                               from_prefix, lin_comb, norm_exceeds, sup_norm, zero_vector)
 
 _SYMBOLS = st.one_of(
     st.builds(harmonic_symbol, st.floats(1.0, 2.0)),

@@ -93,7 +93,7 @@ class TestCommutation:
         # the difference is exactly zero; the reported defect is only the
         # certificate resolution of the cancelled tails
         t1, t2 = harmonic_op(), DiagonalOperator(root_perturbed_symbol(2), "c")
-        defect = commutation_defect([t1, t2], [constant_one(), basis_vector(3)], 1e-9)
+        defect = commutation_defect([t1, t2], [constant_one(), basis_vector(3)])
         assert defect <= 1e-5
 
     def test_powers_of_one_matrix(self, rng):

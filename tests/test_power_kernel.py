@@ -3,17 +3,20 @@
 Each ``ref_*`` function below is the loop a report site ran before the
 kernel existed.  Every curve must match it bit for bit, in both norm
 tags, with the default chunk, with chunks of a few powers and with a
-chunk smaller than one matrix (every power its own chunk).
+chunk smaller than one matrix (every power its own chunk).  The pruned
+maximum ``max_matrix_norm`` must equal the maximum over the full stack
+bit for bit, and settle a decaying power stack from one block of SVDs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_contraction, random_power_bounded, ref_net
-from orbitlab import operators
+from orbitlab import ergodic, jdlg, operators
 from orbitlab.ergodic import cesaro, mean_ergodic_projection
 from orbitlab.jdlg import jdlg_split, ktz_check
-from orbitlab.operators import MatrixOperator, power_bound_estimate
+from orbitlab.operators import MatrixOperator, matrix_norm, max_matrix_norm, power_bound_estimate
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import FiniteVector, stacked_norms
 
@@ -314,3 +317,103 @@ def test_distance_bracket_contains_exact_distance(rng, tag):
             assert mp.mpf(float(v * (1.0 - rho))) <= w <= mp.mpf(float(v)) * (1 + mp.mpf(rho))
             # the radius is not padded beyond the few units its proof adds
             assert rho <= (2 * op.dim + 8) * u * 1.01
+
+
+def ref_powers(a, start, count):
+    """``start, a start, a^2 start, ...`` as a plain loop forms them."""
+    out, cur = [], start
+    for k in range(count):
+        if k:
+            cur = a @ cur
+        out.append(cur)
+    return np.array(out, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("terms", [None, 1, 3], ids=["default-chunk", "one-term", "three-terms"])
+def test_power_chunks_in_place_match_loop(rng, monkeypatch, terms):
+    a = random_power_bounded(rng, dim=7)[0].entries
+    z = signed_zeros("euclidean").entries
+    cases = [(a, a), (a, a.T), (a.T, a), (a, vector_with_zeros(7, "sup").coords),
+             (a, rng.standard_normal(7) + 1j * rng.standard_normal(7)),
+             (z, z), (z, z.T), (z, np.eye(4, dtype=np.complex128)),
+             (a[:1, :1], a[:1, :1]), (a[:2, :2], a[:2, 1:3])]
+    for mat, start in cases:
+        if terms is not None:
+            monkeypatch.setattr(operators, "POWER_CHUNK_ENTRIES", terms * start.size)
+        chunks = list(operators.power_chunks(mat, start, 20))
+        assert len(chunks) == (1 if terms is None else -(-20 // terms))
+        assert same_bits(np.concatenate(chunks), ref_powers(mat, start, 20))
+
+
+@TAGS
+def test_ktz_past_the_cesaro_stack_matches_loop(rng, chunk, tag, monkeypatch):
+    # horizon 300 runs past the 255 powers of the Cesaro stack; the decay
+    # curve, the limit defect and the decomposition all come from one stack
+    made, seen = [], []
+
+    def own_stack(*args):
+        made.append(args)
+        return operators.power_chunks(*args)
+
+    def decomposition(*args):
+        seen.append(ergodic._mean_ergodic_projection(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ergodic, "power_chunks", own_stack)
+    monkeypatch.setattr(jdlg, "_mean_ergodic_projection", decomposition)
+    only_one, _ = batteries(rng, tag)
+    for op in only_one:
+        rep = ktz_check(op, horizon=300)
+        curve, defect = ref_ktz(op, 300, rep.limit_projection.entries)
+        assert same_bits(rep.decay_curve, curve)
+        assert same_bits(rep.limit_defect, defect)
+        assert not made  # the projection formed no stack of its own
+        alone = mean_ergodic_projection(op, 1e-9)
+        assert same_bits(seen[-1].cesaro_constant, alone.cesaro_constant)
+        assert all(same_bits(seen[-1].convergence_samples[k], alone.convergence_samples[k])
+                   for k in alone.convergence_samples)
+        made.clear()
+
+
+def _stacks(draw_kind, rng, dim, count):
+    """A stack of ``count`` complex dim x dim matrices of the drawn kind."""
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if draw_kind == "random":
+        return gaussian(count, dim, dim)
+    if draw_kind == "rank-one":  # Frobenius and 2-norm tie
+        u, v = gaussian(count, dim, 1), gaussian(count, 1, dim)
+        return (u @ v) * rng.uniform(0.5, 1.0, (count, 1, 1))
+    if draw_kind == "unit-rank-one":  # every norm 1 up to rounding, in either order
+        u, v = gaussian(count, dim, 1), gaussian(count, 1, dim)
+        return (u / np.linalg.norm(u, axis=1, keepdims=True)) @ \
+            (v / np.linalg.norm(v, axis=2, keepdims=True))
+    if draw_kind == "repeated":
+        return np.repeat(gaussian(1, dim, dim), count, axis=0)
+    a = random_power_bounded(rng, dim=dim, max_uni=min(3, dim))[0].entries
+    return np.concatenate(list(operators.power_chunks(a, a, count)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["random", "rank-one", "unit-rank-one", "repeated", "powers"]),
+       seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 10),
+       count=st.integers(1, 80), scale=st.sampled_from([1.0, 1e-170, 1e150, 1e160]))
+def test_max_matrix_norm_equals_full_stack_maximum(kind, seed, dim, count, scale):
+    stack = _stacks(kind, np.random.default_rng(seed), dim, count) * scale
+    for tag in ("euclidean", "sup"):
+        assert same_bits(max_matrix_norm(stack, tag), float(matrix_norm(stack, tag).max()))
+
+
+def test_mean_ergodic_bound_takes_one_block_of_svds(rng, monkeypatch):
+    # a deterministic work count: the matrices whose 2-norm SVD M reads, in
+    # one mean_ergodic_projection call (the full stack a^1 .. a^200 is 200)
+    svds, full = [], operators.matrix_norm
+
+    def counted(a, tag):
+        svds.append(len(a))
+        return full(a, tag)
+
+    monkeypatch.setattr(operators, "matrix_norm", counted)
+    dec = mean_ergodic_projection(random_power_bounded(rng, dim=10)[0])
+    assert sum(svds) == 8
+    assert dec.cesaro_constant > 0

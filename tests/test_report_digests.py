@@ -1,4 +1,4 @@
-"""Golden sha256 digests of the five demo reports and of eight ``run``
+"""Golden sha256 digests of the five demo reports and of eleven ``run``
 reports.
 
 Every demo runs through ``orbitlab.cli.main`` at a fixed seed, and every
@@ -18,10 +18,16 @@ two thresholds; a two-epsilon difference-orbit net at h = 1200 whose
 larger epsilon completes the heads of 250 differences the smaller one
 proved from their lead coordinates; and the mean-ergodic verdicts of the
 root-perturbed symbols of order 2 (whose a_1 is exactly 1) and of order 1
-(the harmonic symbol, whose limit angle 2 pi reduces to 0).
+(the harmonic symbol, whose limit angle 2 pi reduces to 0).  Three more
+pin the matrix kernels: the mean-ergodic decomposition of a seeded
+power-bounded matrix in each norm tag (its Cesaro constant reads the
+largest 2-norm or row-sum norm of a^1 .. a^200) and the reversible/stable
+split of another.  Their matrix files are written from fixed seeds next
+to the config and named by a relative path, so no checkout path enters
+the report.
 
 A change that moves a report byte must update the digest and declare the
-moved values.  The matrix demos (``ktz``, ``halfsum``) go through LAPACK,
+moved values.  The matrix reports (``ktz``, ``halfsum`` and the matrix runs) go through LAPACK,
 so a different numpy/LAPACK build may move their last digits; the digests
 were taken with numpy 2.4 and its bundled OpenBLAS.
 """
@@ -29,9 +35,12 @@ were taken with numpy 2.4 and its bundled OpenBLAS.
 import hashlib
 import textwrap
 
+import numpy as np
 import pytest
 
+from conftest import random_power_bounded
 from orbitlab import cli
+from orbitlab.operators import write_matrix_file
 
 SEED = 2026
 
@@ -206,7 +215,58 @@ RUN_CONFIGS = {
         [diagnostic]
         op = mean-ergodic
         """,
+    "mean-ergodic-matrix-euclidean": """
+        [run]
+        name = mematl2
+        seed = 19
+        tol = 1e-8
+
+        [operator]
+        kind = matrix
+        path = matrix.txt
+        norm = euclidean
+
+        [probe]
+        kind = one
+
+        [diagnostic]
+        op = mean-ergodic
+        """,
+    "mean-ergodic-matrix-sup": """
+        [run]
+        name = mematsup
+        seed = 20
+        tol = 1e-8
+
+        [operator]
+        kind = matrix
+        path = matrix.txt
+        norm = sup
+
+        [probe]
+        kind = one
+
+        [diagnostic]
+        op = mean-ergodic
+        """,
+    "jdlg-matrix": """
+        [run]
+        name = jdlgmat
+        seed = 22
+        tol = 1e-8
+
+        [operator]
+        kind = matrix
+        path = matrix.txt
+
+        [diagnostic]
+        op = jdlg
+        """,
 }
+
+# runs that read ``matrix.txt``: the seed its power-bounded matrix is drawn from
+MATRIX_SEEDS = {"mean-ergodic-matrix-euclidean": 19, "mean-ergodic-matrix-sup": 20,
+                "jdlg-matrix": 22}
 
 RUN_DIGESTS = {
     "diff-root-prefix-2eps": (0, {
@@ -237,6 +297,15 @@ RUN_DIGESTS = {
     "mean-ergodic-root1": (0, {
         "meroot1.json": "6040fb48080cbb9c4c8b7900453d0d13a60cc823965c033e70dcba2e87083a33",
     }),
+    "mean-ergodic-matrix-euclidean": (0, {
+        "mematl2.json": "6d876c1d2efa23e9bbcb35797fe74b776e5b81bc7aca6f0720c412aa8f14a966",
+    }),
+    "mean-ergodic-matrix-sup": (0, {
+        "mematsup.json": "8ebf3183969d688870284fdd3d132ba1d6f625fbfab9af7ffca486681509ca5c",
+    }),
+    "jdlg-matrix": (0, {
+        "jdlgmat.json": "74efb27a695fed518b6ff9dcf21af095128deae7e45bb4701285270298565358",
+    }),
 }
 
 
@@ -265,6 +334,9 @@ def test_demo_report_bytes(name, tmp_path):
 def test_run_report_bytes(name, tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(textwrap.dedent(RUN_CONFIGS[name]))
+    if name in MATRIX_SEEDS:
+        op = random_power_bounded(np.random.default_rng(MATRIX_SEEDS[name]))[0]
+        write_matrix_file(tmp_path / "matrix.txt", op)
     out = tmp_path / "out"
     rc = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
     assert (rc, _digests(out)) == RUN_DIGESTS[name]

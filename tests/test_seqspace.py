@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import validate_certificate
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
 from orbitlab.seqspace import (FiniteVector, SeqVector, TailCertificate,
                                basis_vector, constant_one, distance,
-                               from_prefix, lin_comb, norm_exceeds, sup_norm,
-                               validate_certificate, zero_vector)
+                               from_prefix, lin_comb, norm_exceeds, sup_norm, zero_vector)
 
 
 def harmonic_difference():

@@ -14,10 +14,10 @@ from itertools import combinations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import validate_certificate
 from orbitlab.gallery import _modulus_sum, unconditional_constant
 from orbitlab.operators import DiagonalOperator, harmonic_symbol, power_apply
-from orbitlab.seqspace import (constant_one, from_prefix, lin_comb, sup_norm,
-                               validate_certificate)
+from orbitlab.seqspace import constant_one, from_prefix, lin_comb, sup_norm
 
 TOL = 1e-8
 
