@@ -15,8 +15,7 @@ are pure, so concurrent evaluation from multiple workers is safe.
 """
 
 from .seqspace import (TailCertificate, SeqVector, FiniteVector, NormResult,
-                       sup_norm, lin_comb, distance, constant_one,
-                       zero_vector, basis_vector, from_prefix)
+                       sup_norm, lin_comb, constant_one, basis_vector, from_prefix)
 from .operators import (DiagonalSymbol, DiagonalOperator, MatrixOperator,
                         OperatorWord, CommutingFamily, harmonic_symbol,
                         root_perturbed_symbol, constant_symbol, power_apply,
@@ -26,11 +25,9 @@ from .operators import (DiagonalSymbol, DiagonalOperator, MatrixOperator,
 from .orbits import (OrbitCloud, CompactnessReport, orbit, difference_orbit,
                      orbit_family, packing_number, compactness_diagnostic,
                      difference_compactness_diagnostic, cloud_diagnostic)
-from .ergodic import (cesaro, mean_ergodic_projection, fix_separation_check,
-                      diagonal_mean_ergodic_verdict, decomposition_check,
-                      certify_power_bounded)
-from .jdlg import (jdlg_split, ktz_check, countable_peripheral_check,
-                   half_sum, diagonal_jdlg, spectrum_report)
+from .ergodic import (cesaro, mean_ergodic_projection, diagonal_mean_ergodic_verdict,
+                      decomposition_check, certify_power_bounded)
+from .jdlg import jdlg_split, ktz_check, half_sum, diagonal_jdlg, spectrum_report
 from .gallery import (WitnessAudit, limit_one_operator,
                       root_limit_operator, one_minus_symbol_vector,
                       c0_witness, bp_test, unconditional_constant,

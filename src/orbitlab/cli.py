@@ -71,6 +71,12 @@ def write_csv_atomic(path: str, rows) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _io_error(exc: OSError) -> int:
+    """Report an unwritable output on one line and return EXIT_IO."""
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_IO
+
+
 def _assertion(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
@@ -259,11 +265,14 @@ def cmd_demo(name: str, seed: int, tol: float, out_dir: str,
         print(f"error: unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}",
               file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    results, assertions, tables = _DEMOS[name](seed, tol, out_dir)
-    return _emit("demo", name, seed, tol, {"demo": name, "seed": seed, "tol": tol},
-                 out_dir, formats, time.perf_counter() - t0, results, assertions, tables)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        t0 = time.perf_counter()
+        results, assertions, tables = _DEMOS[name](seed, tol, out_dir)
+        return _emit("demo", name, seed, tol, {"demo": name, "seed": seed, "tol": tol},
+                     out_dir, formats, time.perf_counter() - t0, results, assertions, tables)
+    except OSError as exc:  # the demos read no file: an unwritable output
+        return _io_error(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +460,11 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     except OrbitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    return _emit("run", name, seed, tol, {s: dict(v) for s, v in cfg.items()}, out,
-                 formats, time.perf_counter() - t0, results, assertions, tables)
+    try:
+        return _emit("run", name, seed, tol, {s: dict(v) for s, v in cfg.items()}, out,
+                     formats, time.perf_counter() - t0, results, assertions, tables)
+    except OSError as exc:
+        return _io_error(exc)
 
 
 def cmd_verify_certificate(path: str, out_dir: str | None) -> int:
@@ -467,7 +479,10 @@ def cmd_verify_certificate(path: str, out_dir: str | None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if out_dir:
-        write_json_atomic(os.path.join(out_dir, "certificate.verify.json"), report)
+        try:
+            write_json_atomic(os.path.join(out_dir, "certificate.verify.json"), report)
+        except OSError as exc:
+            return _io_error(exc)
     return EXIT_OK
 
 

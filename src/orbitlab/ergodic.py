@@ -29,31 +29,50 @@ from .seqspace import (FiniteVector, SeqVector, TailCertificate, basis_vector,
                        constant_one, lin_comb, sup_norm)
 
 __all__ = [
-    "SpectralCertificate",
+    "SpectrumReport",
     "ErgodicDecomposition",
     "MeanErgodicVerdict",
     "DecompositionParts",
+    "spectrum_report",
     "certify_power_bounded",
     "cesaro",
     "mean_ergodic_projection",
-    "fix_separation_check",
     "diagonal_mean_ergodic_verdict",
     "decomposition_check",
 ]
 
-PERIPHERAL_TOL = 1e-9  # default peripheral-shell width for exact inputs
+PERIPHERAL_TOL = 1e-9  # peripheral-shell width for exact inputs
 
 
 @dataclass(frozen=True)
-class SpectralCertificate:
-    """Outcome of the spectral power-boundedness certification."""
+class SpectrumReport:
+    """Eigenvalues with their peripheral sublist (|lambda| >= 1 - peri_tol)."""
 
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    peripheral: np.ndarray          # eigenvalues with |lambda| >= 1 - peri_tol
-    peripheral_semisimple: tuple[bool, ...]
+    eigenvalues: tuple[complex, ...]
+    peripheral: tuple[complex, ...]
     peri_tol: float
-    tol: float                      # spectral radius certified <= 1 + tol
+    sampled: bool = False
+
+    @property
+    def spectral_radius(self) -> float:
+        return float(np.max(np.abs(self.eigenvalues)))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
+            "peripheral": [[z.real, z.imag] for z in self.peripheral],
+            "peri_tol": self.peri_tol,
+            "sampled": self.sampled,
+        }
+
+
+def spectrum_report(op: MatrixOperator, peri_tol: float = PERIPHERAL_TOL) -> SpectrumReport:
+    """The eigenvalues of a matrix, sorted by real then imaginary part."""
+    eigs = np.linalg.eigvals(op.entries)
+    order = np.lexsort((eigs.imag, eigs.real))
+    eigs = eigs[order]
+    peri = tuple(complex(z) for z in eigs[np.abs(eigs) >= 1 - peri_tol])
+    return SpectrumReport(tuple(complex(z) for z in eigs), peri, peri_tol)
 
 
 def _numerical_rank(a: np.ndarray, scale: float) -> int:
@@ -63,35 +82,29 @@ def _numerical_rank(a: np.ndarray, scale: float) -> int:
     return int(np.sum(s > max(a.shape) * np.finfo(float).eps * scale * 8))
 
 
-def certify_power_bounded(op: MatrixOperator, tol: float = 1e-8,
-                          peri_tol: float = PERIPHERAL_TOL) -> SpectralCertificate:
-    """Certify sup_n ||T^n|| < infinity spectrally.
+def certify_power_bounded(op: MatrixOperator, tol: float = 1e-8) -> SpectrumReport:
+    """Certify sup_n ||T^n|| < infinity spectrally and return the spectrum.
 
     Requires spectral radius <= 1 + tol and every peripheral eigenvalue
     semisimple.  Raises NotPowerBoundedError otherwise.
     """
-    a = op.entries
-    eigs = np.linalg.eigvals(a)
-    rho = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    rep = spectrum_report(op)
+    rho = rep.spectral_radius
     if rho > 1.0 + tol:
         raise NotPowerBoundedError(f"spectral radius {rho:g} exceeds 1 + {tol:g}")
+    a = op.entries
     scale = max(1.0, matrix_norm(a, "euclidean"))
-    peri_mask = np.abs(eigs) >= 1.0 - peri_tol
-    peripheral = eigs[peri_mask]
     # cluster peripheral eigenvalues so a multiple eigenvalue is tested once
     centers: list[complex] = []
-    for lam in peripheral:
+    for lam in rep.peripheral:
         if not any(abs(lam - c) <= 1e-7 * scale for c in centers):
-            centers.append(complex(lam))
-    flags = []
+            centers.append(lam)
     for mu in centers:
         b = a - mu * np.eye(op.dim)
         if _numerical_rank(b, scale) != _numerical_rank(b @ b, scale * scale):
             raise NotPowerBoundedError(
                 f"peripheral eigenvalue {mu:.6g} is defective (non-semisimple)")
-        flags.append(True)
-    return SpectralCertificate(eigs, rho, np.array(centers, dtype=np.complex128),
-                               tuple(flags), peri_tol, tol)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +222,19 @@ class _CesaroStack:
         self.done, self.acc = done + len(chunk), run[-1]
 
 
-def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8,
-                            certificate: SpectralCertificate | None = None
-                            ) -> ErgodicDecomposition:
+def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8) -> ErgodicDecomposition:
     """Mean-ergodic projection P with ||A_n - P|| <= C/n verified.
 
     Requires spectral certification of power-boundedness; a defective
-    eigenvalue 1 raises NotPowerBoundedError.  A caller that has just
-    certified ``op`` may pass its ``certificate``: made at this ``tol`` and
-    the default ``PERIPHERAL_TOL`` it is the certificate this call would
-    make, so ``op`` is not certified again; made at any other tolerance it
-    is ignored.
+    eigenvalue 1 raises NotPowerBoundedError.
     """
-    return _mean_ergodic_projection(op, tol, certificate)
+    certify_power_bounded(op, tol)
+    return _mean_ergodic_projection(op, tol)
 
 
-def _mean_ergodic_projection(op, tol, certificate, stack: _CesaroStack | None = None):
-    """``mean_ergodic_projection``, with M and the Cesaro sums from ``stack``."""
-    if certificate is None or (certificate.tol, certificate.peri_tol) != (tol, PERIPHERAL_TOL):
-        certify_power_bounded(op, tol)
+def _mean_ergodic_projection(op, tol, stack: _CesaroStack | None = None):
+    """``mean_ergodic_projection`` of a certified ``op``, with M and the
+    Cesaro sums from ``stack``."""
     a = op.entries
     n = op.dim
     scale = max(1.0, matrix_norm(a, op.norm_tag))
@@ -277,32 +284,8 @@ def _mean_ergodic_projection(op, tol, certificate, stack: _CesaroStack | None = 
 @dataclass(frozen=True)
 class MeanErgodicVerdict:
     is_mean_ergodic: bool
-    reason: str       # fix-separates | limit-functional-obstruction | finite-dim | cesaro-converged
+    reason: str       # fix-separates | limit-functional-obstruction | cesaro-converged
     evidence: dict
-
-
-def fix_separation_check(op: MatrixOperator, tol: float = 1e-8) -> MeanErgodicVerdict:
-    """Mean ergodicity of a power-bounded matrix via fixed spaces.
-
-    Computes dim ker(I - T) and dim ker(I - T*); for certified
-    power-bounded matrices the dimensions agree and the verdict is mean
-    ergodic, cross-checked by Cesaro convergence.
-    """
-    cert = certify_power_bounded(op, tol)
-    a = op.entries
-    eye = np.eye(op.dim)
-    scale = max(1.0, matrix_norm(a, "euclidean"))
-    d_fix = op.dim - _numerical_rank(eye - a, scale)
-    d_fix_adj = op.dim - _numerical_rank(eye - a.conj().T, scale)
-    dec = mean_ergodic_projection(op, tol, cert)
-    evidence = {
-        "dim_fix": int(d_fix),
-        "dim_fix_adjoint": int(d_fix_adj),
-        "projection_residual": dec.residual,
-        "cesaro_constant": dec.cesaro_constant,
-        "cesaro_samples": dec.convergence_samples,
-    }
-    return MeanErgodicVerdict(d_fix == d_fix_adj, "fix-separates", evidence)
 
 
 def _certified_symbol_gap(sym, tol: float = 1e-6) -> float:

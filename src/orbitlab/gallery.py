@@ -197,15 +197,14 @@ def _first_pair(cloud, clouds: Sequence, horizon: int, block: int, eps: float,
 
 
 def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
-               tol: float = 1e-6, *, separation_eps: float | None = None) -> WitnessAudit:
+               tol: float = 1e-6) -> WitnessAudit:
     """Extract a c0-witness ladder from a non-compact orbit.
 
     Preconditions (checked): the splitting projection acts as the
     identity on the almost periodic part for this symbol family, the
     difference-orbit diagnostic saturates, and the orbit diagnostic of
-    ``x`` grows at the separation scale (default: the probe norm;
-    override ``separation_eps`` for probes whose orbit separates at a
-    finer scale).  Violations raise NotApplicableError.
+    ``x`` grows at the separation scale, the probe norm.  Violations
+    raise NotApplicableError.
 
     The inductive selection scans exponent pairs by increasing
     difference and accepts a pair only when its action on every logged
@@ -234,17 +233,14 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         raise NotApplicableError("splitting projection is not certified as the "
                                  "identity on the almost periodic part")
 
-    x_norm, x_err = sup_norm(x, min(tol, 1e-8))
-    if x_norm + x_err == 0.0:
+    x_norm, _ = sup_norm(x, min(tol, 1e-8))  # also the separation scale
+    if x_norm == 0.0:
         raise NotApplicableError("zero probe vector")
-    eps_orbit = separation_eps if separation_eps is not None else x_norm
-    if eps_orbit <= 0:
-        raise ValueError("separation_eps must be positive")
 
     top = _DIAG_HORIZONS[-1]
     orbit_rep = cloud_diagnostic(
-        orbit(op, x, top, tol=min(tol, eps_orbit / 100, 1e-8)),
-        [eps_orbit], _DIAG_HORIZONS)
+        orbit(op, x, top, tol=min(tol, x_norm / 100, 1e-8)),
+        [x_norm], _DIAG_HORIZONS)
     if orbit_rep.verdict != "growing":
         raise NotApplicableError(
             f"orbit diagnostic verdict is {orbit_rep.verdict!r}; the witness "
@@ -264,10 +260,10 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
     bound_m = op.operator_norm() + 1.0  # isometry: sup over the semigroup is 1
 
-    # separated exponent family: greedy certified eps_orbit-separated subset
+    # separated exponent family: greedy certified x_norm-separated subset
     cap = max(4 * count, 16)
     cloud = orbit(op, x, horizon, tol=min(tol, 1e-8))
-    members = [cloud.labels[i] for i in cloud.greedy_net(eps_orbit, cap)]
+    members = [cloud.labels[i] for i in cloud.greedy_net(x_norm, cap)]
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
     # the metric depends on |n - m| only: one member pair per distinct
@@ -298,7 +294,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
                   horizon, tol=min(tol, tau / 8))
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
-        d = _first_pair(cloud, prod_clouds, horizon, op.phase_range.block, eps_orbit, tau,
+        d = _first_pair(cloud, prod_clouds, horizon, op.phase_range.block, x_norm, tau,
                         used_ds)
         if d is None:
             exhausted = True

@@ -9,8 +9,7 @@ closure is not finitely checkable; the surrogate certificate is
 unimodularity of the reversible eigenvalues plus bounded positive and
 negative powers of the restricted action up to a horizon.
 
-Peripheral thresholds default to 1e-9 for exact inputs; pass a larger
-``peri_tol`` for user data.
+Peripheral thresholds are 1e-9 (``ergodic.PERIPHERAL_TOL``), for exact inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +20,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
-from .ergodic import (PERIPHERAL_TOL, _CesaroStack, _mean_ergodic_projection,
-                      _sorted_schur_projection, certify_power_bounded)
+from .ergodic import (PERIPHERAL_TOL, SpectrumReport, _CesaroStack,
+                      _mean_ergodic_projection, _sorted_schur_projection,
+                      certify_power_bounded, spectrum_report)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
 from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
@@ -32,48 +32,18 @@ __all__ = [
     "SpectrumReport",
     "JdlgSplit",
     "KtzReport",
-    "CountablePeripheralReport",
     "HalfSumResult",
     "AveragedOperator",
     "DiagonalJdlgReport",
     "spectrum_report",
     "jdlg_split",
     "ktz_check",
-    "countable_peripheral_check",
     "half_sum",
     "diagonal_jdlg",
 ]
 
 _HALF_SUM_SAMPLES = 512  # indices k whose (1 + a_k) / 2 a diagonal half_sum samples
 _DIAG_HORIZONS, _DIAG_TOL = (100, 200, 400), 1e-8  # diagonal_jdlg's cross-check
-_PERIPHERAL_SEED, _PERIPHERAL_HORIZONS = 7, (200, 400, 800)  # countable_peripheral_check's
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues with their peripheral sublist (|lambda| >= 1 - tol)."""
-
-    eigenvalues: tuple[complex, ...]
-    peripheral: tuple[complex, ...]
-    semisimple_flags: tuple[bool, ...] | None
-    peri_tol: float
-    sampled: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "peripheral": [[z.real, z.imag] for z in self.peripheral],
-            "peri_tol": self.peri_tol,
-            "sampled": self.sampled,
-        }
-
-
-def spectrum_report(op: MatrixOperator, peri_tol: float = PERIPHERAL_TOL) -> SpectrumReport:
-    eigs = np.linalg.eigvals(op.entries)
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    peri = tuple(complex(z) for z in eigs[np.abs(eigs) >= 1 - peri_tol])
-    return SpectrumReport(tuple(complex(z) for z in eigs), peri, None, peri_tol)
 
 
 @dataclass(frozen=True)
@@ -91,7 +61,6 @@ class JdlgSplit:
 
 
 def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
-               peri_tol: float = PERIPHERAL_TOL,
                group_horizon: int = 1000) -> JdlgSplit:
     """Split a certified power-bounded matrix into reversible + stable parts.
 
@@ -102,12 +71,12 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     the largest ``||T^k y|| / (rho_aws + tol)**k`` over k <= 200 for up to
     three stable basis vectors y.  It asserts neither bound.
     """
-    eigs = certify_power_bounded(op, tol, peri_tol).eigenvalues
+    eigs = np.array(certify_power_bounded(op, tol).eigenvalues)
     a = op.entries
     n = op.dim
     p, sdim, _ = _sorted_schur_projection(
-        a, lambda lam: abs(lam) >= 1 - peri_tol, semisimple_check=False, tol=tol)
-    interior = eigs[np.abs(eigs) < 1 - peri_tol]
+        a, lambda lam: abs(lam) >= 1 - PERIPHERAL_TOL, semisimple_check=False, tol=tol)
+    interior = eigs[np.abs(eigs) < 1 - PERIPHERAL_TOL]
     rho_aws = float(np.max(np.abs(interior))) if interior.size else 0.0
 
     eye = np.eye(n, dtype=np.complex128)
@@ -156,8 +125,7 @@ class KtzReport:
     passed: bool
 
 
-def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9,
-              peri_tol: float = PERIPHERAL_TOL) -> KtzReport:
+def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9) -> KtzReport:
     """Decay of ``||T^n (I - T)||`` under peripheral spectrum inside {1}.
 
     Precondition: certified power-bounded with sigma(T) on the unit
@@ -167,8 +135,8 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    cert = certify_power_bounded(op, max(tol, 1e-10), peri_tol)
-    bad = [z for z in cert.peripheral if abs(z - 1) > peri_tol * 10 + 1e-12]
+    spec = certify_power_bounded(op, max(tol, 1e-10))
+    bad = [z for z in spec.peripheral if abs(z - 1) > PERIPHERAL_TOL * 10 + 1e-12]
     if bad:
         raise PeripheralSpectrumError(
             f"peripheral spectrum not contained in {{1}}: {bad}")
@@ -184,44 +152,12 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9,
         stack.add(chunk)
         done += len(chunk)
     curve = np.concatenate(curve)
-    dec = _mean_ergodic_projection(op, max(tol, 1e-10), cert, stack)
+    dec = _mean_ergodic_projection(op, max(tol, 1e-10), stack)
     limit_defect = matrix_norm(last - dec.projection.entries, op.norm_tag)
     tail = curve[horizon // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1]))
     passed = bool(eventually_decreasing and curve[-1] <= tol and limit_defect <= tol)
     return KtzReport(curve, dec.projection, float(limit_defect), passed)
-
-
-@dataclass(frozen=True)
-class CountablePeripheralReport:
-    almost_periodic: bool
-    split: JdlgSplit
-    orbit_verdicts: tuple[str, ...]
-
-
-def countable_peripheral_check(op: MatrixOperator, tol: float = 1e-8,
-                               peri_tol: float = PERIPHERAL_TOL) -> CountablePeripheralReport:
-    """Almost periodicity from a finite peripheral spectrum.
-
-    Splits the space, verifies the stable decay, and confirms orbit
-    compactness numerically: packing diagnostics on two seeded random unit
-    probes must saturate.  The probe epsilon is a sizable fraction of the
-    probe norm because saturation must occur within the horizon (each
-    irrational rotation direction fills its circle at rate ~1/n).  Rejects
-    non-power-bounded inputs at the precondition.
-    """
-    split = jdlg_split(op, tol, peri_tol)
-    rng = np.random.default_rng(_PERIPHERAL_SEED)
-    verdicts = []
-    for _ in range(2):
-        z = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        x = FiniteVector(z / np.linalg.norm(z), op.norm_tag)
-        eps = max(0.75 * x.norm(), 1e-6)
-        rep = compactness_diagnostic(op, x, [eps], _PERIPHERAL_HORIZONS,
-                                     tol=min(eps / 8, 1e-6))
-        verdicts.append(rep.verdict)
-    ok = bool(split.residual <= 10 * tol and all(v == "saturating" for v in verdicts))
-    return CountablePeripheralReport(ok, split, tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -268,7 +204,7 @@ def half_sum(op, tol: float = 1e-9) -> HalfSumResult:
         lam_limit = (1.0 + op.symbol.limit_value) / 2.0
         eigs = tuple(complex(z) for z in lam) + (complex(lam_limit),)
         peri = tuple(z for z in eigs if abs(z) >= 1 - tol)
-        rep = SpectrumReport(eigs, peri, None, tol, sampled=True)
+        rep = SpectrumReport(eigs, peri, tol, sampled=True)
         for z in peri:
             if abs(z - 1) > tol:
                 raise PeripheralSpectrumError(

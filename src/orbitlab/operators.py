@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptyWordError, SpaceTagError
 from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, TailCertificate,
-                       apply_certificate, lin_comb_certificate, power_tail, sup_norm,
-                       tail_bound)
+                       apply_certificate, lin_comb_certificate, power_tail, tail_bound)
 
 __all__ = [
     "SYMBOL_FAMILIES",
@@ -48,7 +47,6 @@ __all__ = [
     "commutation_defect",
     "max_matrix_norm",
     "power_bound_estimate",
-    "PowerBoundEstimate",
     "make_commuting_family",
     "read_matrix_file",
     "write_matrix_file",
@@ -116,9 +114,9 @@ class DiagonalSymbol:
         theta = math.pi / np.asarray(ks, dtype=np.float64) ** self.params[-1]
         if self.kind == "harmonic":
             return theta  # in (0, pi]
-        theta = _TWO_PI / self.params[0] + theta
-        # np.mod is slow, so only m = 1 (past 2 pi) and m = 2 (2 pi at k = 1) take it
-        return np.mod(theta, _TWO_PI) if self.params[0] <= 2 else theta
+        theta = self._theta_limit + theta
+        # np.mod is slow, so only m = 2 (2 pi at k = 1) takes it; m = 1 adds 0
+        return np.mod(theta, _TWO_PI) if self.params[0] == 2 else theta
 
     @functools.cached_property
     def _theta_limit(self) -> float:
@@ -555,44 +553,13 @@ def commutation_defect(generators: Sequence, probes: Sequence) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class PowerBoundEstimate:
-    sup_estimate: float
-    power_bounded_flag: bool
-    probe_infs: tuple[float, ...]
-    horizon: int
-
-
-def power_bound_estimate(op, horizon: int, probes: Sequence = (),
-                         tol: float = 1e-9) -> PowerBoundEstimate:
-    """Estimate ``sup_{n<=horizon} ||T^n||`` and per-probe ``inf ||T^n x||``.
-
-    Diagonal operators are exact isometries, so the sup is exactly 1 and
-    each probe inf equals ``||x||``.  For matrices the flag compares the
-    first and second half of the norm curve; still-growing curves are
-    flagged not power-bounded (a heuristic, the spectral certification
-    in the ergodic module is the certified test).
-    """
+def power_bound_estimate(op: MatrixOperator, horizon: int) -> float:
+    """``max_{1 <= n <= horizon} ||T^n||`` of a matrix: a sampled sup, not a
+    certificate (``ergodic.certify_power_bounded`` is the certified test)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if isinstance(op, DiagonalOperator):
-        infs = tuple(sup_norm(x, tol).value for x in probes)
-        return PowerBoundEstimate(1.0, True, infs, horizon)
-
-    norms = []
-    probe_vals = [[] for _ in probes]
-    for chunk in power_chunks(op.entries, op.entries, horizon):
-        norms.append(matrix_norm(chunk, op.norm_tag))
-        for vals, x in zip(probe_vals, probes):
-            vals += [FiniteVector(v, x.norm_tag).norm() for v in chunk @ x.coords]
-    norms = np.concatenate(norms)
-    half = horizon // 2
-    if half >= 1:
-        flag = bool(norms[half:].max() <= norms[:half].max() * (1 + 1e-9) + 1e-12)
-    else:
-        flag = bool(norms.max() <= op.operator_norm() * (1 + 1e-9))
-    infs = tuple(min(vals) for vals in probe_vals)
-    return PowerBoundEstimate(float(norms.max()), flag, infs, horizon)
+    return max(max_matrix_norm(chunk, op.norm_tag)
+               for chunk in power_chunks(op.entries, op.entries, horizon))
 
 
 @dataclass(frozen=True)
@@ -634,7 +601,7 @@ def make_commuting_family(generators: Sequence, probes: Sequence = (),
         # submultiplicative bound over all words from per-generator power sups
         bound = 1.0
         for g in gens:
-            bound *= power_bound_estimate(g, horizon).sup_estimate
+            bound *= power_bound_estimate(g, horizon)
         bound += 1.0
     if defect > tol:
         raise ValueError(f"commutation defect {defect:g} exceeds tolerance {tol:g}")

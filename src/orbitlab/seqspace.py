@@ -34,9 +34,7 @@ __all__ = [
     "norm_bracket",
     "exceeds_exit",
     "lin_comb",
-    "distance",
     "constant_one",
-    "zero_vector",
     "basis_vector",
     "from_prefix",
 ]
@@ -143,9 +141,6 @@ class SeqVector:
         if ks.size and ks.min() < 1:
             raise IndexError("sequence indices start at 1")
         return np.asarray(self.coord(ks), dtype=np.complex128)
-
-    def coord_scalar(self, k: int) -> complex:
-        return complex(self.coords(np.array([k]))[0])
 
     def prefix(self, n: int) -> np.ndarray:
         """First ``n`` coordinates as a complex array."""
@@ -401,11 +396,6 @@ def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVect
     return SeqVector(coord, limit, TailCertificate(*tail), vs[0].space_tag, majorant)
 
 
-def distance(u: SeqVector, v: SeqVector, tol: float) -> NormResult:
-    """Certified sup-norm distance ``||u - v||``."""
-    return sup_norm(lin_comb([1.0, -1.0], [u, v]), tol)
-
-
 @dataclass(frozen=True)
 class FiniteVector:
     """Finite coordinate vector for the matrix model.
@@ -499,11 +489,6 @@ def constant_one(space_tag: str = "c") -> SeqVector:
     """The constant-one sequence (limit 1, exact certificate)."""
     return SeqVector(lambda ks: np.ones(np.shape(ks), dtype=np.complex128),
                      1.0, TailCertificate.zero(), space_tag, 1.0)
-
-
-def zero_vector(space_tag: str = "c") -> SeqVector:
-    return SeqVector(lambda ks: np.zeros(np.shape(ks), dtype=np.complex128),
-                     0.0, TailCertificate.zero(), space_tag, 0.0)
 
 
 def basis_vector(index: int, space_tag: str = "c0") -> SeqVector:

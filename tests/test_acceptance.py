@@ -167,7 +167,7 @@ def test_criterion_04_matrix_mean_ergodic_battery():
         assert dec.residual <= 1e-8, "projection identities above tolerance"
         p = dec.projection.entries
         eye = np.eye(10, dtype=complex)
-        m_est = power_bound_estimate(op, 100).sup_estimate
+        m_est = power_bound_estimate(op, 100)
         y = np.linalg.solve(eye - op.entries + p, eye - p)
         oblique = matrix_norm(y, "euclidean")
         acc = np.zeros_like(p)

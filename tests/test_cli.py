@@ -391,3 +391,37 @@ class TestVerify:
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestUnwritableOutput:
+    """An output directory under a regular file is an I/O error: exit 3 and
+    one ``error:`` line, with no traceback and no report."""
+
+    @staticmethod
+    def _check(tmp_path, capsys, code):
+        assert code == 3
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.json")) and not list(tmp_path.rglob("*.csv"))
+
+    def test_demo(self, tmp_path, capsys):
+        (tmp_path / "F").write_text("")
+        code = run_cli("demo", "example33", "--out-dir", str(tmp_path / "F" / "sub"))
+        self._check(tmp_path, capsys, code)
+
+    def test_run(self, tmp_path, capsys):
+        write_matrix_file(tmp_path / "m.txt", MatrixOperator(np.diag([1.0, 0.5])))
+        (tmp_path / "c.ini").write_text(
+            "[operator]\nkind = matrix\npath = m.txt\n\n[diagnostic]\nop = spectrum\n")
+        (tmp_path / "F").write_text("")
+        code = run_cli("run", "--config", str(tmp_path / "c.ini"),
+                       "--out-dir", str(tmp_path / "F" / "sub"))
+        self._check(tmp_path, capsys, code)
+
+    def test_verify_certificate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.gallery, "verify_certificate", lambda path: {"ok": True})
+        (tmp_path / "F").write_text("")
+        code = run_cli("verify-certificate", "cert.json", "--out-dir", str(tmp_path / "F" / "sub"))
+        self._check(tmp_path, capsys, code)

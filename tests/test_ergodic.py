@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_power_bounded
+from orbitlab import ergodic, jdlg
 from orbitlab.ergodic import (cesaro, certify_power_bounded,
                               decomposition_check,
-                              diagonal_mean_ergodic_verdict,
-                              fix_separation_check, mean_ergodic_projection)
+                              diagonal_mean_ergodic_verdict, mean_ergodic_projection,
+                              spectrum_report)
 from orbitlab.errors import NotPowerBoundedError, UnsupportedSymbolError
+from orbitlab.jdlg import ktz_check
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, constant_symbol,
                                 harmonic_symbol, root_perturbed_symbol)
 from orbitlab.seqspace import FiniteVector, constant_one, sup_norm
@@ -110,18 +112,9 @@ class TestProjection:
 
 
 class TestFixSeparation:
-    def test_diag_with_rotation(self):
-        v = fix_separation_check(MatrixOperator(np.diag([1.0, 1j])))
-        assert v.is_mean_ergodic and v.reason == "fix-separates"
-        assert v.evidence["dim_fix"] == 1 == v.evidence["dim_fix_adjoint"]
-
-    def test_identity_three(self):
-        v = fix_separation_check(MatrixOperator(np.eye(3, dtype=complex)))
-        assert v.is_mean_ergodic and v.evidence["dim_fix"] == 3
-
     def test_jordan_at_one_rejected(self):
         with pytest.raises(NotPowerBoundedError):
-            fix_separation_check(MatrixOperator(np.array([[1, 1], [0, 1]], dtype=complex)))
+            mean_ergodic_projection(MatrixOperator(np.array([[1, 1], [0, 1]], dtype=complex)))
 
 
 class TestDiagonalVerdict:
@@ -185,9 +178,30 @@ class TestDecompositionCheck:
 def test_battery_verdicts_and_decompositions(rng):
     for _ in range(10):
         op, _, _ = random_power_bounded(rng, dim=8)
-        v = fix_separation_check(op)
-        assert v.is_mean_ergodic
+        mean_ergodic_projection(op)  # certified mean ergodic, or it raises
         x = FiniteVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
         parts = decomposition_check(op, x, tol=1e-7)
         recon = parts.fix_part.coords + parts.range_part.coords
         assert np.max(np.abs(recon - x.coords)) <= 1e-12
+
+
+class TestOneSpectrumRecord:
+    """``certify_power_bounded`` returns the record ``spectrum_report`` makes."""
+
+    def test_certificate_is_the_spectrum_report(self):
+        op = MatrixOperator(np.diag([1.0, 1j, -1.0, 0.5 + 0.25j]))
+        cert, rep = certify_power_bounded(op), spectrum_report(op)
+        assert cert == rep
+        assert cert.spectral_radius == 1.0
+        assert cert.peripheral == (-1.0 + 0j, 1j, 1.0 + 0j)
+
+    def test_jdlg_reads_the_same_report(self):
+        assert jdlg.spectrum_report is ergodic.spectrum_report
+        assert jdlg.SpectrumReport is ergodic.SpectrumReport
+
+    def test_criterion_06_jordan_block_still_refused(self):
+        jordan = MatrixOperator(np.array([[1, 1], [0, 1]], dtype=complex))
+        with pytest.raises(NotPowerBoundedError, match="defective"):
+            certify_power_bounded(jordan)
+        with pytest.raises(NotPowerBoundedError):
+            ktz_check(jordan, horizon=50)

@@ -25,7 +25,7 @@ from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symb
                                 power_apply, root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import (SeqVector, TailCertificate, basis_vector, constant_one,
-                               from_prefix, lin_comb, norm_exceeds, sup_norm, zero_vector)
+                               from_prefix, lin_comb, norm_exceeds, sup_norm)
 
 _SYMBOLS = st.one_of(
     st.builds(harmonic_symbol, st.floats(1.0, 2.0)),
@@ -110,7 +110,7 @@ def test_validate_certificate_checks_the_majorant(v):
 
 @pytest.mark.parametrize("build, majorant", [
     (lambda: constant_one(), 1.0),
-    (lambda: zero_vector(), 0.0),
+    (lambda: from_prefix([], 0.0), 0.0),
     (lambda: basis_vector(3), 1.0),
     (lambda: from_prefix([0.5, -3j, 1.0], 2.0, TailCertificate(5.0, 1.0)), 3.0),
     (lambda: from_prefix([0.5], -2.0), 2.0),

@@ -223,21 +223,14 @@ class TestCertificates:
         err = captured.err.strip().splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
 
-    def test_separation_scale_override(self):
-        op = limit_one_operator()
-        audit = c0_witness(op, constant_one(), 1, 2000, tol=1e-6,
-                           separation_eps=0.5)
-        assert audit.achieved_count == 1
-        assert audit.delta == pytest.approx(2.0, abs=1e-9)
-
     def test_spec_builders(self):
         op = operator_from_spec({"kind": "root_perturbed", "m": 2, "rate": 1.0})
         assert abs(op.symbol.limit_value + 1) < 1e-14
         v = probe_from_spec({"kind": "basis", "index": 3})
-        assert v.coord_scalar(3) == 1.0
+        assert v.coords([3])[0] == 1.0
         w = probe_from_spec({"kind": "prefix", "values": [[1.0, 0.0], [0.0, 0.5]],
                              "limit": [0.0, 0.0]})
-        assert w.coord_scalar(2) == 0.5j
+        assert w.coords([2])[0] == 0.5j
 
 
 class TestGalleryDiagnostics:

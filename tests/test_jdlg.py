@@ -5,8 +5,7 @@ from conftest import random_power_bounded  # noqa: F401
 from orbitlab import ergodic, jdlg
 from orbitlab.errors import (NotPowerBoundedError, PeripheralSpectrumError,
                              UnsupportedSymbolError)
-from orbitlab.jdlg import (countable_peripheral_check, diagonal_jdlg,
-                           half_sum, jdlg_split, ktz_check, spectrum_report)
+from orbitlab.jdlg import diagonal_jdlg, half_sum, jdlg_split, ktz_check, spectrum_report
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, constant_symbol,
                                 harmonic_symbol, root_perturbed_symbol)
 from orbitlab.orbits import compactness_diagnostic
@@ -118,26 +117,6 @@ def test_rev_action_orbits_saturate(rng):
         assert rep.verdict == "saturating"
 
 
-class TestCountablePeripheral:
-    def test_mixed_diagonal(self):
-        op = MatrixOperator(np.diag([1.0, 1j, -1.0, 0.3]))
-        rep = countable_peripheral_check(op, 1e-8)
-        assert rep.almost_periodic
-        assert len(rep.split.rev_basis) == 3
-
-    def test_irrational_rotation(self):
-        theta = np.pi * (np.sqrt(5) - 1) / 2
-        rot = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]], dtype=complex)
-        rep = countable_peripheral_check(MatrixOperator(rot), 1e-8)
-        assert rep.almost_periodic
-        assert all(v == "saturating" for v in rep.orbit_verdicts)
-
-    def test_expanding_rejected(self):
-        with pytest.raises(NotPowerBoundedError):
-            countable_peripheral_check(MatrixOperator(np.array([[2.0 + 0j]])))
-
-
 class TestHalfSum:
     def test_negative_identity(self):
         res = half_sum(MatrixOperator(-np.eye(2, dtype=complex)))
@@ -219,13 +198,13 @@ def test_spectrum_report_shape():
 
 
 def _count_certifications(monkeypatch):
-    """Record the (tol, peri_tol) of every spectral certification."""
+    """Record the tol of every spectral certification."""
     made = []
     real = ergodic.certify_power_bounded
 
-    def certify(op, tol=1e-8, peri_tol=ergodic.PERIPHERAL_TOL):
-        made.append((tol, peri_tol))
-        return real(op, tol, peri_tol)
+    def certify(op, tol=1e-8):
+        made.append(tol)
+        return real(op, tol)
 
     monkeypatch.setattr(ergodic, "certify_power_bounded", certify)
     monkeypatch.setattr(jdlg, "certify_power_bounded", certify)
@@ -242,32 +221,18 @@ class TestOneCertification:
         want = ktz_check(_KTZ_OP, horizon=200, tol=1e-9)
         made = _count_certifications(monkeypatch)
         got = ktz_check(_KTZ_OP, horizon=200, tol=1e-9)
-        assert made == [(1e-9, ergodic.PERIPHERAL_TOL)]
+        assert made == [1e-9]
         assert np.array_equal(got.decay_curve, want.decay_curve)
         assert np.array_equal(got.limit_projection.entries, want.limit_projection.entries)
         assert (got.limit_defect, got.passed) == (want.limit_defect, want.passed)
 
-    def test_ktz_check_with_another_shell_certifies_as_before(self, monkeypatch):
-        made = _count_certifications(monkeypatch)
-        assert ktz_check(_KTZ_OP, horizon=200, tol=1e-9, peri_tol=1e-8).passed
-        assert made == [(1e-9, 1e-8), (1e-9, ergodic.PERIPHERAL_TOL)]
-
-    def test_fix_separation_check_certifies_once(self, monkeypatch):
+    def test_mean_ergodic_projection_certifies_once(self, monkeypatch):
         op = MatrixOperator(np.diag([1.0, 1j, 0.5]))
-        want = ergodic.fix_separation_check(op)
+        want = ergodic.mean_ergodic_projection(op)
         made = _count_certifications(monkeypatch)
-        assert ergodic.fix_separation_check(op).evidence == want.evidence
-        assert made == [(1e-8, ergodic.PERIPHERAL_TOL)]
-
-    def test_projection_ignores_a_certificate_at_another_tol(self, monkeypatch):
-        op = MatrixOperator(np.diag([1.0, 1j, 0.5]))
-        loose = ergodic.certify_power_bounded(op, 1e-6)
-        same = ergodic.certify_power_bounded(op, 1e-8)
-        made = _count_certifications(monkeypatch)
-        ergodic.mean_ergodic_projection(op, 1e-8, loose)
-        assert made == [(1e-8, ergodic.PERIPHERAL_TOL)]
-        ergodic.mean_ergodic_projection(op, 1e-8, same)
-        assert len(made) == 1
+        got = ergodic.mean_ergodic_projection(op)
+        assert made == [1e-8]
+        assert np.array_equal(got.projection.entries, want.projection.entries)
 
     def test_split_reads_eigenvalues_from_its_certificate(self, monkeypatch):
         op = MatrixOperator(np.diag([1.0, 1j, 0.5, 0.25]))

@@ -13,7 +13,7 @@ from orbitlab.operators import (DiagonalOperator, DiagonalSymbol,
                                 telescope_expand, word_matrix,
                                 write_matrix_file, _power_angles)
 from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one,
-                               distance, sup_norm)
+                               lin_comb, sup_norm)
 
 
 def harmonic_op():
@@ -24,14 +24,14 @@ class TestApply:
     def test_on_first_basis_vector(self):
         # theta_1 = pi, so T e_1 = -e_1
         out = harmonic_op().apply(basis_vector(1))
-        assert abs(out.coord_scalar(1) + 1.0) < 1e-15
-        assert abs(out.coord_scalar(2)) == 0.0
+        assert abs(out.coords([1])[0] + 1.0) < 1e-15
+        assert abs(out.coords([2])[0]) == 0.0
 
     def test_identity_symbol(self):
         op = DiagonalOperator(constant_symbol(0.0), "c")
         v = constant_one()
         out = op.apply(v)
-        assert distance(out, v, 1e-8).value <= 1e-12
+        assert sup_norm(lin_comb([1.0, -1.0], [out, v]), 1e-8).value <= 1e-12
 
     def test_one_by_one_matrix(self):
         op = MatrixOperator(np.array([[1j]]), "euclidean")
@@ -47,7 +47,7 @@ class TestPowerApply:
     def test_angle_doubling(self):
         # theta_2 = pi/2, so T^2 e_2 = e^{i pi} e_2 = -e_2
         out = power_apply(harmonic_op(), 2, basis_vector(2))
-        assert abs(out.coord_scalar(2) + 1.0) < 1e-14
+        assert abs(out.coords([2])[0] + 1.0) < 1e-14
 
     def test_matrix_scalar_power(self):
         op = MatrixOperator(np.array([[0.5]]), "euclidean")
@@ -112,28 +112,13 @@ class TestCommutation:
 
 
 class TestPowerBound:
-    def test_diagonal_is_isometric(self):
-        est = power_bound_estimate(harmonic_op(), 100, [constant_one()])
-        assert est.sup_estimate == 1.0 and est.power_bounded_flag
-        assert abs(est.probe_infs[0] - 1.0) < 1e-12
-
-    def test_probe_decay(self):
-        op = MatrixOperator(np.diag([0.5, 1.0]).astype(complex))
-        e1 = FiniteVector(np.array([1.0, 0.0 + 0j]))
-        est = power_bound_estimate(op, 20, [e1])
-        assert abs(est.probe_infs[0] - 0.5 ** 20) < 1e-15
-
-    def test_expanding_flagged(self):
+    def test_expanding(self):
         op = MatrixOperator(np.array([[2.0 + 0j]]))
-        est = power_bound_estimate(op, 30)
-        assert est.sup_estimate == pytest.approx(2.0 ** 30)
-        assert not est.power_bounded_flag
+        assert power_bound_estimate(op, 30) == pytest.approx(2.0 ** 30)
 
     def test_single_step_horizon(self):
         op = MatrixOperator(np.array([[0.5 + 0j]]))
-        est = power_bound_estimate(op, 1)
-        assert est.sup_estimate == pytest.approx(0.5)
-        assert est.power_bounded_flag
+        assert power_bound_estimate(op, 1) == pytest.approx(0.5)
 
 
 class TestFamily:
@@ -165,7 +150,7 @@ def test_power_composition_coherence(n, m):
     v = basis_vector(3)
     once = power_apply(op, n + m, v)
     twice = power_apply(op, n, power_apply(op, m, v))
-    assert distance(once, twice, 1e-10).value <= 1e-10
+    assert sup_norm(lin_comb([1.0, -1.0], [once, twice]), 1e-10).value <= 1e-10
 
 
 def test_telescope_on_probes_battery(rng):
@@ -216,7 +201,7 @@ def test_inverse_symbol_composes_to_identity():
     op = harmonic_op()
     v = basis_vector(5)
     round_trip = op.power(-1).apply(op.apply(v))
-    assert distance(round_trip, v, 1e-12).value <= 1e-12
+    assert sup_norm(lin_comb([1.0, -1.0], [round_trip, v]), 1e-12).value <= 1e-12
 
 
 @pytest.mark.parametrize("base", [0.0, -0.0])
@@ -271,12 +256,15 @@ def test_root_of_order_two_fixes_the_first_coordinate_exactly():
         assert sym.power(n).values([1])[0] == 1, n
 
 
-def test_root_of_order_one_is_the_harmonic_symbol():
-    # the limit angle 2 pi reduces to 0: the limit is 1 exactly
-    sym, harm = root_perturbed_symbol(1, 1.3), harmonic_symbol(1.3)
+@pytest.mark.parametrize("rate", [1.0, 2.0, 1.3, 0.737])
+def test_root_of_order_one_is_the_harmonic_symbol(rate):
+    # the limit angle 2 pi reduces to 0: the limit is 1 and every angle is
+    # the harmonic one, bit for bit
+    sym, harm = root_perturbed_symbol(1, rate), harmonic_symbol(rate)
     assert sym.limit_value == 1 and sym.unit_fixed_indices == ()
     ks = np.arange(1, 4097)
-    assert np.allclose(sym.values(ks), harm.values(ks), rtol=0, atol=1e-15)
+    assert np.array_equal(sym.angles(ks), harm.angles(ks))
+    assert np.array_equal(sym.power(3).angles(ks), harm.power(3).angles(ks))
     assert sym.tail == harm.tail
 
 

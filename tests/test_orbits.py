@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (commuting_matrix_family, power_difference_rows, random_power_bounded,
                       ref_net, scan_decisions)
 from orbitlab import orbits
-from orbitlab.ergodic import fix_separation_check
+from orbitlab.ergodic import mean_ergodic_projection
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
                                 make_commuting_family, root_perturbed_symbol, word_apply)
@@ -49,8 +49,7 @@ class TestOrbit:
         assert np.allclose(pts, [0.5 ** n for n in range(1, 11)])
 
     def test_zero_probe_orbit_is_a_point(self):
-        from orbitlab.seqspace import zero_vector
-        cloud = orbit(harmonic_op(), zero_vector("c"), 6, tol=1e-6)
+        cloud = orbit(harmonic_op(), from_prefix([], 0.0), 6, tol=1e-6)
         assert packing_number(cloud, 0.5) == 1
         for n in cloud.labels:
             assert sup_norm(cloud.vector(n), 1e-9).value == 0.0
@@ -332,7 +331,7 @@ class TestInvariants:
         # power-bounded matrices (the desk model of the reflexive case)
         for _ in range(5):
             op, _, _ = random_power_bounded(rng, dim=6)
-            assert fix_separation_check(op).is_mean_ergodic
+            mean_ergodic_projection(op)  # certified mean ergodic, or it raises
             x = FiniteVector(rng.standard_normal(6) + 1j * rng.standard_normal(6))
             eps = max(x.norm() / 2, 0.3)
             drep = difference_compactness_diagnostic(op, x, [eps / 2],

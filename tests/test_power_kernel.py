@@ -28,19 +28,14 @@ def _norm(a, tag):
     return float(np.linalg.norm(a, 2))
 
 
-def ref_power_bound(op, horizon, probes):
+def ref_power_bound(op, horizon):
     norms = np.empty(horizon)
     p = op.entries.copy()
-    probe_vals = [np.empty(horizon) for _ in probes]
     for n in range(horizon):
         if n:
             p = op.entries @ p
         norms[n] = _norm(p, op.norm_tag)
-        for i, x in enumerate(probes):
-            probe_vals[i][n] = FiniteVector(p @ x.coords, x.norm_tag).norm()
-    half = horizon // 2
-    flag = bool(norms[half:].max() <= norms[:half].max() * (1 + 1e-9) + 1e-12)
-    return float(norms.max()), flag, tuple(float(v.min()) for v in probe_vals)
+    return float(norms.max())
 
 
 def ref_ktz(op, horizon, projection):
@@ -134,14 +129,7 @@ TAGS = pytest.mark.parametrize("tag", ["euclidean", "sup"])
 def test_power_bound_estimate_matches_loop(rng, chunk, tag):
     only_one, rotating = batteries(rng, tag)
     for op in only_one + rotating:
-        probes = [vector_with_zeros(op.dim, tag),
-                  FiniteVector(rng.standard_normal(op.dim) + 0j, tag)]
-        est = power_bound_estimate(op, 57, probes)
-        sup, flag, infs = ref_power_bound(op, 57, probes)
-        assert same_bits(est.sup_estimate, sup)
-        assert est.power_bounded_flag == flag
-        assert all(same_bits(g, w) for g, w in zip(est.probe_infs, infs))
-        assert len(est.probe_infs) == 2
+        assert same_bits(power_bound_estimate(op, 57), ref_power_bound(op, 57))
 
 
 @TAGS
