@@ -82,6 +82,15 @@ def _numerical_rank(a: np.ndarray, scale: float) -> int:
     return int(np.sum(s > max(a.shape) * np.finfo(float).eps * scale * 8))
 
 
+def _cluster(values, radius: float) -> list[complex]:
+    """One representative per run of values within ``radius`` of an earlier one."""
+    centers: list[complex] = []
+    for lam in values:
+        if not any(abs(lam - c) <= radius for c in centers):
+            centers.append(lam)
+    return centers
+
+
 def certify_power_bounded(op: MatrixOperator, tol: float = 1e-8) -> SpectrumReport:
     """Certify sup_n ||T^n|| < infinity spectrally and return the spectrum.
 
@@ -94,12 +103,7 @@ def certify_power_bounded(op: MatrixOperator, tol: float = 1e-8) -> SpectrumRepo
         raise NotPowerBoundedError(f"spectral radius {rho:g} exceeds 1 + {tol:g}")
     a = op.entries
     scale = max(1.0, matrix_norm(a, "euclidean"))
-    # cluster peripheral eigenvalues so a multiple eigenvalue is tested once
-    centers: list[complex] = []
-    for lam in rep.peripheral:
-        if not any(abs(lam - c) <= 1e-7 * scale for c in centers):
-            centers.append(lam)
-    for mu in centers:
+    for mu in _cluster(rep.peripheral, 1e-7 * scale):  # a multiple eigenvalue once
         b = a - mu * np.eye(op.dim)
         if _numerical_rank(b, scale) != _numerical_rank(b @ b, scale * scale):
             raise NotPowerBoundedError(

@@ -20,9 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
-from .ergodic import (PERIPHERAL_TOL, SpectrumReport, _CesaroStack,
-                      _mean_ergodic_projection, _sorted_schur_projection,
-                      certify_power_bounded, spectrum_report)
+from .ergodic import (SpectrumReport, _CesaroStack, _cluster, _mean_ergodic_projection,
+                      _sorted_schur_projection, certify_power_bounded, spectrum_report)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
 from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
@@ -71,12 +70,13 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     the largest ``||T^k y|| / (rho_aws + tol)**k`` over k <= 200 for up to
     three stable basis vectors y.  It asserts neither bound.
     """
-    eigs = np.array(certify_power_bounded(op, tol).eigenvalues)
+    spec = certify_power_bounded(op, tol)
+    eigs = np.array(spec.eigenvalues)
     a = op.entries
     n = op.dim
     p, sdim, _ = _sorted_schur_projection(
-        a, lambda lam: abs(lam) >= 1 - PERIPHERAL_TOL, semisimple_check=False, tol=tol)
-    interior = eigs[np.abs(eigs) < 1 - PERIPHERAL_TOL]
+        a, lambda lam: abs(lam) >= 1 - spec.peri_tol, semisimple_check=False, tol=tol)
+    interior = eigs[np.abs(eigs) < 1 - spec.peri_tol]
     rho_aws = float(np.max(np.abs(interior))) if interior.size else 0.0
 
     eye = np.eye(n, dtype=np.complex128)
@@ -136,10 +136,11 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9) -> KtzR
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     spec = certify_power_bounded(op, max(tol, 1e-10))
-    bad = [z for z in spec.peripheral if abs(z - 1) > PERIPHERAL_TOL * 10 + 1e-12]
+    bad = [z for z in spec.peripheral if abs(z - 1) > spec.peri_tol * 10 + 1e-12]
     if bad:
+        scale = max(1.0, matrix_norm(op.entries, "euclidean"))
         raise PeripheralSpectrumError(
-            f"peripheral spectrum not contained in {{1}}: {bad}")
+            f"peripheral spectrum not contained in {{1}}: {_cluster(bad, 1e-7 * scale)}")
     a = op.entries
     diff = np.eye(op.dim, dtype=np.complex128) - a
     # T^1 .. T^max(horizon, 255): the decay curve and the projection's Cesaro stack

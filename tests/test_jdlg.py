@@ -89,6 +89,11 @@ class TestKtz:
         with pytest.raises(NotPowerBoundedError):
             ktz_check(MatrixOperator(np.array([[1, 1], [0, 1]], dtype=complex)))
 
+    def test_peripheral_message_names_a_repeated_eigenvalue_once(self):
+        with pytest.raises(PeripheralSpectrumError) as exc:
+            ktz_check(MatrixOperator(np.diag([1.0, -1.0, -1.0]).astype(complex)), horizon=50)
+        assert str(exc.value) == "peripheral spectrum not contained in {1}: [(-1+0j)]"
+
     def test_pass_implies_orbit_saturation(self, rng):
         # consistency: a passing decay certificate comes with precompact
         # orbits, so the packing diagnostic saturates

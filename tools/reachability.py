@@ -1,26 +1,23 @@
 """Which ``src/`` functions does no bench report enter?
 
 Generates the three bench workloads (with the bench's own generator,
-``bench/workloads.py``) at the given seeds into a work directory, runs
-every report through ``orbitlab.cli.main`` in this process under
+``bench/workloads.py``) at seeds 1 and 9001 into a temporary directory,
+runs every report through ``orbitlab.cli.main`` in this process under
 ``sys.setprofile``, and prints each function or method defined in
 ``src/orbitlab`` that no report called, then their count.  Nested
 functions count as functions of their own.
 
-    python3 tools/reachability.py [--seeds 1 9001] [--work DIR]
+    python3 tools/reachability.py
 
-The work directory defaults to a fresh temporary one, removed afterwards.
 Not part of the test suite: a full run takes a few seconds.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import io
 import os
-import shutil
 import sys
 import tempfile
 
@@ -56,17 +53,14 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return out
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 9001])
-    p.add_argument("--work", default=None, help="work directory (default: a temporary one)")
-    args = p.parse_args(argv)
+SEEDS = (1, 9001)
 
+
+def main() -> int:
     sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
     from workloads import WORKLOADS, generate
     import orbitlab.cli as cli
 
-    work = args.work or tempfile.mkdtemp(prefix="orbitlab-reach-")
     entered: set[tuple[str, int]] = set()
 
     def profile(frame, event, arg):
@@ -75,11 +69,10 @@ def main(argv=None) -> int:
             entered.add((code.co_filename, code.co_firstlineno))
 
     reports = failed = 0
-    try:
+    with tempfile.TemporaryDirectory(prefix="orbitlab-reach-") as work:
         for workload in WORKLOADS:
-            for seed in args.seeds:
+            for seed in SEEDS:
                 root = os.path.join(work, f"{workload}-{seed}")
-                shutil.rmtree(root, ignore_errors=True)
                 for rep in generate(workload, seed, root):
                     sink = io.StringIO()
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -90,9 +83,6 @@ def main(argv=None) -> int:
                             sys.setprofile(None)
                     reports += 1
                     failed += rc != 0
-    finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
 
     defs = defined_functions()
     unreached = sorted((name, line) for (path, line), name in defs.items()
