@@ -10,8 +10,10 @@ Modules:
   gallery    counterexample operators, c0-witness ladder, ladder test
   cli        deterministic command-line front end
 
-All public values are immutable after construction and all operations
-are pure, so concurrent evaluation from multiple workers is safe.
+Values are immutable except each diagonal operator's first-block phase
+cache (``phase_range``), which its orbit clouds refill, so one operator
+object must not be used from two threads at once.  Separate processes (as
+the CLI runs them) and separate operator objects per thread are safe.
 """
 
 from .seqspace import (TailCertificate, SeqVector, FiniteVector, NormResult,

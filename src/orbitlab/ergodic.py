@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DecompositionError, NotPowerBoundedError,
                      UnsupportedSymbolError)
@@ -182,6 +181,9 @@ def _sorted_schur_projection(a: np.ndarray, select, semisimple_check: bool,
     Raises NotPowerBoundedError when ``semisimple_check`` is set and the
     selected block is not a scalar multiple of the identity.
     """
+    # imported here so that diagonal runs never load scipy (its import is half
+    # of a CLI start-up); tests/test_cli.py::test_diagonal_runs_do_not_load_scipy
+    import scipy.linalg
     n = a.shape[0]
     t, z, sdim = scipy.linalg.schur(a, output="complex", sort=select)
     if sdim == 0:
@@ -239,6 +241,7 @@ def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8) -> ErgodicDec
 def _mean_ergodic_projection(op, tol, stack: _CesaroStack | None = None):
     """``mean_ergodic_projection`` of a certified ``op``, with M and the
     Cesaro sums from ``stack``."""
+    import scipy.linalg
     a = op.entries
     n = op.dim
     scale = max(1.0, matrix_norm(a, op.norm_tag))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
 from .ergodic import (SpectrumReport, _CesaroStack, _cluster, _mean_ergodic_projection,
@@ -70,6 +69,7 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     the largest ``||T^k y|| / (rho_aws + tol)**k`` over k <= 200 for up to
     three stable basis vectors y.  It asserts neither bound.
     """
+    import scipy.linalg
     spec = certify_power_bounded(op, tol)
     eigs = np.array(spec.eigenvalues)
     a = op.entries

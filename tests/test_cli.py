@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,3 +429,34 @@ class TestUnwritableOutput:
         (tmp_path / "F").write_text("")
         code = run_cli("verify-certificate", "cert.json", "--out-dir", str(tmp_path / "F" / "sub"))
         self._check(tmp_path, capsys, code)
+
+
+# run in a fresh interpreter: this test process has loaded scipy already
+_SCIPY_PROBE = """
+import json, sys
+from orbitlab.cli import main
+out, diag, mat = sys.argv[1:]
+codes = [main(["demo", "example33", "--out-dir", out]),
+         main(["run", "--config", diag, "--out-dir", out])]
+diagonal_loaded = "scipy" in sys.modules
+codes.append(main(["run", "--config", mat, "--out-dir", out]))
+print(json.dumps([codes, diagonal_loaded, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_diagonal_runs_do_not_load_scipy(tmp_path):
+    (tmp_path / "diag.ini").write_text(
+        "[operator]\nkind = root_perturbed\nm = 3\n\n[diagnostic]\nop = mean-ergodic\n")
+    write_matrix_file(tmp_path / "m.txt", MatrixOperator(np.diag([1.0, 0.5])))
+    (tmp_path / "mat.ini").write_text(
+        "[operator]\nkind = matrix\npath = m.txt\n\n[diagnostic]\nop = mean-ergodic\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"),
+         str(tmp_path / "diag.ini"), str(tmp_path / "mat.ini")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, diagonal_loaded, matrix_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0], proc.stderr
+    assert not diagonal_loaded
+    assert matrix_loaded
