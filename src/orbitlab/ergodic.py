@@ -4,9 +4,10 @@ Matrices get the full spectral treatment: power-boundedness is
 certified by spectral radius <= 1 + tol together with semisimplicity of
 every peripheral eigenvalue (rank(T - mu I) == rank((T - mu I)^2)), and
 the mean-ergodic projection is the spectral projection onto ker(I - T)
-along rg(I - T), computed from a sorted Schur form plus a Sylvester
-solve.  Sampling alone can miss slow Jordan growth, hence the spectral
-certificate.
+along rg(I - T).  It is built from the certification's SVDs: with R and
+L orthonormal bases of ker(T - mu I) and ker((T - mu I)^H), the
+projection onto the eigenspace of mu is R (L^H R)^-1 L^H.  Sampling
+alone can miss slow Jordan growth, hence the spectral certificate.
 
 Diagonal operators get symbolic verdicts driven by the symbol family
 metadata (the infinite-dimensional claims cannot be established by
@@ -16,7 +17,7 @@ coordinates x_k (1 - a_k^n) / (n (1 - a_k)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +46,19 @@ PERIPHERAL_TOL = 1e-9  # peripheral-shell width for exact inputs
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues with their peripheral sublist (|lambda| >= 1 - peri_tol)."""
+    """Eigenvalues with their peripheral sublist (|lambda| >= 1 - peri_tol).
+
+    A record from ``certify_power_bounded`` also holds, per peripheral
+    cluster mu, ``(mu, R, L)``: orthonormal bases R of ker(T - mu I) and L
+    of ker((T - mu I)^H).  Reports do not print them.
+    """
 
     eigenvalues: tuple[complex, ...]
     peripheral: tuple[complex, ...]
     peri_tol: float
     sampled: bool = False
+    null_bases: tuple[tuple[complex, np.ndarray, np.ndarray], ...] = field(
+        default=(), compare=False, repr=False)
 
     @property
     def spectral_radius(self) -> float:
@@ -74,13 +82,6 @@ def spectrum_report(op: MatrixOperator, peri_tol: float = PERIPHERAL_TOL) -> Spe
     return SpectrumReport(tuple(complex(z) for z in eigs), peri, peri_tol)
 
 
-def _numerical_rank(a: np.ndarray, scale: float) -> int:
-    if scale == 0.0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > max(a.shape) * np.finfo(float).eps * scale * 8))
-
-
 def _cluster(values, radius: float) -> list[complex]:
     """One representative per run of values within ``radius`` of an earlier one."""
     centers: list[complex] = []
@@ -94,20 +95,36 @@ def certify_power_bounded(op: MatrixOperator, tol: float = 1e-8) -> SpectrumRepo
     """Certify sup_n ||T^n|| < infinity spectrally and return the spectrum.
 
     Requires spectral radius <= 1 + tol and every peripheral eigenvalue
-    semisimple.  Raises NotPowerBoundedError otherwise.
+    semisimple.  Raises NotPowerBoundedError otherwise, and
+    DecompositionError when a peripheral cluster's eigenspace dimension
+    differs from the number of eigenvalues within the cluster radius
+    (two distinct eigenvalues in one cluster).  The record holds each
+    cluster's null bases, read off the SVD of the rank test.
     """
     rep = spectrum_report(op)
     rho = rep.spectral_radius
     if rho > 1.0 + tol:
         raise NotPowerBoundedError(f"spectral radius {rho:g} exceeds 1 + {tol:g}")
-    a = op.entries
+    a, n = op.entries, op.dim
     scale = max(1.0, matrix_norm(a, "euclidean"))
-    for mu in _cluster(rep.peripheral, 1e-7 * scale):  # a multiple eigenvalue once
-        b = a - mu * np.eye(op.dim)
-        if _numerical_rank(b, scale) != _numerical_rank(b @ b, scale * scale):
+    cut = n * np.finfo(float).eps * scale * 8  # the rank threshold of A - mu I
+    radius = 1e-7 * scale
+    eigs = np.array(rep.eigenvalues)
+    bases = []
+    for mu in _cluster(rep.peripheral, radius):  # a multiple eigenvalue once
+        b = a - mu * np.eye(n)
+        u, s, vh = np.linalg.svd(b)
+        rank = int(np.sum(s > cut))
+        if rank != int(np.sum(np.linalg.svd(b @ b, compute_uv=False) > cut * scale)):
             raise NotPowerBoundedError(
                 f"peripheral eigenvalue {mu:.6g} is defective (non-semisimple)")
-    return rep
+        count = int(np.sum(np.abs(eigs - mu) <= radius))
+        if n - rank != count:
+            raise DecompositionError(
+                f"peripheral cluster at {mu:.6g} holds {count} eigenvalues but "
+                f"a {n - rank}-dimensional eigenspace")
+        bases.append((mu, vh[rank:].conj().T, u[:, rank:]))
+    return replace(rep, null_bases=tuple(bases))
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +190,21 @@ class ErgodicDecomposition:
     convergence_samples: dict = field(default_factory=dict)
 
 
-def _sorted_schur_projection(a: np.ndarray, select, semisimple_check: bool,
-                             tol: float):
-    """Spectral projection onto the eigenvalues picked by ``select``.
+def _spectral_projection(clusters, dim: int):
+    """P, the sum of ``R (L^H R)^-1 L^H`` over certified ``(mu, R, L)``
+    clusters, with orthonormal bases of rg P and ker P = rg(I - P).
 
-    Returns (P, sdim, block) where block is the leading Schur block.
-    Raises NotPowerBoundedError when ``semisimple_check`` is set and the
-    selected block is not a scalar multiple of the identity.
+    The stacked R span rg P.  P x = 0 exactly when L^H x = 0, so ker P is
+    the orthogonal complement of the stacked L: the trailing columns of a
+    complete QR of it.
     """
-    # imported here so that diagonal runs never load scipy (its import is half
-    # of a CLI start-up); tests/test_cli.py::test_diagonal_runs_do_not_load_scipy
-    import scipy.linalg
-    n = a.shape[0]
-    t, z, sdim = scipy.linalg.schur(a, output="complex", sort=select)
-    if sdim == 0:
-        return np.zeros_like(a), 0, None
-    if sdim == n:
-        return np.eye(n, dtype=np.complex128), n, t
-    a11 = t[:sdim, :sdim]
-    a12 = t[:sdim, sdim:]
-    a22 = t[sdim:, sdim:]
-    if semisimple_check:
-        off = a11 - np.diag(np.diag(a11))
-        if matrix_norm(off, "euclidean") > max(tol, 1e-8) * max(1.0, matrix_norm(a, "euclidean")):
-            raise NotPowerBoundedError("selected peripheral block is defective")
-    x = scipy.linalg.solve_sylvester(a11, -a22, a12)
-    p = np.zeros((n, n), dtype=np.complex128)
-    p[:sdim, :sdim] = np.eye(sdim)
-    p[:sdim, sdim:] = x
-    return z @ p @ z.conj().T, sdim, a11
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    for _, r, l in clusters:
+        p += r @ np.linalg.solve(l.conj().T @ r, l.conj().T)
+    empty = np.zeros((dim, 0), dtype=np.complex128)
+    rs = np.hstack([empty] + [r for _, r, _ in clusters])
+    ls = np.hstack([empty] + [l for _, _, l in clusters])
+    return p, np.linalg.qr(rs)[0], np.linalg.qr(ls, mode="complete")[0][:, ls.shape[1]:]
 
 
 class _CesaroStack:
@@ -231,38 +234,30 @@ class _CesaroStack:
 def mean_ergodic_projection(op: MatrixOperator, tol: float = 1e-8) -> ErgodicDecomposition:
     """Mean-ergodic projection P with ||A_n - P|| <= C/n verified.
 
-    Requires spectral certification of power-boundedness; a defective
-    eigenvalue 1 raises NotPowerBoundedError.
+    P is the spectral projection of the certified peripheral clusters
+    within 1e-7 of 1.  A defective eigenvalue 1 raises
+    NotPowerBoundedError, a cluster at 1 that holds another eigenvalue
+    DecompositionError.
     """
-    certify_power_bounded(op, tol)
-    return _mean_ergodic_projection(op, tol)
+    return _mean_ergodic_projection(op, certify_power_bounded(op, tol), tol)
 
 
-def _mean_ergodic_projection(op, tol, stack: _CesaroStack | None = None):
-    """``mean_ergodic_projection`` of a certified ``op``, with M and the
-    Cesaro sums from ``stack``."""
-    import scipy.linalg
+def _mean_ergodic_projection(op, spec: SpectrumReport, tol, stack: _CesaroStack | None = None):
+    """``mean_ergodic_projection`` of ``op`` from its certified record
+    ``spec``, with M and the Cesaro sums from ``stack``."""
     a = op.entries
     n = op.dim
     scale = max(1.0, matrix_norm(a, op.norm_tag))
-    p, sdim, block = _sorted_schur_projection(
-        a, lambda lam: abs(lam - 1.0) <= 1e-7, semisimple_check=True, tol=tol)
-    if block is not None:
-        if matrix_norm(block - np.eye(sdim), "euclidean") > max(tol, 1e-7) * scale:
-            raise NotPowerBoundedError("eigenvalue cluster at 1 is defective")
+    p, fix_cols, range_cols = _spectral_projection(
+        [c for c in spec.null_bases if abs(c[0] - 1.0) <= 1e-7], n)
 
     eye = np.eye(n, dtype=np.complex128)
     residual = float(matrix_norm(np.stack([p @ p - p, a @ p - p, p @ a - p]),
                                  op.norm_tag).max())
     if residual > max(tol, 1e-7) * scale:
         raise DecompositionError(f"projection residual {residual:g} above tolerance")
-
-    # fix and range bases
-    fix_cols = scipy.linalg.orth(p) if sdim else np.zeros((n, 0))
-    q = eye - p
-    range_cols = scipy.linalg.orth(q) if sdim < n else np.zeros((n, 0))
-    fix_basis = tuple(FiniteVector(fix_cols[:, i], op.norm_tag) for i in range(fix_cols.shape[1]))
-    range_basis = tuple(FiniteVector(range_cols[:, i], op.norm_tag) for i in range(range_cols.shape[1]))
+    fix_basis = tuple(FiniteVector(c, op.norm_tag) for c in fix_cols.T)
+    range_basis = tuple(FiniteVector(c, op.norm_tag) for c in range_cols.T)
 
     if stack is None:  # one stack of a^1 .. a^255 gives M and the Cesaro sums
         stack = _CesaroStack(n, op.norm_tag)
@@ -270,8 +265,8 @@ def _mean_ergodic_projection(op, tol, stack: _CesaroStack | None = None):
             stack.add(chunk)
 
     # ||A_n - P|| = ||(1/n)(I - T^n)(I - T)^{-1}(I - P)|| <= (1 + M)/n * ||Y||
-    if sdim < n:
-        y = np.linalg.solve(eye - a + p, q)
+    if range_basis:
+        y = np.linalg.solve(eye - a + p, eye - p)
         c_bound = (1.0 + stack.m_est) * matrix_norm(y, op.norm_tag)
     else:
         c_bound = 0.0

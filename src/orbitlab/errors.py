@@ -39,7 +39,9 @@ class PeripheralSpectrumError(OrbitLabError):
 
 
 class DecompositionError(OrbitLabError):
-    """A fix/range decomposition residual exceeded its tolerance."""
+    """A fix/range decomposition residual exceeded its tolerance, or a
+    peripheral cluster holds more eigenvalues than its eigenspace has
+    dimensions."""
 
 
 class UnsupportedSymbolError(OrbitLabError):

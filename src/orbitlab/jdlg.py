@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
 from .ergodic import (SpectrumReport, _CesaroStack, _cluster, _mean_ergodic_projection,
-                      _sorted_schur_projection, certify_power_bounded, spectrum_report)
+                      _spectral_projection, certify_power_bounded, spectrum_report)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
 from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
 from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
@@ -63,38 +63,32 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     """Split a certified power-bounded matrix into reversible + stable parts.
 
     E_rev is the span of eigenvectors with unimodular eigenvalues, E_aws
-    the complementary spectral subspace.  Records the largest norm of the
-    restricted action's powers in both directions up to ``group_horizon``
+    the complementary spectral subspace; the projection is the sum of the
+    spectral projections of the certified peripheral clusters, built from
+    the certification's SVDs.  Records the largest norm of the restricted
+    action's powers in both directions up to ``group_horizon``
     (``rev_power_bound``) and, in ``diagnostics["aws_decay_constants"]``,
     the largest ``||T^k y|| / (rho_aws + tol)**k`` over k <= 200 for up to
     three stable basis vectors y.  It asserts neither bound.
     """
-    import scipy.linalg
     spec = certify_power_bounded(op, tol)
     eigs = np.array(spec.eigenvalues)
     a = op.entries
     n = op.dim
-    p, sdim, _ = _sorted_schur_projection(
-        a, lambda lam: abs(lam) >= 1 - spec.peri_tol, semisimple_check=False, tol=tol)
+    p, rev_cols, aws_cols = _spectral_projection(spec.null_bases, n)
     interior = eigs[np.abs(eigs) < 1 - spec.peri_tol]
     rho_aws = float(np.max(np.abs(interior))) if interior.size else 0.0
 
-    eye = np.eye(n, dtype=np.complex128)
     residual = float(matrix_norm(np.stack([p @ p - p, a @ p - p @ a]), op.norm_tag).max())
-
-    rev_cols = scipy.linalg.orth(p) if sdim else np.zeros((n, 0))
-    aws_cols = scipy.linalg.orth(eye - p) if sdim < n else np.zeros((n, 0))
-    rev_basis = tuple(FiniteVector(rev_cols[:, i], op.norm_tag)
-                      for i in range(rev_cols.shape[1]))
-    aws_basis = tuple(FiniteVector(aws_cols[:, i], op.norm_tag)
-                      for i in range(aws_cols.shape[1]))
+    rev_basis = tuple(FiniteVector(c, op.norm_tag) for c in rev_cols.T)
+    aws_basis = tuple(FiniteVector(c, op.norm_tag) for c in aws_cols.T)
 
     rev_action = None
     rev_power_bound = 0.0
-    if sdim:
+    if rev_basis:
         r = rev_cols.conj().T @ a @ rev_cols
         rev_action = MatrixOperator(r, op.norm_tag)
-        eye_r = np.eye(sdim, dtype=np.complex128)
+        eye_r = np.eye(len(rev_basis), dtype=np.complex128)
         worst = 1.0
         for g in (r, np.linalg.inv(r)):
             for chunk in power_chunks(g, g @ eye_r, group_horizon):
@@ -153,7 +147,7 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9) -> KtzR
         stack.add(chunk)
         done += len(chunk)
     curve = np.concatenate(curve)
-    dec = _mean_ergodic_projection(op, max(tol, 1e-10), stack)
+    dec = _mean_ergodic_projection(op, spec, max(tol, 1e-10), stack)
     limit_defect = matrix_norm(last - dec.projection.entries, op.norm_tag)
     tail = curve[horizon // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1]))

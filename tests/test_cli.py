@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -431,32 +432,48 @@ class TestUnwritableOutput:
         self._check(tmp_path, capsys, code)
 
 
-# run in a fresh interpreter: this test process has loaded scipy already
+# run in a fresh interpreter: this test process may have loaded scipy already
 _SCIPY_PROBE = """
 import json, sys
+import orbitlab.cli, orbitlab.ergodic, orbitlab.jdlg
 from orbitlab.cli import main
-out, diag, mat = sys.argv[1:]
+out, diag, mat, split = sys.argv[1:]
 codes = [main(["demo", "example33", "--out-dir", out]),
-         main(["run", "--config", diag, "--out-dir", out])]
-diagonal_loaded = "scipy" in sys.modules
-codes.append(main(["run", "--config", mat, "--out-dir", out]))
-print(json.dumps([codes, diagonal_loaded, "scipy.linalg" in sys.modules]))
+         main(["run", "--config", diag, "--out-dir", out]),
+         main(["demo", "ktz", "--out-dir", out]),
+         main(["run", "--config", mat, "--out-dir", out]),
+         main(["run", "--config", split, "--out-dir", out])]
+print(json.dumps([codes, "scipy" in sys.modules]))
 """
 
 
-def test_diagonal_runs_do_not_load_scipy(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
     (tmp_path / "diag.ini").write_text(
         "[operator]\nkind = root_perturbed\nm = 3\n\n[diagnostic]\nop = mean-ergodic\n")
     write_matrix_file(tmp_path / "m.txt", MatrixOperator(np.diag([1.0, 0.5])))
-    (tmp_path / "mat.ini").write_text(
-        "[operator]\nkind = matrix\npath = m.txt\n\n[diagnostic]\nop = mean-ergodic\n")
+    for name, op in (("mat", "mean-ergodic"), ("split", "jdlg")):
+        (tmp_path / f"{name}.ini").write_text(
+            f"[operator]\nkind = matrix\npath = m.txt\n\n[diagnostic]\nop = {op}\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"),
-         str(tmp_path / "diag.ini"), str(tmp_path / "mat.ini")],
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out")]
+        + [str(tmp_path / f"{name}.ini") for name in ("diag", "mat", "split")],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, diagonal_loaded, matrix_loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0], proc.stderr
-    assert not diagonal_loaded
-    assert matrix_loaded
+    codes, scipy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 5, proc.stderr
+    assert not scipy_loaded
+
+
+def test_no_module_imports_scipy():
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "orbitlab").glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)

@@ -113,8 +113,10 @@ class TestProjection:
 
 class TestFixSeparation:
     def test_jordan_at_one_rejected(self):
-        with pytest.raises(NotPowerBoundedError):
-            mean_ergodic_projection(MatrixOperator(np.array([[1, 1], [0, 1]], dtype=complex)))
+        jordan = MatrixOperator(np.array([[1, 1], [0, 1]], dtype=complex))
+        for split in (mean_ergodic_projection, jdlg.jdlg_split):
+            with pytest.raises(NotPowerBoundedError):
+                split(jordan)
 
 
 class TestDiagonalVerdict:

@@ -298,13 +298,13 @@ RUN_DIGESTS = {
         "meroot1.json": "6040fb48080cbb9c4c8b7900453d0d13a60cc823965c033e70dcba2e87083a33",
     }),
     "mean-ergodic-matrix-euclidean": (0, {
-        "mematl2.json": "6d876c1d2efa23e9bbcb35797fe74b776e5b81bc7aca6f0720c412aa8f14a966",
+        "mematl2.json": "d21ae7e226c779f8958229894acf824a332bd1ace24329a3ba25858ab778fae5",
     }),
     "mean-ergodic-matrix-sup": (0, {
-        "mematsup.json": "8ebf3183969d688870284fdd3d132ba1d6f625fbfab9af7ffca486681509ca5c",
+        "mematsup.json": "684f6dfd67a55648a1c0395304c43022eb1491963b11caf6437268f8d7b99f44",
     }),
     "jdlg-matrix": (0, {
-        "jdlgmat.json": "74efb27a695fed518b6ff9dcf21af095128deae7e45bb4701285270298565358",
+        "jdlgmat.json": "c705534bdc8bc2c2ae6510cd2f700aef827a0ce8b106db2985f240d44dfe85f4",
     }),
 }
 
