@@ -33,8 +33,8 @@ from .gallery import (c0_witness, limit_one_operator,
                       probe_from_spec, root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
 from .operators import DiagonalOperator, MatrixOperator
-from .orbits import (cloud_diagnostic, compactness_diagnostic,
-                     difference_compactness_diagnostic, orbit)
+from .orbits import (CHECK_HORIZONS, compactness_diagnostic,
+                     difference_compactness_diagnostic, orbit_check)
 from .seqspace import constant_one, lin_comb, sup_norm
 
 SCHEMA_VERSION = 2
@@ -81,22 +81,24 @@ def _assertion(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _emit(kind: str, name: str, seed: int, tol: float, config: dict, out_dir: str,
+def _emit(kind: str, name: str, seed: int, tol: float | None, config: dict, out_dir: str,
           formats: tuple[str, ...], elapsed: float, results: dict, assertions: list,
           tables: dict) -> int:
     """Write the report, its CSV tables and the timing sidecar, print one
-    line per assertion and return the exit code."""
+    line per assertion and return the exit code.  A run report prints its
+    one tolerance; a demo, whose tolerances are fixed, prints none."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "name": name,
         "seed": seed,
-        "tol": tol,
         "config": config,
         "results": results,
         "assertions": assertions,
         "tables": sorted(f"{name}.{t}.csv" for t in tables),
     }
+    if tol is not None:
+        report["tol"] = tol
     os.makedirs(out_dir, exist_ok=True)
     if "json" in formats:
         write_json_atomic(os.path.join(out_dir, f"{name}.json"), report)
@@ -114,18 +116,17 @@ def _emit(kind: str, name: str, seed: int, tol: float, config: dict, out_dir: st
 # ---------------------------------------------------------------------------
 # Demos
 
-def _demo_limit_one(seed: int, tol: float, out_dir: str):
+def _demo_limit_one(seed: int, out_dir: str):
     op = limit_one_operator()
     one = constant_one("c")
-    horizons = [100, 200, 400]
-    grow = compactness_diagnostic(op, one, [1.0], horizons, tol=1e-8)
+    grow = orbit_check(op, one, 1.0, 1e-8)
     probe = lin_comb([1.0, -1.0], [one, op.apply(one)])
-    sat = cloud_diagnostic(orbit(op, probe, 400, tol=1e-8), [1.0], horizons)
+    sat = orbit_check(op, probe, 1.0, 1e-8)
     verdict = diagonal_mean_ergodic_verdict(op)
     assertions = [
         _assertion("orbit_of_one_grows", grow.verdict == "growing", grow.verdict),
         _assertion("orbit_packing_equals_horizon",
-                   bool(np.array_equal(grow.packing[0], horizons)),
+                   bool(np.array_equal(grow.packing[0], CHECK_HORIZONS)),
                    str(grow.packing[0].tolist())),
         _assertion("c0_probe_saturates", sat.verdict == "saturating", sat.verdict),
         _assertion("not_mean_ergodic_on_c", not verdict.is_mean_ergodic,
@@ -144,15 +145,14 @@ def _demo_limit_one(seed: int, tol: float, out_dir: str):
     return results, assertions, tables
 
 
-def _demo_root_limit(seed: int, tol: float, out_dir: str):
+def _demo_root_limit(seed: int, out_dir: str):
     op = root_limit_operator(2)
     one = constant_one("c")
-    horizons = [100, 200, 400]
     y_sq = lin_comb([1.0, -1.0], [one, op.power(2).apply(one)])
     ns, _ = sup_norm(y_sq, 1e-9)
-    sat = cloud_diagnostic(orbit(op, y_sq, 400, tol=1e-8), [1.25 * ns], horizons)
+    sat = orbit_check(op, y_sq, 1.25 * ns, 1e-8)
     y = one_minus_symbol_vector(op)
-    grow = cloud_diagnostic(orbit(op, y, 400, tol=1e-8), [1.0], horizons)
+    grow = orbit_check(op, y, 1.0, 1e-8)
     assertions = [
         _assertion("difference_square_probe_saturates", sat.verdict == "saturating",
                    sat.verdict),
@@ -169,7 +169,7 @@ def _demo_root_limit(seed: int, tol: float, out_dir: str):
     return results, assertions, tables
 
 
-def _demo_witness(seed: int, tol: float, out_dir: str):
+def _demo_witness(seed: int, out_dir: str):
     operator_spec = {"kind": "harmonic", "rate": 1.0, "space": "c"}
     probe_spec = {"kind": "one"}
     op = operator_from_spec(operator_spec)
@@ -197,7 +197,7 @@ def _demo_witness(seed: int, tol: float, out_dir: str):
     return results, assertions, {}
 
 
-def _demo_ktz(seed: int, tol: float, out_dir: str):
+def _demo_ktz(seed: int, out_dir: str):
     op = MatrixOperator(np.diag([1.0, 0.9]).astype(np.complex128), "euclidean")
     horizon = 200
     rep = ktz_check(op, horizon=horizon, tol=1e-9)
@@ -221,7 +221,7 @@ def _demo_ktz(seed: int, tol: float, out_dir: str):
     return results, assertions, {"decay": rows}
 
 
-def _demo_halfsum(seed: int, tol: float, out_dir: str):
+def _demo_halfsum(seed: int, out_dir: str):
     rng = np.random.default_rng(seed)
     checked = 0
     worst_interior = 0.0
@@ -259,7 +259,7 @@ _DEMOS = {"example33": _demo_limit_one, "example43": _demo_root_limit,
 DEMO_NAMES = tuple(_DEMOS)
 
 
-def cmd_demo(name: str, seed: int, tol: float, out_dir: str,
+def cmd_demo(name: str, seed: int, out_dir: str,
              formats: tuple[str, ...] = ("json", "csv")) -> int:
     if name not in _DEMOS:
         print(f"error: unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}",
@@ -268,8 +268,8 @@ def cmd_demo(name: str, seed: int, tol: float, out_dir: str,
     try:
         os.makedirs(out_dir, exist_ok=True)
         t0 = time.perf_counter()
-        results, assertions, tables = _DEMOS[name](seed, tol, out_dir)
-        return _emit("demo", name, seed, tol, {"demo": name, "seed": seed, "tol": tol},
+        results, assertions, tables = _DEMOS[name](seed, out_dir)
+        return _emit("demo", name, seed, None, {"demo": name, "seed": seed},
                      out_dir, formats, time.perf_counter() - t0, results, assertions, tables)
     except OSError as exc:  # the demos read no file: an unwritable output
         return _io_error(exc)
@@ -327,6 +327,8 @@ def load_config(path: str) -> dict:
         _positive(float(run["tol"]), "run.tol")
     except ValueError as exc:
         raise ConfigError("run.seed must be an int and run.tol a finite positive float") from exc
+    if "ktz_tol" in cfg["diagnostic"]:
+        raise ConfigError("[diagnostic] ktz_tol is not read: ktz runs at [run] tol (or run --tol)")
     return cfg
 
 
@@ -398,8 +400,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
                                          f"{split.residual:.3e}"))
     elif which == "ktz":
         horizon = int(sec.get("horizon", 200))
-        ktz_tol = _positive(float(sec.get("ktz_tol", 1e-9)), "ktz_tol")
-        rep = ktz_check(op, horizon=horizon, tol=ktz_tol)
+        rep = ktz_check(op, horizon=horizon, tol=tol)
         results["ktz"] = {"passed": rep.passed, "limit_defect": rep.limit_defect,
                           "decay_final": float(rep.decay_curve[-1])}
         rows = [("n", "decay")]
@@ -407,7 +408,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
         tables["decay"] = rows
         assertions.append(_assertion("ktz_passed", rep.passed, ""))
     elif which == "halfsum":
-        res = half_sum(op, tol=max(tol, 1e-9))
+        res = half_sum(op, tol=tol)
         results["spectrum"] = res.spectrum.to_json_dict()
         ok = all(abs(l) < 1 - 1e-12 or abs(l - 1) <= 1e-9
                  for l in res.spectrum.eigenvalues)
@@ -418,7 +419,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
         count = int(sec.get("count", 20))
         horizon = int(sec.get("horizon", 10_000))
         try:
-            audit = c0_witness(op, probe, count, horizon, tol=max(tol, 1e-8))
+            audit = c0_witness(op, probe, count, horizon, tol=tol)
         except HorizonExhaustedError as exc:
             audit = exc.audit
         results["audit"] = audit.to_json_dict()
@@ -494,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("demo", help="run a bundled scenario")
     d.add_argument("name", help=f"one of: {', '.join(DEMO_NAMES)}")
     d.add_argument("--seed", type=int, default=2026)
-    d.add_argument("--tol", type=float, default=1e-8)
     d.add_argument("--out-dir", default="out")
     d.add_argument("--json", action="store_true", help="write only the JSON report")
     d.add_argument("--csv", action="store_true", help="write only the CSV tables")
@@ -529,13 +529,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        print("error: --tol must be finite and positive", file=sys.stderr)
-        return EXIT_USAGE
     if args.command == "demo":
-        return cmd_demo(args.name, args.seed, args.tol, args.out_dir, _formats(args))
+        return cmd_demo(args.name, args.seed, args.out_dir, _formats(args))
     if args.command == "run":
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            print("error: --tol must be finite and positive", file=sys.stderr)
+            return EXIT_USAGE
         return cmd_run(args.config, args.out_dir, args.seed, args.tol, _formats(args))
     return cmd_verify_certificate(args.path, args.out_dir)
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 PERIPHERAL_TOL = 1e-9  # peripheral-shell width for exact inputs
+_GAP_HEAD_TOL = 1e-6  # the symbol gap samples the head until the tail bound is below this
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def _mean_ergodic_projection(op, spec: SpectrumReport, tol, stack: _CesaroStack 
     eye = np.eye(n, dtype=np.complex128)
     residual = float(matrix_norm(np.stack([p @ p - p, a @ p - p, p @ a - p]),
                                  op.norm_tag).max())
-    if residual > max(tol, 1e-7) * scale:
+    if residual > tol * scale:
         raise DecompositionError(f"projection residual {residual:g} above tolerance")
     fix_basis = tuple(FiniteVector(c, op.norm_tag) for c in fix_cols.T)
     range_basis = tuple(FiniteVector(c, op.norm_tag) for c in range_cols.T)
@@ -275,7 +276,7 @@ def _mean_ergodic_projection(op, spec: SpectrumReport, tol, stack: _CesaroStack 
     for nn in stack.counts:
         diff = matrix_norm(stack.sums[nn] / nn - p, op.norm_tag)
         samples[nn] = diff
-        if diff > c_bound / nn + max(tol, 1e-9) * scale:
+        if diff > c_bound / nn + tol * scale:
             raise DecompositionError(
                 f"Cesaro mean at n={nn} misses the projection: {diff:g} > {c_bound / nn:g}")
 
@@ -290,14 +291,14 @@ class MeanErgodicVerdict:
     evidence: dict
 
 
-def _certified_symbol_gap(sym, tol: float = 1e-6) -> float:
+def _certified_symbol_gap(sym) -> float:
     """Certified inf over the closed, non-fixed symbol range of |1 - a|.
 
     Exactly fixed indices (a_k == 1 by family structure) are excluded;
     the tail beyond the sampled head is controlled by the certificate.
     """
     gap_limit = abs(1.0 - sym.limit_value)
-    k_head = sym.tail.first_index_below(max(gap_limit / 2, tol)) or 4096
+    k_head = sym.tail.first_index_below(max(gap_limit / 2, _GAP_HEAD_TOL)) or 4096
     k_head = min(max(k_head, 64), 1 << 22)
     ks = np.arange(1, k_head + 1)
     vals = np.abs(1.0 - sym.values(ks))

@@ -41,8 +41,7 @@ from .jdlg import diagonal_jdlg
 from .operators import (SYMBOL_FAMILIES, DiagonalOperator, DiagonalSymbol,
                         MatrixOperator, harmonic_symbol, power_apply,
                         read_matrix_file, root_perturbed_symbol)
-from .orbits import (_NOT_SEPARATED, _SEPARATED, cloud_diagnostic, difference_orbit,
-                     orbit)
+from .orbits import _NOT_SEPARATED, _SEPARATED, orbit, orbit_check
 from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
                        from_prefix, lin_comb, sup_norm)
 
@@ -68,8 +67,9 @@ _PREFIX_CHECK_LEN = 32
 # cap on logged products x horizon: a product cloud holds about 34 B per
 # difference, so the product clouds of one step take at most about 64 MB
 _MAX_PRODUCT_DIFFERENCES = (64 << 20) // 34
-_DIAG_HORIZONS = (100, 200, 400)  # horizons of the c0_witness precondition diagnostics
 _SPEC_DEFAULTS = {"rate": 1.0, "m": 2, "angle": 0.0}  # of the symbol parameters
+_SCAN_TOL = 1e-8  # the coarsest tolerance of a witness or ladder-test norm scan
+_VERIFY_TOL = 1e-6  # the ladder test's tolerance when a certificate is verified
 
 
 def limit_one_operator(rate: float = 1.0) -> DiagonalOperator:
@@ -233,26 +233,22 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         raise NotApplicableError("splitting projection is not certified as the "
                                  "identity on the almost periodic part")
 
-    x_norm, _ = sup_norm(x, min(tol, 1e-8))  # also the separation scale
+    fine = min(tol, _SCAN_TOL)
+    x_norm, _ = sup_norm(x, fine)  # also the separation scale
     if x_norm == 0.0:
         raise NotApplicableError("zero probe vector")
 
-    top = _DIAG_HORIZONS[-1]
-    orbit_rep = cloud_diagnostic(
-        orbit(op, x, top, tol=min(tol, x_norm / 100, 1e-8)),
-        [x_norm], _DIAG_HORIZONS)
+    orbit_rep = orbit_check(op, x, x_norm, fine)
     if orbit_rep.verdict != "growing":
         raise NotApplicableError(
             f"orbit diagnostic verdict is {orbit_rep.verdict!r}; the witness "
             "construction needs a certified non-compact orbit")
 
     diff_probe = lin_comb([1.0, -1.0], [x, op.apply(x)])
-    dn, _ = sup_norm(diff_probe, min(tol, 1e-8))
+    dn, _ = sup_norm(diff_probe, fine)
     if dn > 0:
         eps_diff = 1.25 * dn
-        diff_rep = cloud_diagnostic(
-            difference_orbit(op, x, top, tol=min(tol, eps_diff / 100, 1e-8)),
-            [eps_diff], _DIAG_HORIZONS)
+        diff_rep = orbit_check(op, x, eps_diff, fine, difference=True)
         if diff_rep.verdict != "saturating":
             raise NotApplicableError(
                 f"difference-orbit diagnostic verdict is {diff_rep.verdict!r}; "
@@ -262,7 +258,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
 
     # separated exponent family: greedy certified x_norm-separated subset
     cap = max(4 * count, 16)
-    cloud = orbit(op, x, horizon, tol=min(tol, 1e-8))
+    cloud = orbit(op, x, horizon, tol=fine)
     members = [cloud.labels[i] for i in cloud.greedy_net(x_norm, cap)]
     if len(members) < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
@@ -304,7 +300,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         used_ds.add(d)
         log.append((s_exp, t_exp))
         entry = _ladder_vector(op, x, d)
-        val, err = sup_norm(entry, min(tol, 1e-8))
+        val, err = sup_norm(entry, fine)
         ladder.append(entry)
         norms.append(val)
         if step + 1 < count and len(products) * 2 * horizon > _MAX_PRODUCT_DIFFERENCES:
@@ -315,7 +311,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     norms_ok = all(v >= delta / bound_m - tol for v in norms)
 
     # one certified bound over every subset sum of the ladder
-    sum_bound = unconditional_constant(ladder, min(tol, 1e-8)) if achieved else 0.0
+    sum_bound = unconditional_constant(ladder, fine) if achieved else 0.0
 
     notes = ("series of ladder entries cannot converge: norms are bounded "
              f"below by delta/M = {delta / bound_m:g}") if achieved else ""
@@ -399,10 +395,11 @@ def bp_test(vectors: Sequence[SeqVector], tol: float = 1e-6) -> BpReport:
     """
     if len(vectors) < 2:
         raise ValueError("bp_test needs at least two vectors")
-    norms = [sup_norm(v, min(tol, 1e-8)) for v in vectors]
+    fine = min(tol, _SCAN_TOL)
+    norms = [sup_norm(v, fine) for v in vectors]
     first_partial = norms[0].value + norms[0].error_bound
     defect = min(val - err for val, err in norms)
-    bound = unconditional_constant(vectors, min(tol, 1e-8))
+    bound = unconditional_constant(vectors, fine)
     detected = bool(bound < 10.0 * first_partial and defect > tol)
     return BpReport(float(bound), float(defect), float(first_partial), detected)
 
@@ -510,7 +507,7 @@ def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
         fh.write("\n")
 
 
-def verify_certificate(path, tol: float = 1e-6) -> dict:
+def verify_certificate(path) -> dict:
     """Rebuild the ladder from a certificate and re-run the ladder test.
 
     Checks the stored coordinate prefixes against the reconstruction
@@ -547,11 +544,11 @@ def verify_certificate(path, tol: float = 1e-6) -> dict:
         raise CertificateError(f"malformed certificate: {exc}") from exc
     report: dict = {"prefix_ok": True, "pairs": len(pairs)}
     if len(ladder) >= 2:
-        bp = bp_test(ladder, tol=tol)
+        bp = bp_test(ladder, tol=_VERIFY_TOL)
         report["bp"] = bp.to_json_dict()
         report["ladder_detected"] = bp.ladder_detected
     else:
-        norms = [sup_norm(v, 1e-8).value for v in ladder]
+        norms = [sup_norm(v, _SCAN_TOL).value for v in ladder]
         report["ladder_norms"] = norms
         report["ladder_detected"] = False
         report["note"] = "ladder too short for the partial-sum test"

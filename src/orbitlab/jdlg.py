@@ -14,7 +14,7 @@ Peripheral thresholds are 1e-9 (``ergodic.PERIPHERAL_TOL``), for exact inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,8 @@ from .errors import PeripheralSpectrumError, UnsupportedSymbolError
 from .ergodic import (SpectrumReport, _CesaroStack, _cluster, _mean_ergodic_projection,
                       _spectral_projection, certify_power_bounded, spectrum_report)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
-from .orbits import cloud_diagnostic, compactness_diagnostic, orbit
-from .seqspace import (FiniteVector, SeqVector, constant_one, lin_comb, stacked_norms,
-                       sup_norm)
+from .orbits import orbit_check
+from .seqspace import FiniteVector, SeqVector, constant_one, lin_comb, sup_norm
 
 __all__ = [
     "SpectrumReport",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 _HALF_SUM_SAMPLES = 512  # indices k whose (1 + a_k) / 2 a diagonal half_sum samples
-_DIAG_HORIZONS, _DIAG_TOL = (100, 200, 400), 1e-8  # diagonal_jdlg's cross-check
+_CROSS_CHECK_TOL = 1e-8  # the coarsest cloud tolerance of diagonal_jdlg's cross-check
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class JdlgSplit:
     aws_spectral_radius: float
     rev_power_bound: float          # sup over |n| <= horizon of ||rev_action^n||
     residual: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
@@ -67,9 +65,7 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
     spectral projections of the certified peripheral clusters, built from
     the certification's SVDs.  Records the largest norm of the restricted
     action's powers in both directions up to ``group_horizon``
-    (``rev_power_bound``) and, in ``diagnostics["aws_decay_constants"]``,
-    the largest ``||T^k y|| / (rho_aws + tol)**k`` over k <= 200 for up to
-    three stable basis vectors y.  It asserts neither bound.
+    (``rev_power_bound``); it does not assert it.
     """
     spec = certify_power_bounded(op, tol)
     eigs = np.array(spec.eigenvalues)
@@ -94,21 +90,8 @@ def jdlg_split(op: MatrixOperator, tol: float = 1e-8,
             for chunk in power_chunks(g, g @ eye_r, group_horizon):
                 worst = max(worst, matrix_norm(chunk, op.norm_tag).max())
         rev_power_bound = float(worst)
-
-    # geometric decay on the stable part
-    decay = {}
-    if aws_basis:
-        r_eff = rho_aws + tol
-        scale = r_eff ** np.arange(1, 201, dtype=np.float64)
-        for idx, y in enumerate(aws_basis[: min(3, len(aws_basis))]):
-            powers = np.concatenate(list(power_chunks(a, a @ y.coords, 200)))
-            nrms = stacked_norms(powers, op.norm_tag)[0]
-            with np.errstate(divide="ignore", invalid="ignore"):  # r_eff ** k may underflow
-                ratios = np.where(nrms > 0, nrms / scale, 0.0)  # a vanished power adds 0
-            decay[idx] = max(0.0, float(ratios.max())) if r_eff > 0 else 0.0
-    diagnostics = {"aws_decay_constants": decay, "group_horizon": group_horizon}
     return JdlgSplit(MatrixOperator(p, op.norm_tag), rev_basis, aws_basis,
-                     rev_action, rho_aws, rev_power_bound, residual, diagnostics)
+                     rev_action, rho_aws, rev_power_bound, residual)
 
 
 @dataclass(frozen=True)
@@ -129,7 +112,7 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9) -> KtzR
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    spec = certify_power_bounded(op, max(tol, 1e-10))
+    spec = certify_power_bounded(op, tol)
     bad = [z for z in spec.peripheral if abs(z - 1) > spec.peri_tol * 10 + 1e-12]
     if bad:
         scale = max(1.0, matrix_norm(op.entries, "euclidean"))
@@ -147,7 +130,7 @@ def ktz_check(op: MatrixOperator, horizon: int = 200, tol: float = 1e-9) -> KtzR
         stack.add(chunk)
         done += len(chunk)
     curve = np.concatenate(curve)
-    dec = _mean_ergodic_projection(op, spec, max(tol, 1e-10), stack)
+    dec = _mean_ergodic_projection(op, spec, tol, stack)
     limit_defect = matrix_norm(last - dec.projection.entries, op.norm_tag)
     tail = curve[horizon // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1]))
@@ -241,12 +224,11 @@ def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True) -> DiagonalJdl
     checks = None
     if cross_check:
         one = constant_one("c")
-        grow = compactness_diagnostic(op, one, [1.0], _DIAG_HORIZONS, tol=_DIAG_TOL)
+        grow = orbit_check(op, one, 1.0, _CROSS_CHECK_TOL)
         probe = lin_comb([1.0, -1.0], [one, op.power(m).apply(one)])
         pn, _ = sup_norm(probe, 1e-9)
         eps = 1.25 * pn
-        probe_cloud = orbit(op, probe, max(_DIAG_HORIZONS), tol=min(_DIAG_TOL, eps / 100))
-        sat = cloud_diagnostic(probe_cloud, [eps], _DIAG_HORIZONS)
+        sat = orbit_check(op, probe, eps, _CROSS_CHECK_TOL)
         checks = {
             "orbit_of_one": grow.verdict,
             "c0_probe": sat.verdict,

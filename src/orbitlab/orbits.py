@@ -77,9 +77,12 @@ __all__ = [
     "cloud_diagnostic",
     "compactness_diagnostic",
     "difference_compactness_diagnostic",
+    "orbit_check",
+    "CHECK_HORIZONS",
 ]
 
 GROWTH_FACTOR = 1.1  # >= 10% growth per horizon step counts as growing
+CHECK_HORIZONS = (100, 200, 400)  # the horizons of ``orbit_check``
 
 
 def _certified_above(rows: np.ndarray, norm_tag: str, eps: float):
@@ -565,3 +568,12 @@ def difference_compactness_diagnostic(op, x, epsilons: Sequence[float],
     rep = cloud_diagnostic(cloud, epsilons, horizons)
     rep.description = "difference orbit"
     return rep
+
+
+def orbit_check(op, x, eps: float, tol: float, difference: bool = False) -> CompactnessReport:
+    """The fixed grows/saturates check: the packing table at the one
+    ``eps`` over ``CHECK_HORIZONS`` of the orbit of ``x`` (its difference
+    orbit when ``difference``), on a cloud at tolerance ``min(tol, eps / 100)``."""
+    cloud = (difference_orbit if difference else orbit)(
+        op, x, CHECK_HORIZONS[-1], min(tol, eps / 100))
+    return cloud_diagnostic(cloud, [eps], CHECK_HORIZONS)

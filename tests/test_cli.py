@@ -322,8 +322,7 @@ horizon = 1500
 
 
 @pytest.mark.parametrize("where, value", [
-    ("config", "nan"), ("config", "inf"), ("demo", "nan"), ("demo", "inf"),
-    ("run", "nan"), ("run", "inf")])
+    ("config", "nan"), ("config", "inf"), ("run", "nan"), ("run", "inf")])
 def test_non_finite_tol_is_one_line_usage_error(tmp_path, capsys, where, value):
     # these used to run every diagnostic and then die in json.dump (exit 1)
     cfg = tmp_path / "run.ini"
@@ -332,8 +331,7 @@ def test_non_finite_tol_is_one_line_usage_error(tmp_path, capsys, where, value):
                    "[diagnostic]\nop = compactness\nhorizons = 10 20 40\n")
     out = tmp_path / "out"
     argv = {"config": ["run", "--config", str(cfg)],
-            "run": ["run", "--config", str(cfg), "--tol", value],
-            "demo": ["demo", "example43", "--tol", value]}[where]
+            "run": ["run", "--config", str(cfg), "--tol", value]}[where]
     capsys.readouterr()
     assert run_cli(*argv, "--out-dir", str(out)) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -208,43 +208,6 @@ def test_mean_ergodic_one_stack_matches_two_loops(rng, chunk, tag):
         assert all(same_bits(dec.convergence_samples[k], samples[k]) for k in samples)
 
 
-def ref_decay_constants(op, split, tol):
-    """The stable-part decay constants as the per-vector loop took them."""
-    r_eff = split.aws_spectral_radius + tol
-    out = {}
-    for idx, y in enumerate(split.aws_basis[:3]):
-        cur, worst = y.coords, 0.0
-        for k in range(1, 201):
-            cur = op.entries @ cur
-            worst = max(worst, FiniteVector(cur, op.norm_tag).norm() / r_eff ** k)
-        out[idx] = worst
-    return out
-
-
-@TAGS
-def test_jdlg_decay_constants_match_loop(rng, chunk, tag):
-    # The stacked and per-vector euclidean norms are each within
-    # gamma_{2N+4} of the exact norm (stacked_norms); Python's and numpy's
-    # pow and the division add an ulp each.  Sup norms agree exactly.
-    only_one, rotating = batteries(rng, tag)
-    for op in only_one + rotating:
-        split = jdlg_split(op, group_horizon=10)
-        got = split.diagnostics["aws_decay_constants"]
-        want = ref_decay_constants(op, split, 1e-8)
-        assert got.keys() == want.keys() and got
-        ulps = 4 * (2 * op.dim + 4) + 8 if tag == "euclidean" else 8
-        for idx in want:
-            assert abs(got[idx] - want[idx]) <= ulps * 2.0 ** -53 * want[idx]
-
-
-@pytest.mark.parametrize("rate", [0.01, 0.0])
-def test_jdlg_decay_constants_survive_underflow(rate):
-    # r_eff ** k underflows to 0 long before k = 200 here; the per-vector
-    # loop divided by it and raised ZeroDivisionError
-    split = jdlg_split(MatrixOperator(np.diag([1.0, rate]).astype(np.complex128)))
-    assert 0.0 <= split.diagnostics["aws_decay_constants"][0] <= 1.0
-
-
 def pair_decisions(points, tag, eps):
     """The finite-vector decision on one candidate and member pair at a
     time, over FiniteVector differences."""

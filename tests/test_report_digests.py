@@ -47,25 +47,25 @@ SEED = 2026
 DIGESTS = {
     "example33": (0, {
         "example33.c0_probe.csv": "82029a06fe84b65adc7b17a2ea0e8097e1b71118f1c24c257d9fcbba1399e0ce",
-        "example33.json": "c2d625397a00fddfe03fdeacc97140d4d3f6ea599a561019d5e714b964ca132d",
+        "example33.json": "a8e7b2c73f187be6e62f1680ddc3ec9a2cf739e7c00c74f23b94884c940afe6d",
         "example33.orbit.csv": "a262d30583845908e95cf09df2e237afb324e3944df0c45f9a28a1a43f1c9b48",
     }),
     "example43": (0, {
-        "example43.json": "6650cbe9f2d2bd9df5e26abccd0a1f2844a38ec698d8c99e032f4caa5fad32a2",
+        "example43.json": "92cf9e55c124e5c7ec0dc97d7f17aa693e6bfe56a665ed9137cf9af241676000",
         "example43.one_minus_symbol.csv": "a262d30583845908e95cf09df2e237afb324e3944df0c45f9a28a1a43f1c9b48",
         "example43.square_difference.csv": "1d06bb95d1bf6ec89fe113ede706856d22ef4aef3ff9d090158106d8323f2253",
     }),
     "witness": (0, {
         "witness.certificate.json": "079416499965849d0516d6a85646c97137ee6d0a2a1cdf8b867b8d2f21ae86ce",
-        "witness.json": "2a1f8131cb88a30407a2e38d953468639b49012c1050c7f12bea98c4dd7f6c95",
+        "witness.json": "c952ad94d4d777eee0a1bf978ff782f1ce1783b964185105354ac279bfc22950",
     }),
     "ktz": (0, {
         "ktz.decay.csv": "f32c4e6ad318883ce92c95538936fffae922cc7c8e3fb7d0daf3b050164221db",
-        "ktz.json": "bf8eab9cd2f26c7ba1f3353b7166016cc5fef9f9505dcc6b297a44eac5324c37",
+        "ktz.json": "2f66125701704393f07d252e7e337f20191ab97677f583c0a4fbe6daa3ed2042",
     }),
     "halfsum": (0, {
         "halfsum.eigenvalues.csv": "781a774aceecec2840b8c2706dc331520d91a6b78395d37f676e61638673e9ca",
-        "halfsum.json": "c65f34b3e779a818bafed3577d988c9bf670f85b99b5bdc108a4d60d87d051f8",
+        "halfsum.json": "b54f6dd003792e9f25ee848bab334602cb16e199d3632fd1646c3c4c820bfa48",
     }),
 }
 
