@@ -26,7 +26,7 @@ from .errors import (DecompositionError, NotPowerBoundedError,
                      UnsupportedSymbolError)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, max_matrix_norm, power_chunks
 from .seqspace import (FiniteVector, SeqVector, TailCertificate, basis_vector,
-                       constant_one, lin_comb, sup_norm)
+                       checked_coords, constant_one, lin_comb, sup_norm)
 
 __all__ = [
     "SpectrumReport",
@@ -161,7 +161,7 @@ def cesaro(op, x, n: int):
         return np.where(fixed, xs, xs * avg)
 
     def coord(ks, _x=x, _sym=sym):
-        return dirichlet(_sym.values(ks), _x.coords(ks))
+        return dirichlet(_sym.values(ks), checked_coords(_x, ks))
 
     a_lim = sym.limit_value
     if a_lim == 1:

@@ -39,10 +39,10 @@ from .errors import (CertificateError, ConfigError, HorizonExhaustedError,
                      NotApplicableError, UnreachableToleranceError)
 from .jdlg import diagonal_jdlg
 from .operators import (SYMBOL_FAMILIES, DiagonalOperator, DiagonalSymbol,
-                        MatrixOperator, harmonic_symbol, power_apply,
+                        MatrixOperator, difference, harmonic_symbol, power_apply,
                         read_matrix_file, root_perturbed_symbol)
 from .orbits import _NOT_SEPARATED, _SEPARATED, orbit, orbit_check
-from .seqspace import (FiniteVector, SeqVector, basis_vector, constant_one,
+from .seqspace import (FiniteVector, SeqVector, basis_vector, checked_coords, constant_one,
                        from_prefix, lin_comb, sup_norm)
 
 __all__ = [
@@ -96,7 +96,7 @@ def one_minus_symbol_vector(op: DiagonalOperator) -> SeqVector:
     """The vector ``1 - (a_k)`` = (I - T) applied to the constant-one
     sequence; its limit coordinate is ``1 - a_limit``."""
     one = constant_one("c")
-    return lin_comb([1.0, -1.0], [one, op.apply(one)])
+    return difference(one, op.apply(one))
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +151,6 @@ class WitnessAudit:
             "exhausted": self.exhausted,
             "notes": self.notes,
         }
-
-
-def _ladder_vector(op: DiagonalOperator, x: SeqVector, d: int) -> SeqVector:
-    # T_m^{-1} P (T_m x - S_m x) with P acting as the identity on the
-    # differences reduces, for the isometric diagonal case, to x - T^d x
-    return lin_comb([1.0, -1.0], [x, power_apply(op, d, x)])
 
 
 def _below(clouds: Sequence, d: int, tau: float) -> bool:
@@ -244,7 +238,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
             f"orbit diagnostic verdict is {orbit_rep.verdict!r}; the witness "
             "construction needs a certified non-compact orbit")
 
-    diff_probe = lin_comb([1.0, -1.0], [x, op.apply(x)])
+    diff_probe = difference(x, op.apply(x))
     dn, _ = sup_norm(diff_probe, fine)
     if dn > 0:
         eps_diff = 1.25 * dn
@@ -285,8 +279,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         thresholds.append(tau)
         # one cloud per logged product P = (T^A - T^B) x
         prod_clouds = [
-            orbit(op, lin_comb([1.0, -1.0],
-                               [power_apply(op, a_exp, x), power_apply(op, b_exp, x)]),
+            orbit(op, difference(power_apply(op, a_exp, x), power_apply(op, b_exp, x)),
                   horizon, tol=min(tol, tau / 8))
             for (a_exp, b_exp) in sorted(products) if a_exp != b_exp
         ]
@@ -299,7 +292,9 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
         s_exp, t_exp = 1 + d, 1
         used_ds.add(d)
         log.append((s_exp, t_exp))
-        entry = _ladder_vector(op, x, d)
+        # T_m^{-1} P (T_m x - S_m x) with P acting as the identity on the
+        # differences reduces, for the isometric diagonal case, to x - T^d x
+        entry = difference(x, power_apply(op, d, x))
         val, err = sup_norm(entry, fine)
         ladder.append(entry)
         norms.append(val)
@@ -342,7 +337,7 @@ def _modulus(v: SeqVector) -> SeqVector:
     Python's ``abs``, so a coordinate equal to the limit keeps the exact
     tail; the majorant takes that limit in."""
     lim = float(np.abs(np.complex128(v.limit)))
-    return SeqVector(lambda ks: np.abs(v.coords(ks)), lim, v.tail, v.space_tag,
+    return SeqVector(lambda ks: np.abs(checked_coords(v, ks)), lim, v.tail, v.space_tag,
                      max(v.majorant, lim))
 
 
@@ -480,7 +475,7 @@ def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
     x = probe_from_spec(probe_spec)
     entries = []
     for (s_exp, t_exp) in audit.selection_log:
-        v = _ladder_vector(op, x, s_exp - t_exp)
+        v = difference(x, power_apply(op, s_exp - t_exp, x))
         pre = v.prefix(_PREFIX_CHECK_LEN)
         entries.append({
             "prefix": [[float(z.real), float(z.imag)] for z in pre],
@@ -527,7 +522,7 @@ def verify_certificate(path) -> dict:
         op = operator_from_spec(doc["operator"])
         x = probe_for(probe_from_spec(doc["probe"]), op)
         pairs = [tuple(int(v) for v in p) for p in doc["pairs"]]
-        ladder = [_ladder_vector(op, x, s - t) for (s, t) in pairs]
+        ladder = [difference(x, power_apply(op, s - t, x)) for (s, t) in pairs]
         if len(doc["prefix_check"]["entries"]) != len(pairs):
             raise CertificateError("prefix data does not cover every ladder entry")
         plen = int(doc["prefix_check"]["length"])

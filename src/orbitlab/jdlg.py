@@ -21,7 +21,7 @@ import numpy as np
 from .errors import PeripheralSpectrumError, UnsupportedSymbolError
 from .ergodic import (SpectrumReport, _CesaroStack, _cluster, _mean_ergodic_projection,
                       _spectral_projection, certify_power_bounded, spectrum_report)
-from .operators import DiagonalOperator, MatrixOperator, matrix_norm, power_chunks
+from .operators import DiagonalOperator, MatrixOperator, difference, matrix_norm, power_chunks
 from .orbits import orbit_check
 from .seqspace import FiniteVector, SeqVector, constant_one, lin_comb, sup_norm
 
@@ -36,6 +36,7 @@ __all__ = [
     "jdlg_split",
     "ktz_check",
     "half_sum",
+    "peripheral_in_one",
     "diagonal_jdlg",
 ]
 
@@ -154,6 +155,11 @@ class HalfSumResult:
     spectrum: SpectrumReport
 
 
+def peripheral_in_one(z: complex, tol: float) -> bool:
+    """``half_sum``'s test of an eigenvalue: ``|z| < 1 - tol`` or within tol of 1."""
+    return abs(z) < 1 - tol or abs(z - 1) <= tol
+
+
 def half_sum(op, tol: float = 1e-9) -> HalfSumResult:
     """Transform ``S = (I + T) / 2`` of a contraction.
 
@@ -172,7 +178,7 @@ def half_sum(op, tol: float = 1e-9) -> HalfSumResult:
         for lam in rep.eigenvalues:
             if abs(lam) >= 1 + tol:
                 raise PeripheralSpectrumError(f"half-sum eigenvalue {lam} outside disk")
-            if abs(lam) >= 1 - tol and abs(lam - 1) > tol:
+            if not peripheral_in_one(lam, tol):
                 raise PeripheralSpectrumError(
                     f"half-sum eigenvalue {lam} peripheral but away from 1")
         return HalfSumResult(s, rep)
@@ -184,7 +190,7 @@ def half_sum(op, tol: float = 1e-9) -> HalfSumResult:
         peri = tuple(z for z in eigs if abs(z) >= 1 - tol)
         rep = SpectrumReport(eigs, peri, tol, sampled=True)
         for z in peri:
-            if abs(z - 1) > tol:
+            if not peripheral_in_one(z, tol):
                 raise PeripheralSpectrumError(
                     f"half-sum sampled eigenvalue {z} peripheral but away from 1")
         return HalfSumResult(AveragedOperator(op), rep)
@@ -225,7 +231,7 @@ def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True) -> DiagonalJdl
     if cross_check:
         one = constant_one("c")
         grow = orbit_check(op, one, 1.0, _CROSS_CHECK_TOL)
-        probe = lin_comb([1.0, -1.0], [one, op.power(m).apply(one)])
+        probe = difference(one, op.power(m).apply(one))
         pn, _ = sup_norm(probe, 1e-9)
         eps = 1.25 * pn
         sat = orbit_check(op, probe, eps, _CROSS_CHECK_TOL)

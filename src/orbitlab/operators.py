@@ -5,8 +5,9 @@ operators on c/c0 and dense complex matrices as the desk-scale model of a
 reflexive space.  A diagonal symbol is a record: a catalogued family, its
 parameters and an exponent.  Its angles follow one rule (reduced mod 2 pi,
 multiplied by the exponent, reduced again), so powers never drift off the
-unit circle and every power of a symbol is again a record.  Formal words
-over an ordered list of commuting generators support the expansion of
+unit circle and every power of a symbol is again a record, and so are
+``T^n v`` and ``(T^p - T^q) v`` (``difference``).  Formal words over an
+ordered list of commuting generators support the expansion of
 ``I - prod T_j^{k_j}`` into a sum of ``word * (I - T_j)`` factors.
 
 The displayed inner sum of that expansion runs over ``l = 0 .. k_j - 1``:
@@ -27,8 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyWordError, SpaceTagError
-from .seqspace import (_FIRST_BLOCK, FiniteVector, SeqVector, TailCertificate,
-                       apply_certificate, lin_comb_certificate, power_tail, tail_bound)
+from .seqspace import (_FIRST_BLOCK, Certificate, FiniteVector, SeqVector, TailCertificate,
+                       apply_certificate, checked_coords, lin_comb_certificate, power_tail,
+                       product)
 
 __all__ = [
     "SYMBOL_FAMILIES",
@@ -41,6 +43,7 @@ __all__ = [
     "root_perturbed_symbol",
     "constant_symbol",
     "power_apply",
+    "difference",
     "telescope_expand",
     "word_apply",
     "word_matrix",
@@ -123,7 +126,8 @@ class DiagonalSymbol:
         if self.kind == "harmonic":
             return 0.0
         p = self.params[0]
-        return float(np.mod(_TWO_PI / p if self.kind == "root_perturbed" else p, _TWO_PI))
+        theta = float(np.mod(_TWO_PI / p if self.kind == "root_perturbed" else p, _TWO_PI))
+        return 0.0 if theta == _TWO_PI else theta  # np.mod rounds a tiny -x up to 2 pi
 
     @functools.cached_property
     def _family_tail(self) -> TailCertificate:
@@ -133,18 +137,18 @@ class DiagonalSymbol:
 
     def power_angles(self, ns, ks=None):
         """Angles of the symbol of ``T^n`` for int ``ns`` (broadcast against
-        ``ks``) at ``ks``, or of the limit: every power reads them here."""
+        ``ks``) at ``ks``, or of the limit: every power reads them here (at a
+        scalar n = 1, the reduced angles, which reducing again leaves)."""
         theta = self._theta_limit if ks is None else self._thetas(np.asarray(ks, dtype=np.int64))
-        return _power_angles(ns * self.exponent, theta)
+        n = ns * self.exponent
+        return theta if not isinstance(n, np.ndarray) and n == 1 else _power_angles(n, theta)
 
     def power_tails(self, ns) -> tuple:
         """Tail ``(constant, exponent, after)`` of the symbol of ``T^n``."""
         return power_tail(ns * self.exponent, self._family_tail)
 
     def angles(self, ks) -> np.ndarray:
-        theta = self._thetas(np.asarray(ks, dtype=np.int64))
-        # n = 1 leaves a reduced angle as it is
-        return theta if self.exponent == 1 else _power_angles(self.exponent, theta)
+        return self.power_angles(1, ks)
 
     def values(self, ks) -> np.ndarray:
         return np.exp(1j * self.angles(ks))
@@ -212,15 +216,12 @@ class DiagonalOperator:
             raise SpaceTagError(f"unknown space tag {self.space_tag!r}")
 
     def apply(self, v: SeqVector) -> SeqVector:
+        """The monomial ``T v``: its coordinates are the record ``_Power``."""
         if self.space_tag == "c0" and v.space_tag != "c0":
             raise SpaceTagError("operator on c0 cannot act on a general c vector")
-        sym = self.symbol
-
-        def coord(ks, _v=v, _sym=sym):
-            return _sym.values(ks) * _v.coords(ks)
-
-        limit, tail, majorant, _ = apply_certificate(sym.limit_value, sym.tail, v)
-        return SeqVector(coord, limit, TailCertificate(*tail), v.space_tag, majorant)
+        limit, tail, majorant, _ = _power_certificate(self.symbol, 1, v)
+        return SeqVector(_Power(self.symbol, v), limit, TailCertificate(*tail), v.space_tag,
+                         majorant)
 
     def power(self, n: int) -> "DiagonalOperator":
         return DiagonalOperator(self.symbol.power(n), self.space_tag)
@@ -342,134 +343,115 @@ def power_apply(op, n: int, v):
     return op.power(n).apply(v)
 
 
-def _difference_rows(phases: np.ndarray, yk: np.ndarray, neg_t: np.ndarray) -> np.ndarray:
-    """Rows ``phases * yk + neg_t`` as ``lin_comb([1.0, -1.0], ...)`` forms
-    them, bit for bit: its ``0 + 1 * z`` only clears the sign of zero
-    parts, as ``z + 0`` does.
+# ---------------------------------------------------------------------------
+# Diagonal vectors as data, ``_Power`` and ``_Binomial``.  One kernel and one
+# certificate rule serve one vector and an int array of p alike, and every
+# product is ``seqspace.product``'s real arithmetic (numpy's complex multiply
+# rounds by the loop it picks for an alignment), so rows equal vectors.
 
-    numpy's complex multiply rounds in the last ulp by the loop it picks,
-    and it picks by shape and aliasing (a broadcast ``yk``, a product
-    written over an operand).  So the product is formed from two
-    contiguous arrays of one shape into a new array, the loop the
-    64-coordinate rows have always taken, whatever part of the head a row
-    holds."""
-    rows = phases * np.broadcast_to(yk, phases.shape).copy()
-    rows += 0.0
-    rows += neg_t
-    return rows
+def difference_coords(symbol: DiagonalSymbol, p, q: int, yk: np.ndarray, ks,
+                      p_phases=None) -> np.ndarray:
+    """``(T^p - T^q) y`` at ``ks`` from ``yk = y(ks)``, for an int ``p`` or an
+    int column of them (one row each), with the phases of ``T^p`` where the
+    caller holds them.  The float operations are ``lin_comb([1.0, -1.0],
+    ...)``'s: ``0 + 1 * z`` is ``z + 0`` and adding ``-1 * w`` subtracts w."""
+    def term(n, phases=None):  # T^n y; y itself at a scalar n = 0
+        if phases is None and not isinstance(n, np.ndarray) and n == 0:
+            return yk
+        return product(np.exp(1j * symbol.power_angles(n, ks)) if phases is None else phases, yk)
 
-
-def _negated_term(phase_t: np.ndarray, yk: np.ndarray) -> np.ndarray:
-    return complex(-1.0) * (phase_t * yk)
-
-
-def difference_certificates(op: DiagonalOperator, ds, y: SeqVector) -> np.ndarray:
-    """Rows ``|limit|``, ``tail.bound(_FIRST_BLOCK)`` and ``majorant`` of
-    ``(T^d - I) y`` for each ``d >= 1`` in ``ds``: with the head maxima from
-    ``PhaseRange``, the bracket ``norm_exceeds`` tests after its first block.
-    No vector is built.  The certificate rules of ``lin_comb([1.0, -1.0],
-    [power_apply(op, d, y), y])`` (the power's limit and tail, ``apply``,
-    ``lin_comb``) run over the whole block, so column i equals that vector's
-    certificate bit for bit."""
-    if op.space_tag == "c0" and y.space_tag != "c0":
-        raise SpaceTagError("operator on c0 cannot act on a general c vector")
-    ds = np.asarray(ds, dtype=np.int64)
-    if (ds < 1).any():
-        raise ValueError("difference_certificates needs exponents >= 1")
-    sym = op.symbol
-    a = np.exp(1j * sym.power_angles(ds))  # limit of the symbol of T^d
-    u = apply_certificate(a, sym.power_tails(ds), y)
-    v = lin_comb_certificate([1.0, -1.0], [u, y])
-    out = np.empty((3,) + ds.shape)
-    out[0], out[1], out[2] = v.abs_limit, tail_bound(*v.tail, _FIRST_BLOCK), v.majorant
+    out = term(p, p_phases) + 0.0
+    out -= term(q)
     return out
 
 
+def _power_certificate(symbol: DiagonalSymbol, n, y):
+    """Certificate of ``T^n y`` by ``apply_certificate`` for an int ``n`` or an
+    int array of them (``y`` itself at a scalar n = 0)."""
+    if not isinstance(n, np.ndarray) and n == 0:
+        return y
+    a = np.exp(1j * symbol.power_angles(n))
+    return apply_certificate(a if isinstance(a, np.ndarray) else complex(a),
+                             symbol.power_tails(n), y)
+
+
+def difference_certificate(symbol: DiagonalSymbol, p, q: int, y: SeqVector) -> Certificate:
+    """Certificate of ``(T^p - T^q) y``, exponents >= 0, for an int ``p`` or an
+    int array of them: the rules of ``apply`` and ``lin_comb([1.0, -1.0], ...)``."""
+    if q < 0 or ((p < 0).any() if isinstance(p, np.ndarray) else p < 0):
+        raise ValueError("a difference of powers needs exponents >= 0")
+    return lin_comb_certificate([1.0, -1.0], [_power_certificate(symbol, n, y) for n in (p, q)])
+
+
+@dataclass(frozen=True)
+class _Power:
+    """Coordinates of the monomial ``T^n v``: ``symbol`` is that of ``T^n``."""
+
+    symbol: DiagonalSymbol
+    base: SeqVector
+
+    def __call__(self, ks):
+        return product(self.symbol.values(ks), checked_coords(self.base, ks))
+
+
+@dataclass(frozen=True)
+class _Binomial:
+    """Coordinates of ``(T^p - T^q) v``, by ``difference_coords``."""
+
+    symbol: DiagonalSymbol | None
+    p: int
+    q: int
+    base: SeqVector
+
+    def __call__(self, ks):
+        return difference_coords(self.symbol, self.p, self.q, checked_coords(self.base, ks), ks)
+
+
+def difference(u: SeqVector, w: SeqVector) -> SeqVector:
+    """``u - w`` for powers ``u = T^p v``, ``w = T^q v`` of one diagonal
+    operator on one base, as ``apply`` and ``power_apply`` build them (``v``
+    is ``T^0 v``): the record ``(symbol, p, q, v)``.  Beside ``v`` a power is
+    ``S^1 v`` for its own symbol S; two powers are powers of their family's
+    symbol, and a negative one raises ValueError, as does any other pair."""
+    (bu, su), (bw, sw) = ((c.base, c.symbol) if isinstance(c := v.coord, _Power) else (v, None)
+                          for v in (u, w))
+    if bu is w:  # w is u's base
+        bw, sw = w, None
+    elif bw is u:  # u is w's base
+        bu, su = u, None
+    if bu is not bw:
+        raise ValueError("a difference needs two powers of one operator on one base")
+    if su is not None and sw is not None:  # powers of their family's symbol
+        if (type(su), su.kind, su.params) != (type(sw), sw.kind, sw.params):
+            raise ValueError("a difference needs two powers of one operator")
+        sym, p, q = type(su)(su.kind, su.params), su.exponent, sw.exponent
+    else:  # T^n v and v: the powers 1 and 0 of the symbol of T^n
+        sym, p, q = su if su is not None else sw, int(su is not None), int(sw is not None)
+    limit, tail, majorant, _ = difference_certificate(sym, p, q, bu)
+    return SeqVector(_Binomial(sym, p, q, bu), limit, TailCertificate(*tail), bu.space_tag,
+                     majorant)
+
+
 class PhaseRange:
-    """First-block phases ``exp(i * angle(T^n)_k)``, k = 1 .. _FIRST_BLOCK,
-    in two stages.
-
-    The lead stage holds the phases of the lead coordinates k = 1 .. _LEAD
-    for one block of exponents n at a time; the completion stage forms the
-    other head coordinates only for the exponents a caller names.  A head
-    maximum is ``max(lead, rest)``, so a completed head equals the
-    64-coordinate head bit for bit, and a lead maximum above a threshold
-    already proves the head above it (``norm_exceeds``'s first-block True
-    exit), which settles most differences from their lead alone.
-
-    Phases depend on the symbol and n only, not on the vector, threshold
-    or tolerance, so an operator holds one range (``DiagonalOperator.
-    phase_range``) and every diagonal cloud of it reads it: the greedy nets
-    of several clouds, and the witness cloud and product clouds of the pair
-    search.  The block and lead widths are read when the range is built.
-    The range holds the lead phases of one block of exponents (64 KB at the
-    default block and lead); asking for another start replaces it.
-    """
+    """Lead phases ``exp(i * angle(T^n)_k)``, k = 1 .. _LEAD, of one block of
+    exponents n (widths read when built; 64 KB by default).  They depend on
+    the symbol and n only: an operator holds one range (``phase_range``)
+    for the lead coordinates of ``(T^n - I) x`` in all its clouds."""
 
     def __init__(self, op: DiagonalOperator):
         self.block, self.lead = _SCREEN_BLOCK, _LEAD
         self.symbol = op.symbol
-        self._table: np.ndarray | None = None
-        self._lo, self._filled = 0, 0
-
-    def phases(self, n, part: slice = slice(None)) -> np.ndarray:
-        """Phases of the exponent ``n`` (or of an int column of them) at the
-        head coordinates ``_HEAD_KS[part]``."""
-        return np.exp(1j * self.symbol.power_angles(n, _HEAD_KS[part]))
+        self._lo, self._table = 0, np.empty((0, self.lead), dtype=np.complex128)
 
     def range(self, lo: int, count: int) -> np.ndarray:
-        """Lead phases of the exponents ``lo .. lo + count - 1``, one row
-        each; a view of the held range, valid until another start is asked
-        for."""
+        """Lead phases of the exponents ``lo .. lo + count - 1``, one row each."""
         if not 1 <= count <= self.block:
             raise ValueError(f"a phase range holds 1 .. {self.block} exponents, not {count}")
-        if self._table is None:
-            self._table = np.empty((self.block, self.lead), dtype=np.complex128)
-        if lo != self._lo:
-            self._lo, self._filled = lo, 0
-        if count > self._filled:
-            ns = np.arange(lo + self._filled, lo + count, dtype=np.int64).reshape(-1, 1)
-            self._table[self._filled:count] = self.phases(ns, slice(self.lead))
-            self._filled = count
+        if lo != self._lo or count > len(self._table):
+            ns = np.arange(lo, lo + count, dtype=np.int64).reshape(-1, 1)
+            angles = self.symbol.power_angles(ns, _HEAD_KS[:self.lead])
+            self._lo, self._table = lo, np.exp(1j * angles)
         return self._table[:count]
-
-    def terms(self, y: SeqVector) -> tuple[np.ndarray, np.ndarray]:
-        """``y`` and ``-y`` at the head coordinates k = 1 .. _FIRST_BLOCK:
-        what every row of ``(T^n - I) y`` adds to its phases, formed once
-        per vector; each stage reads its part.  ``-y`` is formed as ``-1 *
-        (phases(0) * y)``, which keeps the rows bit for bit those of the
-        closure vectors."""
-        yk = y.coords(_HEAD_KS)
-        return yk, _negated_term(self.phases(0), yk)
-
-    def rows(self, lo: int, count: int, terms) -> np.ndarray:
-        """Lead coordinates of ``(T^n - I) y`` (``terms`` of ``y``) for the
-        exponents ``n = lo .. lo + count - 1``: bit for bit the first
-        ``lead`` coordinates of ``lin_comb([1.0, -1.0], [power_apply(op, n,
-        y), y])``."""
-        lead = slice(self.lead)
-        return _difference_rows(self.range(lo, count), terms[0][lead], terms[1][lead])
-
-    def rest_rows(self, ns, terms) -> np.ndarray:
-        """The other head coordinates, k = lead + 1 .. _FIRST_BLOCK, of
-        ``(T^n - I) y`` for the exponents ``ns``, one row each, bit for bit
-        as ``rows`` forms the lead."""
-        rest = slice(self.lead, None)
-        phases = self.phases(np.asarray(ns, dtype=np.int64).reshape(-1, 1), rest)
-        return _difference_rows(phases, terms[0][rest], terms[1][rest])
-
-    def lead_maxima(self, lo: int, count: int, terms) -> np.ndarray:
-        """``max |((T^n - I) y)_k|`` over the lead coordinates, for the rows
-        of ``rows``: a lower end of each head maximum."""
-        return np.abs(self.rows(lo, count, terms)).max(axis=1)
-
-    def complete(self, lead: np.ndarray, ns, terms) -> np.ndarray:
-        """Head maxima ``max_k |((T^n - I) y)_k|``, k = 1 .. _FIRST_BLOCK,
-        of the exponents ``ns`` from their lead maxima: ``max(lead, rest)``,
-        each the ``head_max`` that ``norm_exceeds`` finds on the first block
-        of that difference vector."""
-        rest = np.abs(self.rest_rows(ns, terms)).max(axis=1, initial=0.0)
-        return np.maximum(lead, rest)
 
 
 @dataclass(frozen=True, order=True)

@@ -27,23 +27,18 @@ stacked call over the rows of a finite-vector cloud.
 
 Orbits of isometric diagonal operators are translation invariant and keep
 a net of their own, which decides each exponent difference d at most once
-per epsilon, on an int8 array over d = 1..h-1.  The first-block bracket
-of each ``(T^d - I) x`` is evaluated once per cloud, a block of d at a
-time and with no vector built: its ``|limit|``, tail bound and majorant
-from the certificate rules every vector takes, run over the block
-(``operators.difference_certificates``), and its head maximum in two
-stages.  The lead stage takes the maximum over the first
-``operators._LEAD`` coordinates, from lead phases of ``T^d`` that every
-cloud of one operator reads from ``op.phase_range``; a lead above eps
-proves the head above eps.  The completion stage forms the rest of the
-head only for a d whose lead and ``|limit|`` are both at or below an asked
-eps, or that ``separated`` or ``distance`` reads, at most once per d; the
-completed head equals the 64-coordinate one bit for bit.
+per epsilon.  The first-block bracket of each ``(T^d - I) x`` comes once
+per cloud, a block of d at a time and with no vector built, from the two
+functions that make ``operators.difference(power_apply(op, d, x), x)``,
+run over an int array of d: ``difference_certificate`` (``|limit|``, tail
+bound, majorant) and ``difference_coords`` (head coordinates, the lead k
+<= ``operators._LEAD`` from the phases ``op.phase_range`` holds for every
+cloud of ``op``).  A lead above eps proves the head above eps, so the rest
+of a head is formed only for a d whose lead and ``|limit|`` are at or
+below an asked eps, or whose bracket is read, once per d.
 ``seqspace.exceeds_exit``, the test ``norm_exceeds`` applies after each
 block, decides the whole block at every epsilon; a d it leaves open goes
-to ``norm_exceeds``, which scans on from k = 65, in net order up to the
-first "no", so no decision changes.  Free candidates closer together than
-the smallest difference that is not separated join as one batch.
+to ``norm_exceeds``, which scans on from k = 65, so no decision changes.
 
 A finite-vector cloud (a matrix orbit, or the word points of a matrix
 family) holds its points as one ``(len(labels), N)`` stack.  A row
@@ -62,10 +57,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (DiagonalOperator, MatrixOperator, OperatorWord, difference_certificates,
-                        power_apply, power_chunks, word_apply)
-from .seqspace import (FiniteVector, NormResult, SeqVector, exceeds_exit, lin_comb,
-                       norm_bracket, norm_exceeds, stacked_norms, sup_norm)
+from .errors import SpaceTagError
+from .operators import (_HEAD_KS, DiagonalOperator, MatrixOperator, OperatorWord, difference,
+                        difference_certificate, difference_coords, power_apply, power_chunks,
+                        word_apply)
+from .seqspace import (_FIRST_BLOCK, FiniteVector, NormResult, SeqVector, exceeds_exit,
+                       lin_comb, norm_bracket, norm_exceeds, stacked_norms, sup_norm, tail_bound)
 
 __all__ = [
     "OrbitCloud",
@@ -98,9 +95,9 @@ class OrbitCloud:
 
     ``labels`` are ints (cyclic orbits) or exponent tuples (semigroup
     orbits); a ``range`` is kept as it is, any other sequence as a list
-    checked for repeats.  ``diff_vector(l1, l2)`` must return the
-    difference SeqVector of the two labelled points; ``diff_key`` maps a
-    label pair to a cache key and enables translation-invariant sharing.
+    checked for repeats.  ``vector_of(label)`` returns a point and
+    ``diff_vector(l1, l2)`` (None: the subclass's own) the difference of
+    two; ``diff_key`` maps a label pair to a cache key.
     The base class decides pair by pair (clouds over diagonal families);
     subclasses answer ``separated``, ``distance`` and ``_apart`` from
     their own arrays and share ``greedy_net``, except the diagonal orbit.
@@ -114,8 +111,9 @@ class OrbitCloud:
             self.labels = list(labels)
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("orbit labels must be unique")
-        self._vector_of = vector_of
-        self._diff_vector = diff_vector
+        self.vector = vector_of
+        if diff_vector is not None:
+            self._diff_vector = diff_vector
         self._diff_key = diff_key or (lambda a, b: (a, b) if a <= b else (b, a))
         self.tol = float(tol)
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -126,9 +124,6 @@ class OrbitCloud:
 
     def __len__(self):
         return len(self.labels)
-
-    def vector(self, label):
-        return self._vector_of(label)
 
     def distance(self, l1, l2) -> NormResult:
         """Certified distance between two labelled points."""
@@ -190,20 +185,12 @@ class _DiagOrbitCloud(OrbitCloud):
 
     def __init__(self, op: DiagonalOperator, x: SeqVector, horizon: int,
                  tol: float, description: str):
-        vectors: dict[int, SeqVector] = {}
-
-        def vector_of(n):
-            if n not in vectors:
-                vectors[n] = power_apply(op, n, x)
-            return vectors[n]
-
-        def diff_vector(n, m):
-            return lin_comb([1.0, -1.0], [vector_of(abs(n - m)), x])
-
-        super().__init__(range(1, horizon + 1), vector_of, diff_vector, tol,
+        if op.space_tag == "c0" and x.space_tag != "c0":
+            raise SpaceTagError("operator on c0 cannot act on a general c vector")
+        super().__init__(range(1, horizon + 1), lambda n: power_apply(op, n, x), None, tol,
                          diff_key=lambda a, b: abs(a - b), description=description)
         self._op, self._x, self._phases = op, x, op.phase_range
-        self._terms = self._phases.terms(x)  # x and -x on the head, for every row
+        self._head = x.coords(_HEAD_KS)  # x on the head, read by every row
         # first-block brackets of d = 0 .. h-1: head maximum (the lead
         # maximum until the head is completed), |limit|, tail bound at
         # k = 64, majorant (column d = 0 is never read)
@@ -213,6 +200,31 @@ class _DiagOrbitCloud(OrbitCloud):
         self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
         self._screened: dict[float, int] = {}  # eps -> differences 1..this decided in bulk
 
+    def _diff_vector(self, n: int, m: int) -> SeqVector:
+        return difference(self.vector(abs(n - m)), self._x)  # (T^|n - m| - I) x
+
+    def _lead_maxima(self, lo: int, count: int) -> np.ndarray:
+        """``max |((T^d - I) x)_k|`` over the lead k of ``d = lo .. lo + count -
+        1``, from the range's phases: a lower end of each head maximum."""
+        lead = self._phases.range(lo, count)
+        ds, ks = np.arange(lo, lo + count).reshape(-1, 1), _HEAD_KS[:lead.shape[1]]
+        rows = difference_coords(self._op.symbol, ds, 0, self._head[:ks.size], ks, lead)
+        return np.abs(rows).max(axis=1)
+
+    def _completed(self, lead: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """The head maxima ``max(lead, rest)`` of the differences ``ds``, over
+        k = 1 .. _FIRST_BLOCK: each the ``head_max`` of ``norm_exceeds``."""
+        rest = slice(self._phases.lead, None)
+        rows = difference_coords(self._op.symbol, ds.reshape(-1, 1), 0, self._head[rest],
+                                 _HEAD_KS[rest])
+        return np.maximum(lead, np.abs(rows).max(axis=1, initial=0.0))
+
+    def _certificates(self, ds: np.ndarray) -> tuple:
+        """``|limit|``, tail bound at k = _FIRST_BLOCK and majorant of each
+        ``(T^d - I) x``: the rest of its first-block bracket."""
+        cert = difference_certificate(self._op.symbol, ds, 0, self._x)
+        return cert.abs_limit, tail_bound(*cert.tail, _FIRST_BLOCK), cert.majorant
+
     def _bracket_to(self, dmax: int) -> np.ndarray:
         """First-block brackets of the differences up to ``dmax`` (at least),
         one block of the phase range at a time."""
@@ -221,8 +233,8 @@ class _DiagOrbitCloud(OrbitCloud):
             lo = self._headed + 1
             count = min(self._phases.block, h - lo)
             block = self._brackets[:, lo:lo + count]
-            block[0] = self._phases.lead_maxima(lo, count, self._terms)
-            block[1:] = difference_certificates(self._op, np.arange(lo, lo + count), self._x)
+            block[0] = self._lead_maxima(lo, count)
+            block[1], block[2], block[3] = self._certificates(np.arange(lo, lo + count))
             self._headed += count
         return self._brackets
 
@@ -233,7 +245,7 @@ class _DiagOrbitCloud(OrbitCloud):
         brackets = self._bracket_to(int(ds.max(initial=0)))
         ds = ds[~self._whole[ds]]
         if ds.size:
-            brackets[0, ds] = self._phases.complete(brackets[0, ds], ds, self._terms)
+            brackets[0, ds] = self._completed(brackets[0, ds], ds)
             self._whole[ds] = True
         return brackets
 
@@ -398,7 +410,7 @@ def orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
 def difference_orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
     """Cloud of ``T^n (I - T) x`` for ``1 <= n <= horizon``."""
     if isinstance(op, DiagonalOperator):
-        y = lin_comb([1.0, -1.0], [x, op.apply(x)])
+        y = difference(x, op.apply(x))
     elif isinstance(op, MatrixOperator):
         y = FiniteVector(x.coords - op.entries @ x.coords, x.norm_tag)
     else:

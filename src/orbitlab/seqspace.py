@@ -140,7 +140,7 @@ class SeqVector:
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size and ks.min() < 1:
             raise IndexError("sequence indices start at 1")
-        return np.asarray(self.coord(ks), dtype=np.complex128)
+        return checked_coords(self, ks)
 
     def prefix(self, n: int) -> np.ndarray:
         """First ``n`` coordinates as a complex array."""
@@ -150,6 +150,11 @@ class SeqVector:
         """The same vector, certificates included, tagged ``space_tag``;
         retagging a vector with nonzero limit as c0 raises SpaceTagError."""
         return replace(self, space_tag=space_tag)
+
+
+def checked_coords(v: SeqVector, ks: np.ndarray) -> np.ndarray:
+    """``v.coords(ks)`` for checked int64 ``ks``: a chain checks them at its root."""
+    return np.asarray(v.coord(ks), dtype=np.complex128)
 
 
 class NormResult(NamedTuple):
@@ -389,7 +394,7 @@ def lin_comb(coeffs: Sequence[complex], vectors: Sequence[SeqVector]) -> SeqVect
         out = np.zeros(np.shape(ks), dtype=np.complex128)
         for c, v in zip(_cs, _vs):
             if c != 0:
-                out = out + c * v.coords(ks)
+                out = out + c * checked_coords(v, ks)
         return out
 
     limit, tail, majorant, _ = lin_comb_certificate(cs, vs)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from orbitlab.operators import MatrixOperator, _difference_rows, _negated_term
+from orbitlab.operators import MatrixOperator, difference_coords
 from orbitlab.seqspace import SeqVector, norm_exceeds
 
 # every property test draws the same examples on every run
@@ -73,23 +73,18 @@ def rng():
 
 def power_difference_rows(op, s, t: int, y, ks) -> np.ndarray:
     """Coordinates at ``ks`` of ``(T^s - T^t) y``, one row per exponent in
-    ``s`` (all exponents >= 0): the reference for ``PhaseRange`` rows.
+    ``s`` (all exponents >= 0): the reference for the rows of a block of
+    differences.
 
-    Row i equals ``lin_comb([1.0, -1.0], [power_apply(op, s[i], y),
-    power_apply(op, t, y)]).coords(ks)`` bit for bit: the same angles (the
-    symbol's rule for the angles of ``T^n``), products and sums, broadcast
-    over the rows.
+    Row i is ``operators.difference(power_apply(op, s[i], y),
+    power_apply(op, t, y)).coords(ks)`` bit for bit: the same kernel,
+    ``difference_coords``, run over an int column of exponents.
     """
     s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
     if t < 0 or (s < 0).any():
         raise ValueError("power_difference_rows needs exponents >= 0")
     ks = np.asarray(ks, dtype=np.int64)
-    yk = y.coords(ks)
-
-    def phases(n):  # at n = 0 the phase is exactly 1
-        return np.exp(1j * op.symbol.power_angles(n, ks))
-
-    return _difference_rows(phases(s), yk, _negated_term(phases(np.int64(t)), yk))
+    return difference_coords(op.symbol, s, t, y.coords(ks), ks)
 
 
 def ref_net(labels, separated, cap=None) -> list[int]:

@@ -1,8 +1,10 @@
 """A diagonal cloud decides its differences a block at a time.
 
-``operators.difference_certificates`` gives ``|limit|``, ``tail.bound(64)``
-and the majorant of ``(T^d - I) y`` for a block of d in closed form; each
-must equal what the difference vector itself certifies, bit for bit.  The
+A cloud's ``_certificates`` gives ``|limit|``, ``tail.bound(64)`` and the
+majorant of ``(T^d - I) y`` for a block of d in closed form, by
+``operators.difference_certificate`` over an int array of d; each must
+equal what the closure vector ``lin_comb([1.0, -1.0], [power_apply(op, d,
+y), y])`` certifies, bit for bit.  The
 cloud applies ``seqspace.exceeds_exit`` to those brackets (each head
 maximum completed from its lead coordinates where the lead proves
 nothing), so every bulk decision and every first-block distance must
@@ -23,7 +25,7 @@ from orbitlab import cli, orbits
 from orbitlab.errors import SpaceTagError, UnreachableToleranceError
 from orbitlab.jdlg import diagonal_jdlg
 from orbitlab.operators import (DiagonalOperator, DiagonalSymbol, PhaseRange,
-                                constant_symbol, difference_certificates,
+                                constant_symbol, difference_certificate,
                                 harmonic_symbol, power_apply, root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import (TailCertificate, basis_vector, constant_one,
@@ -51,8 +53,14 @@ def _vector(op, d, y):
     return lin_comb([1.0, -1.0], [power_apply(op, d, y), y])
 
 
+def _bulk_certificates(op, ds, y):
+    """The rows ``|limit|``, tail bound at k = 64 and majorant a cloud of
+    ``y`` takes for the differences ``ds``."""
+    return np.array(np.broadcast_arrays(*orbit(op, y, 2)._certificates(np.asarray(ds))))
+
+
 def _assert_certificates_match(op, ds, y):
-    got = difference_certificates(op, ds, y)
+    got = _bulk_certificates(op, ds, y)
     for i, d in enumerate(ds):
         v = _vector(op, d, y)
         want = [abs(v.limit), float(v.tail.bound(64)), v.majorant]
@@ -96,15 +104,15 @@ def test_certificates_equal_the_vectors_on_every_branch(sym, limit, tail):
 def test_certificates_past_a_late_support():
     # a basis probe past the first block: no tail bound at k = 64
     op = DiagonalOperator(root_perturbed_symbol(3, 1.3), "c")
-    got = difference_certificates(op, [1, 2, 99], basis_vector(100, "c"))
+    got = _bulk_certificates(op, [1, 2, 99], basis_vector(100, "c"))
     assert np.isinf(got[1]).all() and (got[2] == 2.0).all() and (got[0] == 0.0).all()
 
 
 def test_certificates_refuse_what_the_vector_algebra_refuses():
     with pytest.raises(SpaceTagError):
-        difference_certificates(DiagonalOperator(harmonic_symbol(), "c0"), [1], constant_one())
+        orbit(DiagonalOperator(harmonic_symbol(), "c0"), constant_one(), 2)
     with pytest.raises(ValueError):
-        difference_certificates(DiagonalOperator(harmonic_symbol(), "c"), [0, 1], constant_one())
+        difference_certificate(harmonic_symbol(), np.array([-1, 1]), 0, constant_one())
 
 
 def test_exit_rule_on_scalars_and_arrays():
@@ -181,15 +189,16 @@ def test_member_stepping_net_equals_the_reference(data):
         st.lists(st.sampled_from([1.0, 0.25]), min_size=h, max_size=h), label="leads")
     completed = []
 
-    def complete(lead, ns, terms):
+    def complete(lead, ns):
         assert (lead == leads[ns]).all()
         completed.extend(ns.tolist())
         return brackets[0, ns]
 
     cloud = orbit(DiagonalOperator(harmonic_symbol(), "c"), constant_one(), h, tol=_TOL)
     cloud._phases.block = block
-    cloud._phases.lead_maxima = lambda lo, count, terms: leads[lo:lo + count]
-    cloud._phases.complete = complete
+    cloud._lead_maxima = lambda lo, count: leads[lo:lo + count]
+    cloud._completed = complete
+    cloud._certificates = lambda ds: brackets[1:, ds]
     cloud._diff_vector = lambda a, b: abs(a - b)
     scanned = []
 
@@ -198,9 +207,7 @@ def test_member_stepping_net_equals_the_reference(data):
         scanned.append(d)
         return truth[d]
 
-    with mock.patch.object(orbits, "norm_exceeds", scan), \
-            mock.patch.object(orbits, "difference_certificates",
-                              lambda op, ds, y: brackets[1:, ds]):
+    with mock.patch.object(orbits, "norm_exceeds", scan):
         got = cloud.greedy_net(_EPS, cap)
     assert got == ref_net(range(1, h + 1), lambda a, b: truth[abs(a - b)], cap)
     assert len(scanned) == len(set(scanned))  # each open difference scanned once

@@ -223,6 +223,22 @@ op = halfsum
         report = json.loads((out / "spec4.json").read_text())
         assert len(report["results"]["spectrum"]["eigenvalues"]) == 4
 
+    def test_halfsum_assertion_reads_the_run_tol(self, tmp_path, capsys):
+        # half_sum accepts the eigenvalue (1 + e^{i 1e-7}) / 2, 5e-8 from 1, at
+        # tol 1e-6; the report's assertion tests it at the same tol
+        write_matrix_file(tmp_path / "m.txt", MatrixOperator(np.diag([np.exp(1e-7j), 0.5])))
+        cfg = self._write(tmp_path, """
+[operator]
+kind = matrix
+path = m.txt
+
+[diagnostic]
+op = halfsum
+""")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--tol", "1e-6", "--out-dir", str(out)) == 0
+        assert "[ok] run.halfsum_peripheral_in_one" in capsys.readouterr().out
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "absent.ini")) == 3
 
@@ -394,6 +410,22 @@ class TestVerify:
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
+
+    def test_backward_pair_is_one_line_error(self, tmp_path, capsys):
+        # a pair (s, t) with s < t names the entry x - T^(s - t) x, a negative
+        # power: a malformed certificate, reported on one line
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({
+            "format": "c0-ladder-certificate", "version": 1,
+            "operator": {"kind": "harmonic", "rate": 1.0}, "probe": {"kind": "one"},
+            "pairs": [[1, 3]], "prefix_check": {"length": 32, "entries": [{}]}}))
+        assert run_cli("verify-certificate", str(cert)) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1, err
+        assert err[0].startswith("error: malformed certificate: "), err
+        assert "Traceback" not in captured.err
 
 
 class TestUnwritableOutput:

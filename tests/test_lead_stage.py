@@ -1,8 +1,8 @@
 """Heads in two stages: the lead coordinates first, the rest on demand.
 
-``PhaseRange`` forms the lead coordinates k = 1 .. ``_LEAD`` of every head
-row and the other first-block coordinates only for the rows a caller
-completes.  A completed head must equal the 64-coordinate head bit for
+A diagonal cloud forms the lead coordinates k = 1 .. ``_LEAD`` of every
+head row, from its ``PhaseRange``, and the other first-block coordinates
+only for the rows it completes.  A completed head must equal the 64-coordinate head bit for
 bit, a lead above a threshold must prove the head above it, and every
 decision a cloud reads from lead and completed heads must equal the
 decision read from whole heads, at lead widths 1, 4, 63 and 64 and at
@@ -15,10 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import power_difference_rows
 from orbitlab import operators
-from orbitlab.operators import (DiagonalOperator, constant_symbol, difference_certificates,
+from orbitlab.operators import (DiagonalOperator, constant_symbol, difference_certificate,
                                 harmonic_symbol, root_perturbed_symbol)
 from orbitlab.orbits import orbit
-from orbitlab.seqspace import basis_vector, constant_one, exceeds_exit, from_prefix
+from orbitlab.seqspace import basis_vector, constant_one, exceeds_exit, from_prefix, tail_bound
 
 _HEAD = np.arange(1, 65)
 _LEADS = [1, 4, 63, 64]
@@ -74,12 +74,12 @@ def test_completed_heads_equal_full_heads(lead, block, sym, x, data):
     lo = 1 + block * data.draw(st.integers(0, 40), label="block index")
     count = data.draw(st.integers(1, min(block, 40)), label="count")
     ns = np.arange(lo, lo + count)
-    terms = ph.terms(x)
-    leads = ph.lead_maxima(lo, count, terms)
+    cloud = orbit(op, x, lo + count)
+    leads = cloud._lead_maxima(lo, count)
     full = _full_heads(op, ns, x)
-    assert np.array_equal(_bits(ph.complete(leads, ns, terms)), _bits(full))
+    assert np.array_equal(_bits(cloud._completed(leads, ns)), _bits(full))
     for i in range(ns.size):  # one row at a time, as a single distance completes it
-        assert _bits(ph.complete(leads[i:i + 1], ns[i:i + 1], terms)) == _bits(full[i])
+        assert _bits(cloud._completed(leads[i:i + 1], ns[i:i + 1])) == _bits(full[i])
     # a lead above a threshold proves the whole head above it
     moduli = np.abs(power_difference_rows(op, ns, 0, x, _HEAD[:lead])).ravel()
     for thr in _around(np.concatenate([moduli, full]), data, "threshold"):
@@ -98,7 +98,8 @@ def test_cloud_states_equal_full_head_states(lead, block, sym, x, data):
     ds = np.arange(1, h)
     full = _full_heads(op, ds, x)
     leads = np.abs(power_difference_rows(op, ds, 0, x, _HEAD[:lead])).max(axis=1)
-    certs = difference_certificates(op, ds, x)
+    cert = difference_certificate(op.symbol, ds, 0, x)
+    certs = cert.abs_limit, tail_bound(*cert.tail, 64), cert.majorant
     # several thresholds on one cloud, so a later one may complete heads
     # an earlier one proved from their lead
     for eps in _around(np.concatenate([full, leads]), data, "head or lead modulus"):

@@ -132,23 +132,24 @@ class TestDiagonalNet:
         per-d decisions and every scan."""
         rec = {"led": [], "lead": {}, "completed": [], "certified": [], "decided": [],
                "scans": []}
-        real_leads, real_complete = PhaseRange.lead_maxima, PhaseRange.complete
+        cls = orbits._DiagOrbitCloud
+        real_leads, real_complete = cls._lead_maxima, cls._completed
         real_scan = orbits.norm_exceeds
-        real_certs, real_separated = orbits.difference_certificates, cloud.separated
+        real_certs, real_separated = cls._certificates, cloud.separated
 
-        def leads(self, lo, count, terms):
-            got = real_leads(self, lo, count, terms)
+        def leads(self, lo, count):
+            got = real_leads(self, lo, count)
             rec["led"].extend(range(lo, lo + count))
             rec["lead"].update(zip(range(lo, lo + count), got.tolist()))
             return got
 
-        def complete(self, lead, ns, terms):
+        def complete(self, lead, ns):
             rec["completed"].extend(np.asarray(ns).tolist())
-            return real_complete(self, lead, ns, terms)
+            return real_complete(self, lead, ns)
 
-        def certs(op, ds, y):
+        def certs(self, ds):
             rec["certified"].extend(np.asarray(ds).tolist())
-            return real_certs(op, ds, y)
+            return real_certs(self, ds)
 
         def scan(v, threshold, tol, **kwargs):
             evaluated = []
@@ -168,9 +169,9 @@ class TestDiagonalNet:
             rec["decided"].append(abs(n - m))
             return real_separated(n, m, eps)
 
-        monkeypatch.setattr(PhaseRange, "lead_maxima", leads)
-        monkeypatch.setattr(PhaseRange, "complete", complete)
-        monkeypatch.setattr(orbits, "difference_certificates", certs)
+        monkeypatch.setattr(cls, "_lead_maxima", leads)
+        monkeypatch.setattr(cls, "_completed", complete)
+        monkeypatch.setattr(cls, "_certificates", certs)
         monkeypatch.setattr(orbits, "norm_exceeds", scan)
         monkeypatch.setattr(cloud, "separated", separated)
         return rec

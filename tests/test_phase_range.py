@@ -1,14 +1,16 @@
 """One phase range per exponent block, and both first-block exits.
 
-``PhaseRange`` computes the lead phases of ``T^n`` once for a block of
-exponents and the rest of the first block for the rows a caller names;
-every head row of ``(T^n - I) y`` read from it, lead and rest side by
+``PhaseRange`` holds the lead phases of ``T^n`` for a block of exponents;
+a diagonal cloud forms the lead coordinates of ``(T^n - I) y`` from them
+and the rest of the first block for the rows it completes, both by
+``operators.difference_coords``.  Every head row, lead and rest side by
 side, must equal the rows of ``power_difference_rows`` and of the closure
-vectors bit for bit, however the range was filled.  A cached head maximum
-stands in for the first block of ``norm_exceeds``, so every decision taken
-from it must equal the full scan's, at thresholds on a head modulus and
-one ulp either side, at the majorant, and at a tolerance wide enough to
-force the straddle exit.
+vectors bit for bit, whatever the number of rows and however the range
+was filled, and so must the cloud's lead and completed head maxima, up to
+h = 2000.  A cached head maximum stands in for the first block of
+``norm_exceeds``, so every decision taken from it must equal the full
+scan's, at thresholds on a head modulus and one ulp either side, at the
+majorant, and at a tolerance wide enough to force the straddle exit.
 """
 
 import dataclasses
@@ -20,8 +22,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import power_difference_rows
 from orbitlab import operators
-from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol,
-                                harmonic_symbol, power_apply, root_perturbed_symbol)
+from orbitlab.operators import (DiagonalOperator, PhaseRange, constant_symbol, difference,
+                                difference_coords, harmonic_symbol, power_apply,
+                                root_perturbed_symbol)
 from orbitlab.orbits import orbit
 from orbitlab.seqspace import (basis_vector, constant_one, from_prefix, lin_comb,
                                norm_exceeds)
@@ -35,7 +38,7 @@ _SMALL = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=F
 _PROBES = st.one_of(
     st.just(constant_one()),
     st.builds(basis_vector, st.integers(1, 80), st.just("c")),
-    st.builds(from_prefix, st.lists(_SMALL, min_size=1, max_size=6), _SMALL))
+    st.builds(from_prefix, st.lists(_SMALL, min_size=1, max_size=64), _SMALL))
 _BLOCKS = [1, 7, 1024]
 
 
@@ -48,14 +51,26 @@ def _closure_rows(op, ns, y):
                      for n in ns])
 
 
+def _range_rows(op, y, lo, count):
+    """Head rows of ``(T^n - I) y`` for ``n = lo .. lo + count - 1`` as a
+    cloud forms them: the lead columns from the range's phases, the rest
+    from the exponents."""
+    ph, ns, yk = op.phase_range, np.arange(lo, lo + count).reshape(-1, 1), y.coords(_HEAD)
+    lead, rest = slice(ph.lead), slice(ph.lead, None)
+    return np.hstack([
+        difference_coords(op.symbol, ns, 0, yk[lead], _HEAD[lead], ph.range(lo, count)),
+        difference_coords(op.symbol, ns, 0, yk[rest], _HEAD[rest])])
+
+
 @pytest.mark.parametrize("block", _BLOCKS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(sym=_SYMBOLS, x=_PROBES, data=st.data())
 def test_rows_equal_difference_rows_and_closures(block, sym, x, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_SCREEN_BLOCK", block)
-        ph = PhaseRange(DiagonalOperator(sym, "c"))
-    op = DiagonalOperator(sym, "c")
+        op = DiagonalOperator(sym, "c")
+        assert op.phase_range.block == block  # built at this block
+    ph = op.phase_range
     # a logged product (T^a - T^b) x, as a witness product cloud holds it
     a, b = data.draw(st.integers(0, 30), label="a"), data.draw(st.integers(0, 30), label="b")
     y = data.draw(st.sampled_from([x, lin_comb([1.0, -1.0], [power_apply(op, a, x),
@@ -63,19 +78,36 @@ def test_rows_equal_difference_rows_and_closures(block, sym, x, data):
                   label="y")
     for _ in range(3):
         lo = 1 + block * data.draw(st.integers(0, 40), label="block index")
-        count = data.draw(st.integers(1, min(block, 40)), label="count")
+        count = data.draw(st.integers(1, block), label="count")
         # fill part of the range first, so the read below extends it
         ph.range(lo, data.draw(st.integers(1, count), label="first fill"))
         ns = np.arange(lo, lo + count)
-        # the lead columns from the range, the rest formed for the rows named
-        terms = ph.terms(y)
-        got = np.hstack([ph.rows(lo, count, terms), ph.rest_rows(ns, terms)])
+        got = _range_rows(op, y, lo, count)
         assert np.array_equal(_bits(got), _bits(power_difference_rows(op, ns, 0, y, _HEAD)))
         assert np.array_equal(_bits(got), _bits(_closure_rows(op, ns.tolist(), y)))
-        lead = ph.lead_maxima(lo, count, terms)
+        cloud = orbit(op, y, lo + count)
+        lead = cloud._lead_maxima(lo, count)
         assert np.array_equal(lead, np.abs(got[:, :operators._LEAD]).max(axis=1))
-        assert np.array_equal(_bits(ph.complete(lead, ns, terms)),
+        assert np.array_equal(_bits(cloud._completed(lead, ns)),
                               _bits(np.abs(got).max(axis=1)))
+
+
+@pytest.mark.parametrize("probe", ["prefix-40", "product-one"])
+def test_cloud_heads_equal_the_difference_vectors_to_h_2000(probe):
+    # every head maximum a cloud caches is the maximum of its difference
+    # vector's first 64 coordinates, at every alignment of every block
+    op = DiagonalOperator(harmonic_symbol(1.0), "c")
+    if probe == "prefix-40":
+        rng = np.random.default_rng(40)
+        x = from_prefix(rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40), 0.3 + 0.4j)
+    else:
+        one = constant_one()
+        x = difference(power_apply(op, 3, one), power_apply(op, 1, one))
+    h = 2000
+    cloud = orbit(op, x, h)
+    heads = cloud.complete(np.arange(1, h))[0, 1:]
+    want = [np.abs(difference(power_apply(op, d, x), x).coords(_HEAD)).max() for d in range(1, h)]
+    assert np.array_equal(_bits(heads), _bits(np.array(want)))
 
 
 @pytest.mark.parametrize("sym", [root_perturbed_symbol(2), harmonic_symbol(1.3).power(3),
@@ -90,11 +122,9 @@ def test_rows_of_powers_and_of_the_order_two_root(sym, x, monkeypatch):
     # rule as its closure vectors; so does the root whose a_1 is exactly 1
     monkeypatch.setattr(operators, "_SCREEN_BLOCK", 7)
     op = DiagonalOperator(sym, "c")
-    ph = PhaseRange(op)
-    terms = ph.terms(x)
     for lo, count in ((1, 7), (8, 3), (1 + 7 * 140, 7)):
         ns = np.arange(lo, lo + count)
-        got = np.hstack([ph.rows(lo, count, terms), ph.rest_rows(ns, terms)])
+        got = _range_rows(op, x, lo, count)
         assert np.array_equal(_bits(got), _bits(power_difference_rows(op, ns, 0, x, _HEAD)))
         assert np.array_equal(_bits(got), _bits(_closure_rows(op, ns.tolist(), x)))
 
