@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -77,6 +78,32 @@ def _io_error(exc: OSError) -> int:
     return EXIT_IO
 
 
+_PLAIN = (str, int, float, bool, type(None))
+
+
+def report_value(value):
+    """A report value as JSON data: a dataclass as the dict of its fields
+    that have a repr, dict keys as str, tuples, lists and arrays as lists,
+    a complex number as ``[re, im]`` and a numpy scalar as its Python value.
+    Every printed report value passes through here once."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, dict):
+        return {str(k): report_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [report_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return report_value(value.tolist()) if value.dtype.kind == "c" else value.tolist()
+    if isinstance(value, np.generic):
+        return report_value(value.item())
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if dataclasses.is_dataclass(value):
+        return {f.name: report_value(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.repr}
+    raise TypeError(f"no report value for {type(value).__name__}")
+
+
 def _assertion(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
@@ -93,7 +120,7 @@ def _emit(kind: str, name: str, seed: int, tol: float | None, config: dict, out_
         "name": name,
         "seed": seed,
         "config": config,
-        "results": results,
+        "results": report_value(results),
         "assertions": assertions,
         "tables": sorted(f"{name}.{t}.csv" for t in tables),
     }
@@ -132,15 +159,8 @@ def _demo_limit_one(seed: int, out_dir: str):
         _assertion("not_mean_ergodic_on_c", not verdict.is_mean_ergodic,
                    verdict.reason),
     ]
-    results = {
-        "orbit_diagnostic": grow.to_json_dict(),
-        "c0_probe_diagnostic": sat.to_json_dict(),
-        "mean_ergodic_verdict": {
-            "is_mean_ergodic": verdict.is_mean_ergodic,
-            "reason": verdict.reason,
-            "evidence": verdict.evidence,
-        },
-    }
+    results = {"orbit_diagnostic": grow, "c0_probe_diagnostic": sat,
+               "mean_ergodic_verdict": verdict}
     tables = {"orbit": grow.csv_rows(), "c0_probe": sat.csv_rows()}
     return results, assertions, tables
 
@@ -160,11 +180,8 @@ def _demo_root_limit(seed: int, out_dir: str):
         _assertion("one_minus_symbol_limit_coordinate",
                    abs(y.limit - 2.0) < 1e-12, repr(y.limit)),
     ]
-    results = {
-        "square_difference_diagnostic": sat.to_json_dict(),
-        "one_minus_symbol_diagnostic": grow.to_json_dict(),
-        "one_minus_symbol_limit": [y.limit.real, y.limit.imag],
-    }
+    results = {"square_difference_diagnostic": sat, "one_minus_symbol_diagnostic": grow,
+               "one_minus_symbol_limit": y.limit}
     tables = {"square_difference": sat.csv_rows(), "one_minus_symbol": grow.csv_rows()}
     return results, assertions, tables
 
@@ -190,10 +207,7 @@ def _demo_witness(seed: int, out_dir: str):
                    f"M {audit.bound_m}"),
         _assertion("certificate_written", os.path.exists(cert_path), cert_path),
     ]
-    results = {
-        "audit": audit.to_json_dict(),
-        "certificate_path": os.path.basename(cert_path),
-    }
+    results = {"audit": audit, "certificate_path": os.path.basename(cert_path)}
     return results, assertions, {}
 
 
@@ -232,11 +246,10 @@ def _demo_halfsum(seed: int, out_dir: str):
         t = MatrixOperator(g / np.linalg.norm(g, 2), "euclidean")
         res = half_sum(t, tol=1e-9)
         for lam in res.spectrum.eigenvalues:
-            ok = abs(lam) < 1 - 1e-12 or abs(lam - 1) <= 1e-9
             checked += 1
             if abs(lam - 1) > 1e-9:
                 worst_interior = max(worst_interior, abs(lam))
-            if not ok:
+            if not jdlg.peripheral_in_one(lam, 1e-9):
                 assertions.append(_assertion(f"eigenvalue_outside_contract_{i}",
                                              False, repr(lam)))
             eig_rows.append((i, lam.real, lam.imag, abs(lam)))
@@ -357,7 +370,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
         fn = compactness_diagnostic if which == "compactness" \
             else difference_compactness_diagnostic
         rep = fn(op, probe, epsilons, horizons, tol=tol)
-        results["diagnostic"] = rep.to_json_dict()
+        results["diagnostic"] = rep
         tables["diagnostic"] = rep.csv_rows()
         mono_h = bool(np.all(np.diff(rep.packing, axis=1) >= 0))
         mono_e = bool(np.all(np.diff(rep.packing, axis=0) <= 0)) \
@@ -366,9 +379,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
         assertions.append(_assertion("packing_monotone_in_epsilon", mono_e, ""))
     elif which == "mean-ergodic":
         if isinstance(op, DiagonalOperator):
-            v = diagonal_mean_ergodic_verdict(op)
-            results["verdict"] = {"is_mean_ergodic": v.is_mean_ergodic,
-                                  "reason": v.reason, "evidence": v.evidence}
+            results["verdict"] = diagonal_mean_ergodic_verdict(op)
         else:
             parts = decomposition_check(op, probe, tol)
             dec = parts.decomposition
@@ -379,13 +390,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
                                          dec.residual <= tol * 10, f"{dec.residual:.3e}"))
     elif which == "jdlg":
         if isinstance(op, DiagonalOperator):
-            rep = jdlg.diagonal_jdlg(op)
-            results["diagonal_jdlg"] = {
-                "aap_space": rep.aap_space,
-                "rev_equals_aap": rep.rev_equals_aap,
-                "p_is_identity_on_aap": rep.p_is_identity_on_aap,
-                "cross_check": rep.cross_check,
-            }
+            results["diagonal_jdlg"] = jdlg.diagonal_jdlg(op)
         else:
             split = jdlg_split(op, tol)
             results["jdlg"] = {
@@ -409,11 +414,11 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
         assertions.append(_assertion("ktz_passed", rep.passed, ""))
     elif which == "halfsum":
         res = half_sum(op, tol=tol)
-        results["spectrum"] = res.spectrum.to_json_dict()
+        results["spectrum"] = res.spectrum
         ok = all(jdlg.peripheral_in_one(l, tol) for l in res.spectrum.eigenvalues)
         assertions.append(_assertion("halfsum_peripheral_in_one", ok, ""))
     elif which == "spectrum":
-        results["spectrum"] = spectrum_report(op).to_json_dict()
+        results["spectrum"] = spectrum_report(op)
     elif which == "witness":
         count = int(sec.get("count", 20))
         horizon = int(sec.get("horizon", 10_000))
@@ -421,7 +426,7 @@ def _run_diagnostic(cfg: dict, op, probe, tol: float):
             audit = c0_witness(op, probe, count, horizon, tol=tol)
         except HorizonExhaustedError as exc:
             audit = exc.audit
-        results["audit"] = audit.to_json_dict()
+        results["audit"] = audit
         assertions.append(_assertion("ladder_norms_ok", audit.norms_ok, ""))
         assertions.append(_assertion("subset_sums_ok", audit.subset_bound_ok, ""))
     else:
@@ -437,7 +442,7 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     except FileNotFoundError:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, configparser.Error) as exc:
+    except (ConfigError, configparser.Error, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     run = cfg["run"]
@@ -454,7 +459,7 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable matrix file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OrbitLabError as exc:
@@ -469,11 +474,11 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
 
 def cmd_verify_certificate(path: str, out_dir: str | None) -> int:
     try:
-        report = gallery.verify_certificate(path)
-    except FileNotFoundError:
-        print(f"error: certificate not found: {path}", file=sys.stderr)
+        report = report_value(gallery.verify_certificate(path))
+    except OSError as exc:
+        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OrbitLabError, json.JSONDecodeError) as exc:
+    except OrbitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     text = json.dumps(report, indent=2, sort_keys=True)

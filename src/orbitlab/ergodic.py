@@ -65,14 +65,6 @@ class SpectrumReport:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "peripheral": [[z.real, z.imag] for z in self.peripheral],
-            "peri_tol": self.peri_tol,
-            "sampled": self.sampled,
-        }
-
 
 def spectrum_report(op: MatrixOperator, peri_tol: float = PERIPHERAL_TOL) -> SpectrumReport:
     """The eigenvalues of a matrix, sorted by real then imaginary part."""

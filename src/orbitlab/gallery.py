@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -107,9 +107,9 @@ class WitnessAudit:
     """Record of the witness construction.
 
     ``delta`` is the certified orbit separation, ``bound_m`` the
-    semigroup bound sup ||S|| + 1, ``ladder`` the extracted vectors with
-    their certified norms, ``selection_log`` the chosen exponent pairs
-    (s, t), and ``subset_sum_bound`` the ladder's certified
+    semigroup bound sup ||S|| + 1, ``ladder`` the extracted vectors (not
+    printed) with their certified norms, ``selection_log`` the chosen
+    exponent pairs (s, t), and ``subset_sum_bound`` the ladder's certified
     ``unconditional_constant``, an upper bound on the norm of every
     partial sum over a subset of the ladder, with the bound
     ``subset_bound = 1 + 2 M ||x||`` it is audited against: with
@@ -119,7 +119,7 @@ class WitnessAudit:
     delta: float
     bound_m: float
     probe_norm: float
-    ladder: tuple[SeqVector, ...]
+    ladder: tuple[SeqVector, ...] = field(repr=False)
     ladder_norms: tuple[float, ...]
     selection_log: tuple[tuple[int, int], ...]
     thresholds: tuple[float, ...]
@@ -132,25 +132,6 @@ class WitnessAudit:
     horizon: int
     exhausted: bool
     notes: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "bound_m": self.bound_m,
-            "probe_norm": self.probe_norm,
-            "ladder_norms": list(self.ladder_norms),
-            "selection_log": [list(p) for p in self.selection_log],
-            "thresholds": list(self.thresholds),
-            "subset_sum_bound": self.subset_sum_bound,
-            "subset_bound": self.subset_bound,
-            "subset_bound_ok": self.subset_bound_ok,
-            "norms_ok": self.norms_ok,
-            "requested_count": self.requested_count,
-            "achieved_count": self.achieved_count,
-            "horizon": self.horizon,
-            "exhausted": self.exhausted,
-            "notes": self.notes,
-        }
 
 
 def _below(clouds: Sequence, d: int, tau: float) -> bool:
@@ -242,7 +223,7 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     dn, _ = sup_norm(diff_probe, fine)
     if dn > 0:
         eps_diff = 1.25 * dn
-        diff_rep = orbit_check(op, x, eps_diff, fine, difference=True)
+        diff_rep = orbit_check(op, diff_probe, eps_diff, fine)
         if diff_rep.verdict != "saturating":
             raise NotApplicableError(
                 f"difference-orbit diagnostic verdict is {diff_rep.verdict!r}; "
@@ -367,14 +348,6 @@ class BpReport:
     cauchy_defect: float
     first_partial: float
     ladder_detected: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "unconditional_bound": self.unconditional_bound,
-            "cauchy_defect": self.cauchy_defect,
-            "first_partial": self.first_partial,
-            "ladder_detected": self.ladder_detected,
-        }
 
 
 def bp_test(vectors: Sequence[SeqVector], tol: float = 1e-6) -> BpReport:
@@ -507,12 +480,15 @@ def verify_certificate(path) -> dict:
 
     Checks the stored coordinate prefixes against the reconstruction
     before trusting the pairs; returns a report dict with the integrity
-    flag and the BpReport, whose ``unconditional_bound`` bounds every
-    subset sum of the ladder (ladders of length < 2 skip the test).
+    flag and the BpReport under ``"bp"``, whose ``unconditional_bound``
+    bounds every subset sum of the ladder (ladders of length < 2 skip the
+    test).  A file that does not decode as UTF-8 JSON raises
+    CertificateError; an unreadable one, OSError.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
+        doc = json.loads(raw.decode("utf-8"))
         if doc.get("format") != CERTIFICATE_FORMAT:
             raise CertificateError(f"not a {CERTIFICATE_FORMAT} file")
         if int(doc.get("version", -1)) != CERTIFICATE_VERSION:
@@ -540,7 +516,7 @@ def verify_certificate(path) -> dict:
     report: dict = {"prefix_ok": True, "pairs": len(pairs)}
     if len(ladder) >= 2:
         bp = bp_test(ladder, tol=_VERIFY_TOL)
-        report["bp"] = bp.to_json_dict()
+        report["bp"] = bp
         report["ladder_detected"] = bp.ladder_detected
     else:
         norms = [sup_norm(v, _SCAN_TOL).value for v in ladder]

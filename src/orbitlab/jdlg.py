@@ -204,7 +204,6 @@ class DiagonalJdlgReport:
     aap_space: str                   # "c0" or "whole"
     rev_equals_aap: bool
     p_is_identity_on_aap: bool
-    notes: str
     cross_check: dict | None = None
 
 
@@ -223,8 +222,7 @@ def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True) -> DiagonalJdl
             f"the symbolic splitting covers the catalogued symbols, not their powers "
             f"(exponent {sym.exponent})")
     if sym.kind == "constant":
-        return DiagonalJdlgReport("whole", True, True,
-                                  "rotation by a fixed angle; every orbit lies on a circle")
+        return DiagonalJdlgReport("whole", True, True)  # a rotation: orbits lie on circles
 
     m = sym.params[0] if sym.kind == "root_perturbed" else 1
     checks = None
@@ -241,7 +239,4 @@ def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True) -> DiagonalJdl
             "c0_probe_eps": eps,
             "consistent": grow.verdict == "growing" and sat.verdict == "saturating",
         }
-    return DiagonalJdlgReport("c0", True, True,
-                              f"symbol converges to a root of unity of order {m} "
-                              "and never attains it",
-                              checks)
+    return DiagonalJdlgReport("c0", True, True, checks)

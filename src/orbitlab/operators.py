@@ -427,8 +427,13 @@ def difference(u: SeqVector, w: SeqVector) -> SeqVector:
         sym, p, q = type(su)(su.kind, su.params), su.exponent, sw.exponent
     else:  # T^n v and v: the powers 1 and 0 of the symbol of T^n
         sym, p, q = su if su is not None else sw, int(su is not None), int(sw is not None)
-    limit, tail, majorant, _ = difference_certificate(sym, p, q, bu)
-    return SeqVector(_Binomial(sym, p, q, bu), limit, TailCertificate(*tail), bu.space_tag,
+    return difference_vector(sym, p, q, bu)
+
+
+def difference_vector(symbol: DiagonalSymbol, p: int, q: int, v: SeqVector) -> SeqVector:
+    """The vector of the record ``(symbol, p, q, v)``, ``(T^p - T^q) v``."""
+    limit, tail, majorant, _ = difference_certificate(symbol, p, q, v)
+    return SeqVector(_Binomial(symbol, p, q, v), limit, TailCertificate(*tail), v.space_tag,
                      majorant)
 
 

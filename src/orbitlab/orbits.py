@@ -59,8 +59,8 @@ import numpy as np
 
 from .errors import SpaceTagError
 from .operators import (_HEAD_KS, DiagonalOperator, MatrixOperator, OperatorWord, difference,
-                        difference_certificate, difference_coords, power_apply, power_chunks,
-                        word_apply)
+                        difference_certificate, difference_coords, difference_vector,
+                        power_apply, power_chunks, word_apply)
 from .seqspace import (_FIRST_BLOCK, FiniteVector, NormResult, SeqVector, exceeds_exit,
                        lin_comb, norm_bracket, norm_exceeds, stacked_norms, sup_norm, tail_bound)
 
@@ -201,7 +201,7 @@ class _DiagOrbitCloud(OrbitCloud):
         self._screened: dict[float, int] = {}  # eps -> differences 1..this decided in bulk
 
     def _diff_vector(self, n: int, m: int) -> SeqVector:
-        return difference(self.vector(abs(n - m)), self._x)  # (T^|n - m| - I) x
+        return difference_vector(self._op.symbol, abs(n - m), 0, self._x)  # (T^|n - m| - I) x
 
     def _lead_maxima(self, lo: int, count: int) -> np.ndarray:
         """``max |((T^d - I) x)_k|`` over the lead k of ``d = lo .. lo + count -
@@ -502,16 +502,6 @@ class CompactnessReport:
     growth_stats: dict = field(default_factory=dict)
     description: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "epsilons": list(self.epsilons),
-            "horizons": list(self.horizons),
-            "packing": self.packing.tolist(),
-            "verdict": self.verdict,
-            "growth_stats": {str(k): v for k, v in self.growth_stats.items()},
-        }
-
     def csv_rows(self) -> list[tuple]:
         rows = [("horizon", "epsilon", "packing")]
         for i, eps in enumerate(self.epsilons):
@@ -582,10 +572,9 @@ def difference_compactness_diagnostic(op, x, epsilons: Sequence[float],
     return rep
 
 
-def orbit_check(op, x, eps: float, tol: float, difference: bool = False) -> CompactnessReport:
+def orbit_check(op, x, eps: float, tol: float) -> CompactnessReport:
     """The fixed grows/saturates check: the packing table at the one
-    ``eps`` over ``CHECK_HORIZONS`` of the orbit of ``x`` (its difference
-    orbit when ``difference``), on a cloud at tolerance ``min(tol, eps / 100)``."""
-    cloud = (difference_orbit if difference else orbit)(
-        op, x, CHECK_HORIZONS[-1], min(tol, eps / 100))
+    ``eps`` over ``CHECK_HORIZONS`` of the orbit of ``x``, on a cloud at
+    tolerance ``min(tol, eps / 100)``."""
+    cloud = orbit(op, x, CHECK_HORIZONS[-1], min(tol, eps / 100))
     return cloud_diagnostic(cloud, [eps], CHECK_HORIZONS)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,14 +10,24 @@ import numpy as np
 import pytest
 
 from orbitlab import cli
-from orbitlab.cli import _probe_spec, load_config, main
+from orbitlab.cli import _probe_spec, load_config, main, report_value
+from orbitlab.ergodic import MeanErgodicVerdict, SpectrumReport
 from orbitlab.errors import UnreachableToleranceError
-from orbitlab.gallery import operator_from_spec, probe_from_spec
+from orbitlab.gallery import BpReport, WitnessAudit, operator_from_spec, probe_from_spec
+from orbitlab.jdlg import DiagonalJdlgReport
 from orbitlab.operators import MatrixOperator, write_matrix_file
+from orbitlab.orbits import CompactnessReport
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _assert_one_line_error(capsys):
+    """The command printed one ``error:`` line on stderr and nothing on stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestDemo:
@@ -242,16 +253,25 @@ op = halfsum
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "absent.ini")) == 3
 
-    def test_missing_matrix_file_is_io_error(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, """
+    def test_config_not_utf8_is_one_line_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"[operator]\nkind = harmonic\n[diagnostic]\nop = jdlg\n# \xff\n")
+        assert run_cli("run", "--config", str(cfg)) == 2
+        _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("path", ["nowhere.txt", "adir"], ids=["missing", "directory"])
+    def test_missing_matrix_file_is_io_error(self, tmp_path, capsys, path):
+        (tmp_path / "adir").mkdir()
+        cfg = self._write(tmp_path, f"""
 [operator]
 kind = matrix
-path = nowhere.txt
+path = {path}
 
 [diagnostic]
 op = halfsum
 """)
         assert run_cli("run", "--config", str(cfg)) == 3
+        _assert_one_line_error(capsys)
 
     def test_violated_precondition_is_assertion_failure(self, tmp_path, capsys):
         # ktz on a matrix with peripheral spectrum {1, i} fails its
@@ -396,8 +416,11 @@ def test_ini_and_certificate_specs_build_the_same(tmp_path, op_ini, op_spec, pro
 
 
 class TestVerify:
-    def test_missing_certificate(self, capsys):
-        assert run_cli("verify-certificate", "/nonexistent/cert.json") == 3
+    @pytest.mark.parametrize("name", ["absent.json", "adir"], ids=["missing", "directory"])
+    def test_missing_certificate(self, tmp_path, capsys, name):
+        (tmp_path / "adir").mkdir()
+        assert run_cli("verify-certificate", str(tmp_path / name)) == 3
+        _assert_one_line_error(capsys)
 
     def test_any_orbitlab_error_is_one_line_error(self, monkeypatch, capsys):
         # as a harmonic ladder entry x - T^d x with d = 10^9 + 1 does after
@@ -426,6 +449,53 @@ class TestVerify:
         assert captured.out == "" and len(err) == 1, err
         assert err[0].startswith("error: malformed certificate: "), err
         assert "Traceback" not in captured.err
+
+
+class TestReportValue:
+    """``cli.report_value``, the one serializer of printed report values."""
+
+    def test_complex_scalar_and_array(self):
+        assert report_value(1.5 - 2j) == [1.5, -2.0]
+        assert report_value(np.complex128(0.5j)) == [0.0, 0.5]
+        got = report_value(np.array([[1 + 2j], [3 - 4j]]))
+        assert got == [[[1.0, 2.0]], [[3.0, -4.0]]]
+        assert all(type(c) is float for row in got for z in row for c in z)
+
+    def test_numpy_scalars_become_python_values(self):
+        for value, want in [(np.float64(0.25), 0.25), (np.int64(7), 7), (np.bool_(True), True)]:
+            got = report_value(value)
+            assert got == want and type(got) is type(want)
+
+    def test_real_arrays_tuples_and_int_keys(self):
+        assert report_value({1: (2, 3.0), "k": np.arange(3)}) == {"1": [2, 3.0], "k": [0, 1, 2]}
+        assert report_value([None, "s", False]) == [None, "s", False]
+
+    def test_a_field_without_repr_is_left_out(self):
+        @dataclasses.dataclass
+        class Record:
+            shown: complex
+            hidden: object = dataclasses.field(default=None, repr=False)
+
+        assert report_value(Record(1j, object())) == {"shown": [0.0, 1.0]}
+
+    def test_unknown_leaf_is_refused(self):
+        with pytest.raises(TypeError):
+            report_value(object())
+
+    @pytest.mark.parametrize("cls, keys", [
+        (CompactnessReport, "description epsilons growth_stats horizons packing verdict"),
+        (WitnessAudit, "achieved_count bound_m delta exhausted horizon ladder_norms norms_ok "
+                       "notes probe_norm requested_count selection_log subset_bound "
+                       "subset_bound_ok subset_sum_bound thresholds"),
+        (BpReport, "cauchy_defect first_partial ladder_detected unconditional_bound"),
+        (SpectrumReport, "eigenvalues peri_tol peripheral sampled"),
+        (MeanErgodicVerdict, "evidence is_mean_ergodic reason"),
+        (DiagonalJdlgReport, "aap_space cross_check p_is_identity_on_aap rev_equals_aap"),
+    ], ids=lambda v: getattr(v, "__name__", "keys"))
+    def test_printed_keys_of_each_report_record(self, cls, keys):
+        # a new field of a printed record is a declared report change
+        record = cls(**{f.name: None for f in dataclasses.fields(cls)})
+        assert sorted(report_value(record)) == keys.split()
 
 
 class TestUnwritableOutput:

@@ -199,8 +199,10 @@ class TestCertificates:
         ("operator", {"kind": "harmonic", "rate": -1.0}),
         ("operator", {"kind": "matrix", "path": "absent.txt"}),
         ("operator", {"kind": "harmonic", "rate": 1.0, "space": "c0"}),  # probe is one
+        (None, b"\xff\xfe not utf-8"),  # the whole file
+        (None, b"{not json"),
     ], ids=["no-pairs", "no-index", "bad-version", "bad-space", "negative-rate", "matrix",
-            "c0-one-probe"])
+            "c0-one-probe", "not-utf-8", "not-json"])
     def test_malformed_certificate_is_one_line_error(self, tmp_path, capsys, field, value):
         import json
         from orbitlab.cli import main
@@ -210,11 +212,14 @@ class TestCertificates:
         write_certificate(path, audit, {"kind": "harmonic", "rate": 1.0, "space": "c"},
                           {"kind": "one"})
         doc = json.loads(path.read_text())
-        if value is None:
-            del doc[field]
+        if field is None:
+            path.write_bytes(value)
         else:
-            doc[field] = value
-        path.write_text(json.dumps(doc))
+            if value is None:
+                del doc[field]
+            else:
+                doc[field] = value
+            path.write_text(json.dumps(doc))
         with pytest.raises(CertificateError):
             verify_certificate(path)
         capsys.readouterr()

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_power_bounded  # noqa: F401
 from orbitlab import ergodic, jdlg
+from orbitlab.cli import report_value
 from orbitlab.errors import (NotPowerBoundedError, PeripheralSpectrumError,
                              UnsupportedSymbolError)
 from orbitlab.jdlg import diagonal_jdlg, half_sum, jdlg_split, ktz_check, spectrum_report
@@ -198,7 +199,7 @@ def test_spectrum_report_shape():
     rep = spectrum_report(MatrixOperator(np.diag([1.0, 0.5, -1j])))
     assert len(rep.eigenvalues) == 3
     assert len(rep.peripheral) == 2
-    doc = rep.to_json_dict()
+    doc = report_value(rep)
     assert len(doc["eigenvalues"]) == 3
 
 

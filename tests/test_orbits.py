@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (commuting_matrix_family, power_difference_rows, random_power_bounded,
                       ref_net, scan_decisions)
 from orbitlab import orbits
+from orbitlab.cli import report_value
 from orbitlab.ergodic import mean_ergodic_projection
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
                                 constant_symbol, harmonic_symbol,
@@ -474,7 +475,7 @@ def test_clouds_of_one_operator_share_its_phase_range():
 def test_report_serialisation_shape():
     rep = compactness_diagnostic(harmonic_op(), constant_one(), [1.0, 2.5],
                                  [20, 40, 80], tol=1e-6)
-    doc = rep.to_json_dict()
+    doc = report_value(rep)
     assert doc["verdict"] in ("saturating", "growing", "inconclusive")
     rows = rep.csv_rows()
     assert rows[0] == ("horizon", "epsilon", "packing")

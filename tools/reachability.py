@@ -1,8 +1,9 @@
 """Which ``src/`` functions does no bench report enter?
 
-Generates the three bench workloads (with the bench's own generator,
-``bench/workloads.py``) at seeds 1 and 9001 into a temporary directory,
-runs every report through ``orbitlab.cli.main`` in this process under
+Generates the three bench workloads at seeds 1 and 9001 into a temporary
+directory by ``tools/report_digests.py``'s ``reports_of`` (the bench's own
+generator, ``bench/workloads.py``), runs every report through
+``orbitlab.cli.main`` in this process under
 ``sys.setprofile``, and prints each function or method defined in
 ``src/orbitlab`` that no report called, then their count.  Nested
 functions count as functions of their own.
@@ -53,12 +54,10 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return out
 
 
-SEEDS = (1, 9001)
-
-
 def main() -> int:
     sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
-    from workloads import WORKLOADS, generate
+    from report_digests import SEEDS, reports_of
+    from workloads import WORKLOADS
     import orbitlab.cli as cli
 
     entered: set[tuple[str, int]] = set()
@@ -72,13 +71,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="orbitlab-reach-") as work:
         for workload in WORKLOADS:
             for seed in SEEDS:
-                root = os.path.join(work, f"{workload}-{seed}")
-                for rep in generate(workload, seed, root):
+                for rep in reports_of(workload, seed, os.path.join(work, f"{workload}-{seed}")):
                     sink = io.StringIO()
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                         sys.setprofile(profile)
                         try:
-                            rc = cli.main(list(rep.argv))
+                            rc = cli.main(list(rep["argv"]))
                         finally:
                             sys.setprofile(None)
                     reports += 1
