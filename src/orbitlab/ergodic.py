@@ -26,7 +26,7 @@ from .errors import (DecompositionError, NotPowerBoundedError,
                      UnsupportedSymbolError)
 from .operators import DiagonalOperator, MatrixOperator, matrix_norm, max_matrix_norm, power_chunks
 from .seqspace import (FiniteVector, SeqVector, TailCertificate, basis_vector,
-                       checked_coords, constant_one, lin_comb, sup_norm)
+                       checked_coords, combine_tails, constant_one, lin_comb, sup_norm)
 
 __all__ = [
     "SpectrumReport",
@@ -161,10 +161,10 @@ def cesaro(op, x, n: int):
     else:
         limit = x.limit * (1 - a_lim ** n) / (n * (1 - a_lim))
     # |A_n x(k) - A_n x(oo)| <= |x_k - x_oo| + |x_oo| (n-1)/2 |a_k - a_oo|
-    tail = TailCertificate.combine([
+    tail = TailCertificate(*combine_tails([
         (1.0, x.tail),
         (abs(x.limit) * (n - 1) / 2.0, sym.tail),
-    ])
+    ]))
     return SeqVector(coord, limit, tail, x.space_tag, max(x.majorant, abs(limit)))
 
 
@@ -356,7 +356,7 @@ def diagonal_mean_ergodic_verdict(op: DiagonalOperator,
 
     gap = _certified_symbol_gap(sym)
     evidence["symbol_gap"] = gap
-    evidence["cesaro_norm_bound_constant"] = 2.0 / gap if gap > 0 else np.inf
+    evidence["cesaro_norm_bound_constant"] = 2.0 / gap if gap > 0 else None  # uncertified
     # the closed-form C/n bound governs the non-fixed coordinates; exactly
     # fixed coordinates pass through the averages untouched
     one = constant_one("c")

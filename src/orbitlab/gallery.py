@@ -136,19 +136,13 @@ class WitnessAudit:
 
 def _below(clouds: Sequence, d: int, tau: float) -> bool:
     """Certified ``||(T^d - I) P|| <= tau`` for the product ``P`` of every
-    cloud: the pair ``(1 + d, 1)`` is not separated at tau and its
-    distance's upper end is at or below tau.  T is an isometry, so this
-    norm is ``||(T^{1+d} - T) P||``.  An unreachable tolerance is a "no"."""
+    cloud: the upper end of the distance of the pair ``(1 + d, 1)`` is at
+    or below tau.  T is an isometry, so this norm is ``||(T^{1+d} - T)
+    P||``.  An unreachable tolerance is a "no"."""
     try:
-        for c in clouds:
-            if c.separated(1 + d, 1, tau):
-                return False
-            val, err = c.distance(1 + d, 1)
-            if val + err > tau:
-                return False
+        return all(val + err <= tau for val, err in (c.distance(1 + d, 1) for c in clouds))
     except UnreachableToleranceError:
         return False
-    return True
 
 
 def _first_pair(cloud, clouds: Sequence, horizon: int, block: int, eps: float,
@@ -187,10 +181,10 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     ``P`` of a step gets its own orbit cloud at tolerance ``min(tol, tau /
     8)``; the witness cloud and the product clouds decide a block of
     differences at a time from their first-block states, and decide the
-    differences that block leaves open one by one, by the clouds'
-    certified ``separated`` and ``distance`` (``_first_pair``).  All of
-    them read the operator's one range of first-block phases
-    (``op.phase_range``).  If the scan exhausts the horizon before
+    differences that block leaves open one by one, by the witness cloud's
+    certified ``separated`` and the product clouds' ``distance``
+    (``_first_pair``).  All of them read the operator's one range of
+    first-block phases (``op.phase_range``).  If the scan exhausts the horizon before
     ``count`` entries are built, a HorizonExhaustedError carrying the
     partial audit is raised.  A product log whose clouds at the next step
     would hold more than about 64 MB of state (``_MAX_PRODUCT_DIFFERENCES``
@@ -443,18 +437,14 @@ def probe_for(x, op):
 
 def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
                       probe_spec: dict) -> None:
-    """Write a compact re-verifiable certificate of a witness ladder."""
-    op = operator_from_spec(operator_spec)
-    x = probe_from_spec(probe_spec)
-    entries = []
-    for (s_exp, t_exp) in audit.selection_log:
-        v = difference(x, power_apply(op, s_exp - t_exp, x))
-        pre = v.prefix(_PREFIX_CHECK_LEN)
-        entries.append({
-            "prefix": [[float(z.real), float(z.imag)] for z in pre],
-            "limit": [float(v.limit.real), float(v.limit.imag)],
-            "tail": {"constant": v.tail.constant, "exponent": v.tail.exponent},
-        })
+    """Write a compact re-verifiable certificate of a witness ladder: the
+    specs it names, and the prefix, limit and tail of each entry of
+    ``audit.ladder``, exactly the ladder that was audited."""
+    entries = [{
+        "prefix": [[float(z.real), float(z.imag)] for z in v.prefix(_PREFIX_CHECK_LEN)],
+        "limit": [float(v.limit.real), float(v.limit.imag)],
+        "tail": {"constant": v.tail.constant, "exponent": v.tail.exponent},
+    } for v in audit.ladder]
     doc = {
         "format": CERTIFICATE_FORMAT,
         "version": CERTIFICATE_VERSION,
@@ -499,15 +489,17 @@ def verify_certificate(path) -> dict:
         x = probe_for(probe_from_spec(doc["probe"]), op)
         pairs = [tuple(int(v) for v in p) for p in doc["pairs"]]
         ladder = [difference(x, power_apply(op, s - t, x)) for (s, t) in pairs]
-        if len(doc["prefix_check"]["entries"]) != len(pairs):
+        stored = doc["prefix_check"]["entries"]
+        if len(stored) != len(pairs):
             raise CertificateError("prefix data does not cover every ladder entry")
+        # the file bounds the prefixes built: each holds exactly `length` values
         plen = int(doc["prefix_check"]["length"])
-        for v, stored in zip(ladder, doc["prefix_check"]["entries"]):
-            got = v.prefix(plen)
-            want = np.array([complex(re, im) for re, im in stored["prefix"]])
-            lim = complex(*stored["limit"])
-            if (got.size != want.size or np.max(np.abs(got - want)) > 1e-12
-                    or abs(v.limit - lim) > 1e-12):
+        if any(len(entry["prefix"]) != plen for entry in stored):
+            raise CertificateError(f"a stored prefix does not hold length = {plen} values")
+        for v, entry in zip(ladder, stored):
+            want = np.array([complex(re, im) for re, im in entry["prefix"]])
+            if (np.max(np.abs(v.prefix(plen) - want)) > 1e-12
+                    or abs(v.limit - complex(*entry["limit"])) > 1e-12):
                 raise CertificateError("certificate prefixes do not match the reconstruction")
     except KeyError as exc:
         raise CertificateError(f"certificate field {exc} is missing") from exc

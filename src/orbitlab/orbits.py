@@ -415,7 +415,9 @@ def difference_orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
         y = FiniteVector(x.coords - op.entries @ x.coords, x.norm_tag)
     else:
         raise TypeError(f"unsupported operator type {type(op).__name__}")
-    return orbit(op, y, horizon, tol)
+    cloud = orbit(op, y, horizon, tol)
+    cloud.description = "difference orbit"
+    return cloud
 
 
 def _graded_lex_words(m: int, max_total_degree: int):
@@ -526,6 +528,16 @@ def _verdict(packing: np.ndarray) -> tuple[str, dict]:
     return "inconclusive", stats
 
 
+def _horizons(horizons: Sequence[int]) -> list[int]:
+    """``horizons`` as ints, checked before any cloud is built: strictly
+    increasing from at least 1, with at least 3 entries, else ValueError."""
+    horizons = [int(h) for h in horizons]
+    if (len(horizons) < 3 or horizons[0] < 1
+            or any(b <= a for a, b in zip(horizons, horizons[1:]))):
+        raise ValueError("horizons must be strictly increasing from >= 1 with >= 3 entries")
+    return horizons
+
+
 def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
                      horizons: Sequence[int]) -> CompactnessReport:
     """Packing table of an existing cloud plus the saturation verdict.
@@ -536,11 +548,8 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
     last two horizon steps; "growing" means some row grows monotonically
     by at least 10% per step; anything else is "inconclusive".
     """
-    horizons = [int(h) for h in horizons]
-    if (len(horizons) < 3 or horizons[0] < 1
-            or any(b <= a for a, b in zip(horizons, horizons[1:]))):
-        raise ValueError("horizons must be strictly increasing from >= 1 with >= 3 entries")
-    if max(horizons) > len(cloud):
+    horizons = _horizons(horizons)
+    if horizons[-1] > len(cloud):
         raise ValueError("largest horizon exceeds the cloud size")
     epsilons = [float(e) for e in epsilons]
     for eps in epsilons:
@@ -556,20 +565,15 @@ def cloud_diagnostic(cloud: OrbitCloud, epsilons: Sequence[float],
 def compactness_diagnostic(op, x, epsilons: Sequence[float], horizons: Sequence[int],
                            tol: float = 1e-8) -> CompactnessReport:
     """Orbit compactness diagnostic of ``{T^n x}`` up to ``max(horizons)``."""
-    cloud = orbit(op, x, max(int(h) for h in horizons), tol)
-    rep = cloud_diagnostic(cloud, epsilons, horizons)
-    rep.description = "orbit"
-    return rep
+    return cloud_diagnostic(orbit(op, x, _horizons(horizons)[-1], tol), epsilons, horizons)
 
 
 def difference_compactness_diagnostic(op, x, epsilons: Sequence[float],
                                       horizons: Sequence[int],
                                       tol: float = 1e-8) -> CompactnessReport:
     """Diagnostic of the difference orbit ``{T^n (I - T) x}``."""
-    cloud = difference_orbit(op, x, max(int(h) for h in horizons), tol)
-    rep = cloud_diagnostic(cloud, epsilons, horizons)
-    rep.description = "difference orbit"
-    return rep
+    cloud = difference_orbit(op, x, _horizons(horizons)[-1], tol)
+    return cloud_diagnostic(cloud, epsilons, horizons)
 
 
 def orbit_check(op, x, eps: float, tol: float) -> CompactnessReport:

@@ -98,11 +98,6 @@ class TailCertificate:
         """Exact certificate: ``x_k == limit`` for every ``k > after``."""
         return TailCertificate(0.0, 1.0, after)
 
-    @staticmethod
-    def combine(parts: Sequence[tuple[float, "TailCertificate"]]) -> "TailCertificate":
-        """Triangle-inequality combination (``combine_tails``)."""
-        return TailCertificate(*combine_tails(parts))
-
     def __iter__(self):
         """``constant, exponent, after``: the form the certificate rules read."""
         return iter((self.constant, self.exponent, self.after))

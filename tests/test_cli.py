@@ -253,6 +253,36 @@ op = halfsum
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "absent.ini")) == 3
 
+    def test_unreadable_config_is_one_line_io_error(self, tmp_path, capsys):
+        # a directory exists but cannot be read as a config: an I/O error
+        # that says why, not "not found"
+        (tmp_path / "cfgdir.ini").mkdir()
+        assert run_cli("run", "--config", str(tmp_path / "cfgdir.ini")) == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1, err
+        assert err[0].startswith("error: cannot read config: ") and "not found" not in err[0]
+
+    def test_uncertified_cesaro_constant_is_null(self, tmp_path, capsys):
+        # at m = 10^7 the certified symbol gap is 0, so the C/n constant is not
+        # certified: the report prints null and no inf
+        cfg = self._write(tmp_path, """
+[run]
+name = me7
+
+[operator]
+kind = root_perturbed
+m = 10000000
+
+[diagnostic]
+op = mean-ergodic
+""")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 0
+        evidence = json.loads((out / "me7.json").read_text())["results"]["verdict"]["evidence"]
+        assert evidence["symbol_gap"] == 0.0
+        assert evidence["cesaro_norm_bound_constant"] is None
+
     def test_config_not_utf8_is_one_line_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_bytes(b"[operator]\nkind = harmonic\n[diagnostic]\nop = jdlg\n# \xff\n")

@@ -191,6 +191,27 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             verify_certificate(path)
 
+    def test_certificate_records_the_audited_ladder(self, tmp_path, capsys):
+        # an audit of the rate-1 harmonic operator written under a rate-2 spec:
+        # the certificate stores the audited entries, which the rate-2
+        # reconstruction does not match
+        import json
+        from orbitlab.cli import main
+        audit = c0_witness(limit_one_operator(1.0), constant_one(), 1, 2000, tol=1e-6)
+        path = tmp_path / "cert.json"
+        write_certificate(path, audit, {"kind": "harmonic", "rate": 2.0, "space": "c"},
+                          {"kind": "one"})
+        stored = json.loads(path.read_text())["prefix_check"]["entries"][0]["prefix"]
+        assert [complex(re, im) for re, im in stored] == audit.ladder[0].prefix(32).tolist()
+        with pytest.raises(CertificateError, match="prefixes do not match"):
+            verify_certificate(path)
+        capsys.readouterr()
+        assert main(["verify-certificate", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and err == [
+            "error: certificate prefixes do not match the reconstruction"], err
+
     @pytest.mark.parametrize("field, value", [
         ("pairs", None),
         ("probe", {"kind": "basis"}),  # index defaults to 1: e_1 fails the prefixes
@@ -201,8 +222,11 @@ class TestCertificates:
         ("operator", {"kind": "harmonic", "rate": 1.0, "space": "c0"}),  # probe is one
         (None, b"\xff\xfe not utf-8"),  # the whole file
         (None, b"{not json"),
+        # a length no stored prefix holds is rejected before any prefix is built
+        ("prefix_check.length", 10**12),
+        ("prefix_check.length", 2**62),
     ], ids=["no-pairs", "no-index", "bad-version", "bad-space", "negative-rate", "matrix",
-            "c0-one-probe", "not-utf-8", "not-json"])
+            "c0-one-probe", "not-utf-8", "not-json", "length-1e12", "length-2^62"])
     def test_malformed_certificate_is_one_line_error(self, tmp_path, capsys, field, value):
         import json
         from orbitlab.cli import main
@@ -214,6 +238,9 @@ class TestCertificates:
         doc = json.loads(path.read_text())
         if field is None:
             path.write_bytes(value)
+        elif field == "prefix_check.length":
+            doc["prefix_check"]["length"] = value
+            path.write_text(json.dumps(doc))
         else:
             if value is None:
                 del doc[field]
