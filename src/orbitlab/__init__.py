@@ -19,14 +19,12 @@ the CLI runs them) and separate operator objects per thread are safe.
 from .seqspace import (TailCertificate, SeqVector, FiniteVector, NormResult,
                        sup_norm, lin_comb, constant_one, basis_vector, from_prefix)
 from .operators import (DiagonalSymbol, DiagonalOperator, MatrixOperator,
-                        OperatorWord, CommutingFamily, harmonic_symbol,
-                        root_perturbed_symbol, constant_symbol, power_apply,
-                        telescope_expand, commutation_defect,
-                        power_bound_estimate, make_commuting_family,
-                        read_matrix_file, write_matrix_file)
+                        OperatorWord, harmonic_symbol, root_perturbed_symbol,
+                        constant_symbol, power_apply, telescope_expand,
+                        power_bound_estimate, read_matrix_file, write_matrix_file)
 from .orbits import (OrbitCloud, CompactnessReport, orbit, difference_orbit,
-                     orbit_family, packing_number, compactness_diagnostic,
-                     difference_compactness_diagnostic, cloud_diagnostic)
+                     compactness_diagnostic, difference_compactness_diagnostic,
+                     cloud_diagnostic)
 from .ergodic import (cesaro, mean_ergodic_projection, diagonal_mean_ergodic_verdict,
                       decomposition_check, certify_power_bounded)
 from .jdlg import jdlg_split, ktz_check, half_sum, diagonal_jdlg, spectrum_report

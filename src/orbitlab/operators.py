@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyWordError, SpaceTagError
-from .seqspace import (_FIRST_BLOCK, Certificate, FiniteVector, SeqVector, TailCertificate,
+from .seqspace import (_FIRST_BLOCK, Certificate, SeqVector, TailCertificate,
                        apply_certificate, checked_coords, lin_comb_certificate, power_tail,
                        product)
 
@@ -38,19 +38,15 @@ __all__ = [
     "DiagonalOperator",
     "MatrixOperator",
     "OperatorWord",
-    "CommutingFamily",
     "harmonic_symbol",
     "root_perturbed_symbol",
     "constant_symbol",
     "power_apply",
     "difference",
     "telescope_expand",
-    "word_apply",
     "word_matrix",
-    "commutation_defect",
     "max_matrix_norm",
     "power_bound_estimate",
-    "make_commuting_family",
     "read_matrix_file",
     "write_matrix_file",
 ]
@@ -257,19 +253,6 @@ class MatrixOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply(self, v: FiniteVector) -> FiniteVector:
-        if v.dim != self.dim:
-            raise DimensionMismatchError(f"operator dim {self.dim} vs vector dim {v.dim}")
-        if v.norm_tag != self.norm_tag:
-            raise SpaceTagError(f"norm tags differ: {self.norm_tag} vs {v.norm_tag}")
-        return FiniteVector(self.entries @ v.coords, v.norm_tag)
-
-    def power(self, n: int) -> "MatrixOperator":
-        if n < 0:
-            return MatrixOperator(np.linalg.matrix_power(np.linalg.inv(self.entries), -n),
-                                  self.norm_tag)
-        return MatrixOperator(np.linalg.matrix_power(self.entries, n), self.norm_tag)
-
     def operator_norm(self) -> float:
         return matrix_norm(self.entries, self.norm_tag)
 
@@ -329,13 +312,10 @@ def power_chunks(a: np.ndarray, start: np.ndarray, count: int):
         yield chunk
 
 
-def power_apply(op, n: int, v):
-    """Apply the n-th power, n >= 0.
-
-    Diagonal operators compute the power symbol by angle multiplication
-    (never by repeated complex products); matrices use binary
-    exponentiation.
-    """
+def power_apply(op: DiagonalOperator, n: int, v: SeqVector) -> SeqVector:
+    """Apply the n-th power, n >= 0, of a diagonal operator: the power
+    symbol comes by angle multiplication, never by repeated complex
+    products."""
     if n < 0:
         raise ValueError("power_apply needs n >= 0")
     if n == 0:
@@ -459,10 +439,10 @@ class PhaseRange:
         return self._table[:count]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class OperatorWord:
     """Formal product ``prod_j T_j^{exponents[j]}`` over an ordered
-    generator list.  Orderable so label pairs can serve as cache keys."""
+    generator list."""
 
     exponents: tuple[int, ...]
 
@@ -500,17 +480,6 @@ def telescope_expand(exponents: Sequence[int]) -> list[tuple[OperatorWord, int]]
     return out
 
 
-def word_apply(word: OperatorWord, generators: Sequence, v):
-    """Apply a formal word to a vector, generator by generator."""
-    if len(word.exponents) != len(generators):
-        raise DimensionMismatchError("word length does not match generator count")
-    out = v
-    for gen, e in zip(generators, word.exponents):
-        if e:
-            out = power_apply(gen, e, out)
-    return out
-
-
 def word_matrix(word: OperatorWord, generators: Sequence[MatrixOperator]) -> np.ndarray:
     """Dense matrix of a formal word over matrix generators."""
     if len(word.exponents) != len(generators):
@@ -523,23 +492,6 @@ def word_matrix(word: OperatorWord, generators: Sequence[MatrixOperator]) -> np.
     return out
 
 
-def commutation_defect(generators: Sequence, probes: Sequence) -> float:
-    """Max over generator pairs and probes of ``||T_i T_j x - T_j T_i x||``."""
-    if not probes:
-        raise ValueError("at least one probe vector is required")
-    # multiplication operators commute coordinatewise: the defect is exactly 0
-    if all(isinstance(g, DiagonalOperator) for g in generators):
-        return 0.0
-    worst = 0.0
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            for x in probes:
-                a = generators[i].apply(generators[j].apply(x))
-                b = generators[j].apply(generators[i].apply(x))
-                worst = max(worst, FiniteVector(a.coords - b.coords, a.norm_tag).norm())
-    return worst
-
-
 def power_bound_estimate(op: MatrixOperator, horizon: int) -> float:
     """``max_{1 <= n <= horizon} ||T^n||`` of a matrix: a sampled sup, not a
     certificate (``ergodic.certify_power_bounded`` is the certified test)."""
@@ -547,52 +499,6 @@ def power_bound_estimate(op: MatrixOperator, horizon: int) -> float:
         raise ValueError("horizon must be >= 1")
     return max(max_matrix_norm(chunk, op.norm_tag)
                for chunk in power_chunks(op.entries, op.entries, horizon))
-
-
-@dataclass(frozen=True)
-class CommutingFamily:
-    """Ordered commuting generators with a semigroup norm bound.
-
-    ``bound_M`` estimates ``sup_{S in semigroup} ||S|| + 1``; for
-    diagonal isometries this is exactly 2.
-    """
-
-    generators: tuple
-    bound_M: float
-    commutation_defect_value: float
-
-    def __post_init__(self):
-        if self.bound_M < 1:
-            raise ValueError("bound_M must be >= 1")
-
-
-def make_commuting_family(generators: Sequence, probes: Sequence = (),
-                          tol: float = 1e-8, horizon: int = 64) -> CommutingFamily:
-    """Validate commutation on probes and estimate the semigroup bound."""
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("family needs at least one generator")
-    kinds = {type(g) for g in gens}
-    if len(kinds) > 1:
-        raise SpaceTagError("generators must be all diagonal or all matrix")
-    if isinstance(gens[0], DiagonalOperator):
-        # multiplication operators commute coordinatewise by construction
-        defect = 0.0
-        bound = 2.0
-    else:
-        if not probes:
-            dim = gens[0].dim
-            probes = [FiniteVector(np.eye(dim, dtype=np.complex128)[:, i], gens[0].norm_tag)
-                      for i in range(dim)]
-        defect = commutation_defect(gens, probes)
-        # submultiplicative bound over all words from per-generator power sups
-        bound = 1.0
-        for g in gens:
-            bound *= power_bound_estimate(g, horizon)
-        bound += 1.0
-    if defect > tol:
-        raise ValueError(f"commutation defect {defect:g} exceeds tolerance {tol:g}")
-    return CommutingFamily(gens, float(bound), float(defect))
 
 
 # ---------------------------------------------------------------------------

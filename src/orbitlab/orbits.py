@@ -21,9 +21,6 @@ a joining member rules out each candidate after it that is not certified
 more than eps away, and the next member is the first candidate left.  A
 candidate meets a member exactly when it was apart from every earlier
 one, so the pairs decided are those of the point-by-point rule.
-``OrbitCloud.greedy_net`` asks ``_apart`` which candidates a member
-leaves: pair by pair through ``separated`` (diagonal families), or in one
-stacked call over the rows of a finite-vector cloud.
 
 Orbits of isometric diagonal operators are translation invariant and keep
 a net of their own, which decides each exponent difference d at most once
@@ -40,12 +37,12 @@ below an asked eps, or whose bracket is read, once per d.
 block, decides the whole block at every epsilon; a d it leaves open goes
 to ``norm_exceeds``, which scans on from k = 65, so no decision changes.
 
-A finite-vector cloud (a matrix orbit, or the word points of a matrix
-family) holds its points as one ``(len(labels), N)`` stack.  A row
-difference is separated when the lower end of its ``stacked_norms``
-rounding bracket ``v (1 - rho)`` exceeds eps; a bracket that straddles eps
-is a "no".  The bracket covers the distance between the stored points,
-not the rounding in forming ``A^n x``.
+A matrix orbit holds its points as one ``(h, N)`` stack, and a joining
+member rules out its candidates in one stacked call.  A row difference is
+separated when the lower end of its ``stacked_norms`` rounding bracket
+``v (1 - rho)`` exceeds eps; a bracket that straddles eps is a "no".  The
+bracket covers the distance between the stored points, not the rounding
+in forming ``A^n x``.
 """
 
 from __future__ import annotations
@@ -58,19 +55,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpaceTagError
-from .operators import (_HEAD_KS, DiagonalOperator, MatrixOperator, OperatorWord, difference,
+from .operators import (_HEAD_KS, DiagonalOperator, MatrixOperator, difference,
                         difference_certificate, difference_coords, difference_vector,
-                        power_apply, power_chunks, word_apply)
+                        power_apply, power_chunks)
 from .seqspace import (_FIRST_BLOCK, FiniteVector, NormResult, SeqVector, exceeds_exit,
-                       lin_comb, norm_bracket, norm_exceeds, stacked_norms, sup_norm, tail_bound)
+                       norm_bracket, norm_exceeds, stacked_norms, sup_norm, tail_bound)
 
 __all__ = [
     "OrbitCloud",
     "CompactnessReport",
     "orbit",
     "difference_orbit",
-    "orbit_family",
-    "packing_number",
     "cloud_diagnostic",
     "compactness_diagnostic",
     "difference_compactness_diagnostic",
@@ -91,81 +86,30 @@ def _certified_above(rows: np.ndarray, norm_tag: str, eps: float):
 
 
 class OrbitCloud:
-    """Labelled orbit points with a certified, cached metric.
+    """The orbit points ``T^1 x .. T^h x``, labelled by their exponents
+    ``range(1, h + 1)``, with a certified metric; ``vector(n)`` returns the
+    point ``T^n x``.  The subclasses answer ``distance``, ``separated`` and
+    ``greedy_net`` from their own arrays."""
 
-    ``labels`` are ints (cyclic orbits) or exponent tuples (semigroup
-    orbits); a ``range`` is kept as it is, any other sequence as a list
-    checked for repeats.  ``vector_of(label)`` returns a point and
-    ``diff_vector(l1, l2)`` (None: the subclass's own) the difference of
-    two; ``diff_key`` maps a label pair to a cache key.
-    The base class decides pair by pair (clouds over diagonal families);
-    subclasses answer ``separated``, ``distance`` and ``_apart`` from
-    their own arrays and share ``greedy_net``, except the diagonal orbit.
-    """
-
-    def __init__(self, labels, vector_of, diff_vector, tol: float,
-                 diff_key=None, description: str = ""):
-        if isinstance(labels, range):  # unique by construction; no list of h ints
-            self.labels = labels
-        else:
-            self.labels = list(labels)
-            if len(set(self.labels)) != len(self.labels):
-                raise ValueError("orbit labels must be unique")
+    def __init__(self, horizon: int, vector_of, tol: float, description: str):
+        self.labels = range(1, horizon + 1)
         self.vector = vector_of
-        if diff_vector is not None:
-            self._diff_vector = diff_vector
-        self._diff_key = diff_key or (lambda a, b: (a, b) if a <= b else (b, a))
         self.tol = float(tol)
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"metric tolerance must be finite and positive, got {tol!r}")
         self.description = description
-        self._values: dict = {}
-        self._decisions: dict = {}
 
     def __len__(self):
         return len(self.labels)
 
+    # bench/tracer.py looks both names up in this class's __dict__
     def distance(self, l1, l2) -> NormResult:
         """Certified distance between two labelled points."""
-        key = self._diff_key(l1, l2)
-        hit = self._values.get(key)
-        if hit is None:
-            hit = self._values[key] = sup_norm(self._diff_vector(l1, l2), self.tol)
-        return hit
+        raise NotImplementedError
 
     def separated(self, l1, l2, eps: float) -> bool:
         """Certified decision ``distance(l1, l2) > eps``."""
-        key = (self._diff_key(l1, l2), eps)
-        hit = self._decisions.get(key)
-        if hit is None:
-            hit = self._decisions[key] = norm_exceeds(self._diff_vector(l1, l2), eps, self.tol)
-        return hit
-
-    def _apart(self, member: int, candidates: np.ndarray, eps: float) -> np.ndarray:
-        """Whether each candidate (a position in ``labels``) is certified
-        more than eps away from the member at position ``member``."""
-        m = self.labels[member]
-        return np.array([self.separated(self.labels[c], m, eps) for c in candidates.tolist()],
-                        dtype=bool)
-
-    def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
-        """Positions in ``labels`` of the greedy certified eps-separated net.
-
-        A point joins when it is certified separated from every current
-        member; the scan stops once the net holds ``cap`` members.  The net
-        grows a member at a time: a joining member drops every candidate
-        after it that ``_apart`` does not certify more than eps away, and
-        the next member is the first candidate left.
-        """
-        limit = len(self.labels) if cap is None else max(cap, 1)
-        net = [0] if len(self.labels) else []
-        free = np.arange(1, len(self.labels))  # candidates after the last member
-        while free.size and len(net) < limit:
-            free = free[self._apart(net[-1], free, eps)]
-            if free.size:
-                net.append(int(free[0]))
-                free = free[1:]
-        return net
+        raise NotImplementedError
 
 
 # states of a difference in _DiagOrbitCloud's decision arrays, as
@@ -187,8 +131,7 @@ class _DiagOrbitCloud(OrbitCloud):
                  tol: float, description: str):
         if op.space_tag == "c0" and x.space_tag != "c0":
             raise SpaceTagError("operator on c0 cannot act on a general c vector")
-        super().__init__(range(1, horizon + 1), lambda n: power_apply(op, n, x), None, tol,
-                         diff_key=lambda a, b: abs(a - b), description=description)
+        super().__init__(horizon, lambda n: power_apply(op, n, x), tol, description)
         self._op, self._x, self._phases = op, x, op.phase_range
         self._head = x.coords(_HEAD_KS)  # x on the head, read by every row
         # first-block brackets of d = 0 .. h-1: head maximum (the lead
@@ -199,6 +142,7 @@ class _DiagOrbitCloud(OrbitCloud):
         self._headed = 0  # differences 1..this have their brackets
         self._sep: dict[float, np.ndarray] = {}  # eps -> state of each d < h
         self._screened: dict[float, int] = {}  # eps -> differences 1..this decided in bulk
+        self._values: dict[int, NormResult] = {}  # d -> distance by the full scan
 
     def _diff_vector(self, n: int, m: int) -> SeqVector:
         return difference_vector(self._op.symbol, abs(n - m), 0, self._x)  # (T^|n - m| - I) x
@@ -289,10 +233,13 @@ class _DiagOrbitCloud(OrbitCloud):
             lower, upper = norm_bracket(*self.complete([d])[:, d])
             if upper - lower <= self.tol:
                 return NormResult(float(lower), float(upper - lower))
-        return super().distance(l1, l2)
+        hit = self._values.get(d)
+        if hit is None:
+            hit = self._values[d] = sup_norm(self._diff_vector(l1, l2), self.tol)
+        return hit
 
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
-        """``OrbitCloud.greedy_net`` over the decision arrays: a joining
+        """The point-by-point greedy net over the decision arrays: a joining
         member marks every candidate at once and free candidates join in
         batches, so the net does not take a loop step per member.  Open
         differences are scanned in point-by-point order, up to the cap.
@@ -362,22 +309,20 @@ class _DiagOrbitCloud(OrbitCloud):
 
 
 class _MatrixOrbitCloud(OrbitCloud):
-    """Finite-vector cloud held as the ``(len(labels), N)`` stack of its
-    points, in label order: a matrix orbit or the word points of a matrix
-    family.  Every decision reads rows of the stack by the rounding bracket
+    """Matrix orbit held as the ``(h, N)`` stack of its points, in label
+    order.  Every decision reads rows of the stack by the rounding bracket
     of ``_certified_above``; a FiniteVector is built only for a point that
     is asked for."""
 
-    def __init__(self, labels, points: np.ndarray, tag: str, tol: float, description: str):
+    def __init__(self, points: np.ndarray, tag: str, tol: float, description: str):
         if not np.isfinite(points).all():  # FiniteVector's check, once on the stack
             raise ValueError("FiniteVector coordinates must be finite")
-        # no difference vector is built: the rows decide
-        super().__init__(labels, lambda l: FiniteVector(self._row(l), tag), None, tol,
-                         description=description)
+        super().__init__(len(points), lambda n: FiniteVector(self._row(n), tag), tol,
+                         description)
         self._points, self._tag = points, tag
 
-    def _row(self, label) -> np.ndarray:
-        return self._points[self.labels.index(label)]
+    def _row(self, label: int) -> np.ndarray:
+        return self._points[label - 1]
 
     def distance(self, l1, l2) -> NormResult:
         value, rho = stacked_norms(self._row(l1) - self._row(l2), self._tag)
@@ -387,8 +332,29 @@ class _MatrixOrbitCloud(OrbitCloud):
         return bool(_certified_above(self._row(l1) - self._row(l2), self._tag, eps))
 
     def _apart(self, member: int, candidates: np.ndarray, eps: float) -> np.ndarray:
-        """One stacked call for the differences to every candidate."""
+        """Whether each candidate (a position in ``labels``) is certified
+        more than eps away from the member at position ``member``: one
+        stacked call for the differences to every candidate."""
         return _certified_above(self._points[candidates] - self._points[member], self._tag, eps)
+
+    def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
+        """Positions in ``labels`` of the greedy certified eps-separated net.
+
+        A point joins when it is certified separated from every current
+        member; the scan stops once the net holds ``cap`` members.  The net
+        grows a member at a time: a joining member drops every candidate
+        after it that ``_apart`` does not certify more than eps away, and
+        the next member is the first candidate left.
+        """
+        limit = len(self.labels) if cap is None else max(cap, 1)
+        net = [0] if len(self.labels) else []
+        free = np.arange(1, len(self.labels))  # candidates after the last member
+        while free.size and len(net) < limit:
+            free = free[self._apart(net[-1], free, eps)]
+            if free.size:
+                net.append(int(free[0]))
+                free = free[1:]
+        return net
 
 
 def orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
@@ -403,7 +369,7 @@ def orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
         return _DiagOrbitCloud(op, x, horizon, tol, "orbit")
     if isinstance(op, MatrixOperator):
         points = np.concatenate(list(power_chunks(op.entries, op.entries @ x.coords, horizon)))
-        return _MatrixOrbitCloud(range(1, horizon + 1), points, x.norm_tag, tol, "orbit")
+        return _MatrixOrbitCloud(points, x.norm_tag, tol, "orbit")
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
@@ -420,55 +386,6 @@ def difference_orbit(op, x, horizon: int, tol: float = 1e-8) -> OrbitCloud:
     return cloud
 
 
-def _graded_lex_words(m: int, max_total_degree: int):
-    """All nonzero multi-indices of length m with total degree <= bound,
-    in graded lexicographic order."""
-
-    def compositions(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, slots - 1):
-                yield (first,) + rest
-
-    for deg in range(1, max_total_degree + 1):
-        yield from compositions(deg, m)
-
-
-def orbit_family(family, x, max_total_degree: int, tol: float = 1e-8) -> OrbitCloud:
-    """Finitely generated orbit ``{word(x)}`` over a commuting family.
-
-    Words are enumerated in graded lexicographic order up to the given
-    total degree.  A matrix family's cloud holds the stack of its word
-    points; a diagonal family's metric cache is keyed by the normalised
-    exponent difference.
-    """
-    gens = family.generators
-    labels = [OperatorWord(w) for w in _graded_lex_words(len(gens), max_total_degree)]
-    if not isinstance(gens[0], DiagonalOperator):
-        points = np.array([word_apply(w, gens, x).coords for w in labels], dtype=np.complex128)
-        return _MatrixOrbitCloud(labels, points, x.norm_tag, tol, "family orbit")
-    vectors = {}
-
-    def vector_of(word):
-        if word not in vectors:
-            vectors[word] = word_apply(word, gens, x)
-        return vectors[word]
-
-    def norm_key(a: OperatorWord, b: OperatorWord):
-        da = tuple(max(ea - eb, 0) for ea, eb in zip(a.exponents, b.exponents))
-        db = tuple(max(eb - ea, 0) for ea, eb in zip(a.exponents, b.exponents))
-        return (da, db) if da <= db else (db, da)
-
-    def diff_vector(a, b):
-        da, db = norm_key(a, b)
-        return lin_comb([1.0, -1.0], [vector_of(OperatorWord(da)), vector_of(OperatorWord(db))])
-
-    return OrbitCloud(labels, vector_of, diff_vector, tol, diff_key=norm_key,
-                      description="family orbit")
-
-
 def _greedy_counts(cloud: OrbitCloud, eps: float, checkpoints: Sequence[int]) -> list[int]:
     """Sizes of the greedy certified eps-separated net at each prefix length."""
     marks = sorted({int(c) for c in checkpoints})
@@ -481,16 +398,6 @@ def _greedy_counts(cloud: OrbitCloud, eps: float, checkpoints: Sequence[int]) ->
 def _check_eps(cloud: OrbitCloud, eps: float):
     if eps <= 4 * cloud.tol:
         raise ValueError(f"epsilon {eps:g} must exceed 4 * metric tolerance {cloud.tol:g}")
-
-
-def packing_number(cloud: OrbitCloud, epsilon: float) -> int:
-    """Size of the greedy maximal certified eps-separated subset.
-
-    Greedy over label order: a point joins the net only if its distance
-    to every current member is certified > eps.
-    """
-    _check_eps(cloud, epsilon)
-    return _greedy_counts(cloud, epsilon, [len(cloud)])[0]
 
 
 @dataclass
@@ -571,7 +478,12 @@ def compactness_diagnostic(op, x, epsilons: Sequence[float], horizons: Sequence[
 def difference_compactness_diagnostic(op, x, epsilons: Sequence[float],
                                       horizons: Sequence[int],
                                       tol: float = 1e-8) -> CompactnessReport:
-    """Diagnostic of the difference orbit ``{T^n (I - T) x}``."""
+    """Diagnostic of the difference orbit ``{T^n (I - T) x}``.
+
+    Its verdict covers every ``T^m``: ``I - T^m = (I + T + ... + T^{m-1})
+    (I - T)``, so ``S (I - T^m) x`` lies in the m-fold sum of ``S (I - T) x``
+    for the semigroup ``S = {T^n}``, and is relatively compact when that is.
+    """
     cloud = difference_orbit(op, x, _horizons(horizons)[-1], tol)
     return cloud_diagnostic(cloud, epsilons, horizons)
 

@@ -417,10 +417,6 @@ class FiniteVector:
             raise ValueError(f"unknown norm tag {self.norm_tag!r}")
         object.__setattr__(self, "coords", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
     def norm(self) -> float:
         if self.norm_tag == "sup":
             return float(np.max(np.abs(self.coords)))

@@ -10,9 +10,7 @@ from orbitlab.gallery import (bp_test, c0_witness,
                               write_certificate)
 from orbitlab.jdlg import diagonal_jdlg
 from orbitlab.operators import DiagonalOperator, constant_symbol, power_apply
-from orbitlab.orbits import (compactness_diagnostic, orbit, orbit_family,
-                             packing_number)
-from orbitlab.operators import make_commuting_family
+from orbitlab.orbits import compactness_diagnostic, orbit
 from orbitlab.seqspace import (basis_vector, constant_one, lin_comb,
                                sup_norm)
 
@@ -42,7 +40,7 @@ class TestBuilders:
     def test_first_basis_orbit_is_two_points(self):
         op = limit_one_operator()
         cloud = orbit(op, basis_vector(1), 40, tol=1e-8)
-        assert packing_number(cloud, 0.5) <= 2
+        assert len(cloud.greedy_net(0.5)) <= 2
 
 
 class TestIsometryInvariants:
@@ -105,21 +103,13 @@ class TestWitness:
         assert audit.selection_log == ((2, 1),)
 
     def test_joint_orbit_rule(self):
-        # commuting isometries with saturating single-generator difference
-        # orbits: extraction is not applicable exactly when the joint orbit
-        # saturates
-        rot1 = DiagonalOperator(constant_symbol(2 * np.pi * 0.618), "c")
-        rot2 = DiagonalOperator(constant_symbol(2 * np.pi * 0.414), "c")
-        fam = make_commuting_family([rot1, rot2])
-        joint = orbit_family(fam, constant_one(), 25, tol=1e-6)
-        assert packing_number(joint, 0.5) <= 13  # circle: saturated
+        # extraction is not applicable on a rotation, whose orbit lies on a
+        # circle, and finds a ladder entry on the harmonic operator
+        rot = DiagonalOperator(constant_symbol(2 * np.pi * 0.618), "c")
         with pytest.raises(NotApplicableError):
-            c0_witness(rot1, constant_one(), 2, 400)
+            c0_witness(rot, constant_one(), 2, 400)
 
         harm = limit_one_operator()
-        fam2 = make_commuting_family([harm, harm.power(2)])
-        joint2 = orbit_family(fam2, constant_one(), 25, tol=1e-8)
-        assert packing_number(joint2, 1.0) > 20  # grows with the degree
         audit = c0_witness(harm, constant_one(), 1, 2000)
         assert audit.achieved_count == 1
 

@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import commuting_matrix_family
 from orbitlab.errors import EmptyWordError
 from orbitlab.operators import (DiagonalOperator, DiagonalSymbol,
-                                MatrixOperator, OperatorWord,
-                                commutation_defect, constant_symbol,
-                                harmonic_symbol, make_commuting_family,
-                                power_apply, power_bound_estimate,
+                                MatrixOperator, OperatorWord, constant_symbol,
+                                harmonic_symbol, power_apply, power_bound_estimate,
                                 read_matrix_file, root_perturbed_symbol,
                                 telescope_expand, word_matrix,
                                 write_matrix_file, _power_angles)
-from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one,
+from orbitlab.seqspace import (basis_vector, constant_one,
                                lin_comb, sup_norm)
 
 
@@ -33,11 +31,6 @@ class TestApply:
         out = op.apply(v)
         assert sup_norm(lin_comb([1.0, -1.0], [out, v]), 1e-8).value <= 1e-12
 
-    def test_one_by_one_matrix(self):
-        op = MatrixOperator(np.array([[1j]]), "euclidean")
-        out = op.apply(FiniteVector(np.array([1.0 + 0j])))
-        assert abs(out.coords[0] - 1j) < 1e-15
-
 
 class TestPowerApply:
     def test_zero_power_is_identity(self):
@@ -48,11 +41,6 @@ class TestPowerApply:
         # theta_2 = pi/2, so T^2 e_2 = e^{i pi} e_2 = -e_2
         out = power_apply(harmonic_op(), 2, basis_vector(2))
         assert abs(out.coords([2])[0] + 1.0) < 1e-14
-
-    def test_matrix_scalar_power(self):
-        op = MatrixOperator(np.array([[0.5]]), "euclidean")
-        out = power_apply(op, 10, FiniteVector(np.array([1.0 + 0j])))
-        assert abs(out.coords[0] - 0.5 ** 10) < 1e-18
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -88,29 +76,6 @@ class TestTelescope:
         assert np.linalg.norm((eye - full) - total, 2) <= 1e-10
 
 
-class TestCommutation:
-    def test_diagonal_family_commutes(self):
-        # the difference is exactly zero; the reported defect is only the
-        # certificate resolution of the cancelled tails
-        t1, t2 = harmonic_op(), DiagonalOperator(root_perturbed_symbol(2), "c")
-        defect = commutation_defect([t1, t2], [constant_one(), basis_vector(3)])
-        assert defect <= 1e-5
-
-    def test_powers_of_one_matrix(self, rng):
-        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        g /= np.linalg.norm(g, 2)
-        a = MatrixOperator(g)
-        b = a.power(3)
-        probes = [FiniteVector(rng.standard_normal(5) + 0j) for _ in range(3)]
-        assert commutation_defect([a, b], probes) <= 1e-12
-
-    def test_generic_pair_does_not_commute(self):
-        a = MatrixOperator(np.array([[0, 1], [0, 0]], dtype=complex))
-        b = MatrixOperator(np.array([[1, 0], [0, 2]], dtype=complex))
-        probes = [FiniteVector(np.array([1.0, 1.0 + 0j]))]
-        assert commutation_defect([a, b], probes) > 0.1
-
-
 class TestPowerBound:
     def test_expanding(self):
         op = MatrixOperator(np.array([[2.0 + 0j]]))
@@ -119,18 +84,6 @@ class TestPowerBound:
     def test_single_step_horizon(self):
         op = MatrixOperator(np.array([[0.5 + 0j]]))
         assert power_bound_estimate(op, 1) == pytest.approx(0.5)
-
-
-class TestFamily:
-    def test_diagonal_bound_is_two(self):
-        fam = make_commuting_family([harmonic_op()], [constant_one()])
-        assert fam.bound_M == 2.0
-
-    def test_noncommuting_rejected(self):
-        a = MatrixOperator(np.array([[0, 1], [0, 0]], dtype=complex))
-        b = MatrixOperator(np.array([[1, 0], [0, 2]], dtype=complex))
-        with pytest.raises(ValueError):
-            make_commuting_family([a, b], [FiniteVector(np.array([1.0, 1.0 + 0j]))])
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,11 +11,9 @@ from orbitlab import orbits
 from orbitlab.cli import report_value
 from orbitlab.ergodic import mean_ergodic_projection
 from orbitlab.operators import (DiagonalOperator, MatrixOperator, PhaseRange,
-                                constant_symbol, harmonic_symbol,
-                                make_commuting_family, root_perturbed_symbol, word_apply)
-from orbitlab.orbits import (OrbitCloud, cloud_diagnostic, compactness_diagnostic,
-                             difference_orbit, difference_compactness_diagnostic,
-                             orbit, orbit_family, packing_number)
+                                constant_symbol, harmonic_symbol, root_perturbed_symbol)
+from orbitlab.orbits import (cloud_diagnostic, compactness_diagnostic, difference_orbit,
+                             difference_compactness_diagnostic, orbit)
 from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one, exceeds_exit,
                                from_prefix, lin_comb, stacked_norms, sup_norm)
 
@@ -51,7 +49,7 @@ class TestOrbit:
 
     def test_zero_probe_orbit_is_a_point(self):
         cloud = orbit(harmonic_op(), from_prefix([], 0.0), 6, tol=1e-6)
-        assert packing_number(cloud, 0.5) == 1
+        assert len(cloud.greedy_net(0.5)) == 1
         for n in cloud.labels:
             assert sup_norm(cloud.vector(n), 1e-9).value == 0.0
 
@@ -78,24 +76,24 @@ class TestDifferenceOrbit:
 class TestPacking:
     def test_single_point(self):
         cloud = orbit(harmonic_op(), constant_one(), 1, tol=1e-6)
-        assert packing_number(cloud, 1.0) == 1
+        assert len(cloud.greedy_net(1.0)) == 1
 
     def test_harmonic_orbit_packing_equals_horizon(self):
         for horizon in (20, 40):
             cloud = orbit(harmonic_op(), constant_one(), horizon, tol=1e-8)
-            assert packing_number(cloud, 1.0) == horizon
+            assert len(cloud.greedy_net(1.0)) == horizon
 
     def test_scalar_orbit_brute_force(self):
         # points 0.5^n for n = 1..10; at eps = 0.26 the greedy net keeps
         # 0.5 and 0.125 (0.5 vs 0.25 is only 0.25 apart)
         op = MatrixOperator(np.array([[0.5]], dtype=complex))
         cloud = orbit(op, FiniteVector(np.array([1.0 + 0j])), 10)
-        assert packing_number(cloud, 0.26) == 2
+        assert len(cloud.greedy_net(0.26)) == 2
 
     def test_epsilon_must_clear_tolerance(self):
         cloud = orbit(harmonic_op(), constant_one(), 3, tol=1e-2)
         with pytest.raises(ValueError):
-            packing_number(cloud, 0.03)
+            cloud_diagnostic(cloud, [0.03], [1, 2, 3])
 
 
 _SYMBOLS = st.one_of(
@@ -200,7 +198,7 @@ class TestDiagonalNet:
     def test_each_difference_decided_once(self, monkeypatch):
         cloud = orbit(harmonic_op(), constant_one(), 2000, tol=1e-8)
         rec = self._record_decisions(monkeypatch, cloud)
-        assert packing_number(cloud, 1.0) == 2000
+        assert len(cloud.greedy_net(1.0)) == 2000
         states = cloud.states(1.0)
         assert (states[1:] != orbits._UNKNOWN).all()  # every d in 1..1999
         # each lead and each first-block certificate is evaluated once
@@ -251,20 +249,16 @@ class TestCovering:
 
     def test_single_point(self):
         cloud = orbit(harmonic_op(), constant_one(), 1, tol=1e-6)
-        assert packing_number(cloud, 1.0) == 1
+        assert len(cloud.greedy_net(1.0)) == 1
 
     def test_harmonic_cover_equals_horizon(self):
         cloud = orbit(harmonic_op(), constant_one(), 25, tol=1e-8)
-        assert packing_number(cloud, 1.0) == 25
+        assert len(cloud.greedy_net(1.0)) == 25
 
     def test_two_clusters(self):
-        pts = [from_prefix([0.0], 0.0), from_prefix([0.1], 0.0),
-               from_prefix([10.0], 0.0), from_prefix([10.1], 0.0)]
-        cloud_labels = [1, 2, 3, 4]
-        cloud = OrbitCloud(cloud_labels, lambda n: pts[n - 1],
-                           lambda a, b: lin_comb([1.0, -1.0], [pts[a - 1], pts[b - 1]]),
-                           tol=1e-6)
-        assert packing_number(cloud, 1.0) == 2
+        pts = np.array([[0.0], [0.1], [10.0], [10.1]], dtype=np.complex128)
+        cloud = orbits._MatrixOrbitCloud(pts, "sup", 1e-6, "")
+        assert len(cloud.greedy_net(1.0)) == 2
 
 
 class TestDiagnostic:
@@ -305,10 +299,10 @@ class TestInvariants:
     def test_sandwich_and_monotonicity(self):
         cloud = difference_orbit(harmonic_op(), constant_one(), 150, tol=1e-6)
         for eps in (0.8, 1.2, 1.6):
-            p2 = packing_number(cloud, 2 * eps)
-            p1 = packing_number(cloud, eps)
+            p2 = len(cloud.greedy_net(2 * eps))
+            p1 = len(cloud.greedy_net(eps))
             assert p2 <= p1
-        counts = [packing_number(cloud, eps) for eps in (2.4, 1.2, 0.6)]
+        counts = [len(cloud.greedy_net(eps)) for eps in (2.4, 1.2, 0.6)]
         assert counts == sorted(counts)  # nonincreasing in eps
 
     def test_matrix_orbits_saturate(self, rng):
@@ -358,39 +352,6 @@ class TestInvariants:
         assert rep_y.verdict == "growing"
 
 
-class TestFamilyOrbits:
-    def test_two_rotations_travel_on_a_torus(self):
-        t1 = DiagonalOperator(constant_symbol(2 * np.pi * 0.618033988749), "c")
-        t2 = DiagonalOperator(constant_symbol(2 * np.pi * 0.414213562373), "c")
-        fam = make_commuting_family([t1, t2])
-        cloud = orbit_family(fam, constant_one(), 20, tol=1e-6)
-        # orbit of the constant sequence under two rotations stays on a circle
-        assert packing_number(cloud, 0.5) <= 13
-
-    def test_graded_lex_enumeration(self):
-        t1 = DiagonalOperator(constant_symbol(0.1), "c")
-        fam = make_commuting_family([t1, t1])
-        cloud = orbit_family(fam, constant_one(), 2, tol=1e-3)
-        degrees = [sum(w.exponents) for w in cloud.labels]
-        assert degrees == sorted(degrees)
-        assert len(cloud.labels) == 5  # (1,0),(0,1),(2,0),(1,1),(0,2)
-
-    def test_matrix_generator_family(self, rng):
-        # words over commuting matrix generators, metric on finite vectors
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        g /= 2 * np.linalg.norm(g, 2)
-        t1 = MatrixOperator(g)
-        t2 = t1.power(2)
-        fam = make_commuting_family([t1, t2])
-        x = FiniteVector(np.ones(4, dtype=complex))
-        cloud = orbit_family(fam, x, 3, tol=1e-9)
-        assert len(cloud.labels) == 9
-        # contraction: every word of degree >= 2 is within 2 ||x|| of any other
-        word_norms = [cloud.vector(w).norm() for w in cloud.labels]
-        assert max(word_norms) <= x.norm()
-        assert packing_number(cloud, 2.1 * x.norm()) == 1
-
-
 def _recorded(separated, pairs):
     """``separated``, recording each pair it decides, unordered."""
     def decide(a, b):
@@ -399,9 +360,9 @@ def _recorded(separated, pairs):
     return decide
 
 
-def _check_family_net(cloud, ref, epsilons):
-    """The family cloud's net equals the point-by-point reference at every
-    eps and cap; uncapped, it also decides the reference's pairs."""
+def _check_net(cloud, ref, epsilons):
+    """The cloud's net equals the point-by-point reference at every eps and
+    cap; uncapped, it also decides the reference's pairs."""
     for eps in epsilons:
         for cap in (None, 1, 3):
             got, want = set(), set()
@@ -420,47 +381,30 @@ def _check_family_net(cloud, ref, epsilons):
                 assert got == want
 
 
-@pytest.mark.parametrize("family", ["two rotations", "harmonic t and t^2"])
-def test_diagonal_family_net_equals_the_reference(family):
-    if family == "two rotations":
-        ops = [DiagonalOperator(constant_symbol(2 * np.pi * a), "c")
-               for a in (0.618033988749, 0.414213562373)]
-        x = constant_one()
-    else:
-        t = DiagonalOperator(harmonic_symbol(1.0), "c")
-        ops, x = [t, t.power(2)], from_prefix([0.5, 1j, -2.0], 1.0)
-    # under t and t^2 the words (2, 0) and (0, 1) are one point, whose
-    # distance closes only at the tolerance
-    cloud = orbit_family(make_commuting_family(ops), x, 6, tol=1e-3)
-    dists = sorted({cloud.distance(a, b) for a in cloud.labels for b in cloud.labels if a != b})
-    val, err = max(dists, key=lambda r: r[1])
-    # distances (each at the boundary of ">"), one inside the widest
-    # certified bracket, and one between the distances
-    epsilons = [dists[len(dists) // 5][0], dists[len(dists) // 2][0], val + err / 2, 1.0]
-    _check_family_net(cloud, lambda eps: scan_decisions(cloud, eps), epsilons)
-
-
 @pytest.mark.parametrize("tag", ["euclidean", "sup"])
-def test_matrix_family_net_equals_the_reference(rng, tag):
-    fam = make_commuting_family(commuting_matrix_family(rng, norm_tag=tag))
+def test_matrix_net_equals_the_reference(rng, tag):
+    op = commuting_matrix_family(rng, m=1, norm_tag=tag)[0]
     x = FiniteVector(rng.standard_normal(8) + 1j * rng.standard_normal(8), tag)
-    cloud = orbit_family(fam, x, 6, tol=1e-9)
-    points = {w: word_apply(w, fam.generators, x).coords for w in cloud.labels}
+    cloud = orbit(op, x, 30, tol=1e-9)
+    points, cur = {}, x.coords
+    for n in cloud.labels:  # formed apart from the cloud
+        cur = op.entries @ cur
+        points[n] = cur
 
-    def ref(eps):  # one pair at a time, from points formed apart from the cloud
+    def ref(eps):  # one pair at a time
         def separated(a, b):
             v, rho = stacked_norms(points[a] - points[b], tag)
             return v * (1.0 - rho) > eps
         return separated
 
-    pairs = [(a, b) for i, a in enumerate(cloud.labels) for b in cloud.labels[i + 1:]]
+    pairs = [(a, b) for a in cloud.labels for b in cloud.labels[a:]]
     norms, rho = stacked_norms(np.array([points[a] - points[b] for a, b in pairs]), tag)
     # quantiles of the distances, and one inside the rounding bracket of
     # the first two points, a pair every net decides: it straddles, a "no"
     inside = float(norms[0] * (1.0 - rho / 2))
     assert norms[0] > inside and not ref(inside)(*pairs[0])
     epsilons = [float(np.quantile(norms, q)) for q in (0.2, 0.5, 0.8)] + [inside]
-    _check_family_net(cloud, ref, epsilons)
+    _check_net(cloud, ref, epsilons)
 
 
 def test_clouds_of_one_operator_share_its_phase_range():
