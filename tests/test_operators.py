@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import commuting_matrix_family
-from orbitlab.errors import EmptyWordError
+from orbitlab.errors import DimensionMismatchError, EmptyWordError
 from orbitlab.operators import (DiagonalOperator, DiagonalSymbol,
                                 MatrixOperator, OperatorWord, constant_symbol,
                                 harmonic_symbol, power_apply, power_bound_estimate,
-                                read_matrix_file, root_perturbed_symbol,
+                                power_chunks, read_matrix_file, root_perturbed_symbol,
                                 telescope_expand, word_matrix,
                                 write_matrix_file, _power_angles)
-from orbitlab.seqspace import (basis_vector, constant_one,
-                               lin_comb, sup_norm)
+from orbitlab.orbits import orbit
+from orbitlab.seqspace import (FiniteVector, basis_vector, constant_one,
+                               from_prefix, lin_comb, sup_norm)
 
 
 def harmonic_op():
@@ -31,6 +32,20 @@ class TestApply:
         out = op.apply(v)
         assert sup_norm(lin_comb([1.0, -1.0], [out, v]), 1e-8).value <= 1e-12
 
+    def test_one_by_one_matrix(self):
+        # the first point of a 1x1 matrix's orbit is the matrix times the probe
+        op = MatrixOperator(np.array([[1j]]), "euclidean")
+        out = orbit(op, FiniteVector(np.array([1.0 + 0j])), 1).vector(1)
+        assert abs(out.coords[0] - 1j) < 1e-15
+
+    def test_matrix_operator_rejects_bad_entries(self):
+        with pytest.raises(DimensionMismatchError):
+            MatrixOperator(np.ones((2, 3), dtype=complex))
+        with pytest.raises(ValueError):
+            MatrixOperator(np.array([[np.inf + 0j]]))
+        with pytest.raises(ValueError):
+            MatrixOperator(np.eye(2, dtype=complex), "l1")
+
 
 class TestPowerApply:
     def test_zero_power_is_identity(self):
@@ -41,6 +56,18 @@ class TestPowerApply:
         # theta_2 = pi/2, so T^2 e_2 = e^{i pi} e_2 = -e_2
         out = power_apply(harmonic_op(), 2, basis_vector(2))
         assert abs(out.coords([2])[0] + 1.0) < 1e-14
+
+    def test_matrix_scalar_power(self):
+        # matrix powers of a vector come stacked from power_chunks
+        a = np.array([[0.5 + 0j]])
+        powers = np.concatenate(list(power_chunks(a, np.array([1.0 + 0j]), 11)))
+        assert abs(powers[10, 0] - 0.5 ** 10) < 1e-18
+
+    def test_operator_power_matches_power_apply(self):
+        op, v = harmonic_op(), from_prefix([0.5, 1j, -2.0], 0.0)
+        for n in (1, 3, 7):
+            diff = lin_comb([1.0, -1.0], [op.power(n).apply(v), power_apply(op, n, v)])
+            assert sup_norm(diff, 1e-10).value <= 1e-10
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -74,6 +101,64 @@ class TestTelescope:
             w = word_matrix(word, gens)
             total += w @ (eye - gens[j - 1].entries)
         assert np.linalg.norm((eye - full) - total, 2) <= 1e-10
+
+    def test_one_operator_difference_factors(self, rng):
+        # I - T^m = (I + T + ... + T^{m-1})(I - T): one generator telescopes
+        # into the words T^l, l < m, each times I - T
+        t = commuting_matrix_family(rng, dim=6, m=1)[0]
+        eye = np.eye(6, dtype=np.complex128)
+        for m in range(1, 7):
+            pairs = telescope_expand([m])
+            assert pairs == [(OperatorWord((l,)), 1) for l in range(m)]
+            total = sum(word_matrix(word, [t]) for word, _ in pairs) @ (eye - t.entries)
+            full = np.linalg.matrix_power(t.entries, m)
+            assert np.linalg.norm((eye - full) - total, 2) <= 1e-10
+
+    def test_word_length_must_match_generators(self, rng):
+        gens = commuting_matrix_family(rng, dim=4, m=2)
+        with pytest.raises(DimensionMismatchError):
+            word_matrix(OperatorWord((1,)), gens)
+
+    def test_negative_exponents_rejected(self):
+        with pytest.raises(ValueError):
+            OperatorWord((1, -1))
+        with pytest.raises(ValueError):
+            telescope_expand([2, -1])
+
+
+class TestCommutation:
+    def test_diagonal_family_commutes(self):
+        # the difference is exactly zero; its reported norm is only the
+        # certificate resolution of the cancelled tails
+        t1, t2 = harmonic_op(), DiagonalOperator(root_perturbed_symbol(2), "c")
+        for x in (constant_one(), basis_vector(3)):
+            ab, ba = t1.apply(t2.apply(x)), t2.apply(t1.apply(x))
+            assert sup_norm(lin_comb([1.0, -1.0], [ab, ba]), 1e-6).value <= 1e-5
+
+    def test_powers_of_one_matrix(self, rng):
+        # a word over powers of one matrix is a power of that matrix
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        g /= np.linalg.norm(g, 2)
+        gens = [MatrixOperator(g), MatrixOperator(np.linalg.matrix_power(g, 3))]
+        for ks in [(1, 0), (0, 1), (2, 1), (1, 2)]:
+            want = np.linalg.matrix_power(g, ks[0] + 3 * ks[1])
+            assert np.linalg.norm(word_matrix(OperatorWord(ks), gens) - want, 2) <= 1e-12
+
+    def test_commuting_words_ignore_generator_order(self, rng):
+        gens = commuting_matrix_family(rng, dim=8, m=3)
+        ks = (2, 1, 3)
+        one = word_matrix(OperatorWord(ks), gens)
+        other = word_matrix(OperatorWord(ks[::-1]), gens[::-1])
+        assert np.linalg.norm(one - other, 2) <= 1e-12
+
+    def test_generic_pair_does_not_commute(self):
+        # word_matrix multiplies in generator order, and for this pair the
+        # order shows
+        a = MatrixOperator(np.array([[0, 1], [0, 0]], dtype=complex))
+        b = MatrixOperator(np.array([[1, 0], [0, 2]], dtype=complex))
+        ab = word_matrix(OperatorWord((1, 1)), [a, b])
+        ba = word_matrix(OperatorWord((1, 1)), [b, a])
+        assert np.linalg.norm(ab - ba, 2) > 0.1
 
 
 class TestPowerBound:

@@ -381,6 +381,30 @@ def _check_net(cloud, ref, epsilons):
                 assert got == want
 
 
+@pytest.mark.parametrize("family", ["two rotations", "harmonic t and t^2"])
+def test_diagonal_family_net_equals_the_reference(family):
+    # the orbit cloud of each operator of the family
+    if family == "two rotations":
+        ops = [DiagonalOperator(constant_symbol(2 * np.pi * a), "c")
+               for a in (0.618033988749, 0.414213562373)]
+        x = constant_one()
+    else:
+        t = DiagonalOperator(harmonic_symbol(1.0), "c")
+        ops, x = [t, t.power(2)], from_prefix([0.5, 1j, -2.0], 1.0)
+    for op in ops:
+        cloud = orbit(op, x, 30, tol=1e-3)
+        dists = sorted({cloud.distance(a, b) for a in cloud.labels for b in cloud.labels
+                        if a < b})
+        val, err = max(dists, key=lambda r: r[1])
+        # distances (each at the boundary of ">"), one inside the widest
+        # certified bracket, and one between the distances
+        epsilons = [dists[len(dists) // 5][0], dists[len(dists) // 2][0], val + err / 2, 1.0]
+        for eps in epsilons:
+            for cap in (None, 1, 3):
+                assert (cloud.greedy_net(eps, cap)
+                        == ref_net(cloud.labels, scan_decisions(cloud, eps), cap))
+
+
 @pytest.mark.parametrize("tag", ["euclidean", "sup"])
 def test_matrix_net_equals_the_reference(rng, tag):
     op = commuting_matrix_family(rng, m=1, norm_tag=tag)[0]
