@@ -238,6 +238,7 @@ def _demo_ktz(seed: int, out_dir: str):
 def _demo_halfsum(seed: int, out_dir: str):
     rng = np.random.default_rng(seed)
     checked = 0
+    in_contract = True
     worst_interior = 0.0
     eig_rows = [("matrix", "re", "im", "abs")]
     for i in range(10):
@@ -246,13 +247,14 @@ def _demo_halfsum(seed: int, out_dir: str):
         res = half_sum(t, tol=1e-9)  # raises on an eigenvalue outside the contract
         for lam in res.spectrum.eigenvalues:
             checked += 1
+            in_contract = in_contract and jdlg.peripheral_in_one(lam, 1e-9)
             if abs(lam - 1) > 1e-9:
                 worst_interior = max(worst_interior, abs(lam))
             eig_rows.append((i, lam.real, lam.imag, abs(lam)))
     res_id = half_sum(MatrixOperator(np.eye(3, dtype=np.complex128), "euclidean"))
     res_neg = half_sum(MatrixOperator(-np.eye(3, dtype=np.complex128), "euclidean"))
     assertions = [
-        _assertion("all_halfsum_eigenvalues_in_contract", True,
+        _assertion("all_halfsum_eigenvalues_in_contract", in_contract,
                    f"{checked} eigenvalues, worst interior |lambda| {worst_interior:.6f}"),
         _assertion("identity_maps_to_identity",
                    all(abs(l - 1) < 1e-12 for l in res_id.spectrum.eigenvalues), ""),

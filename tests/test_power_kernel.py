@@ -5,7 +5,8 @@ kernel existed.  Every curve must match it bit for bit, in both norm
 tags, with the default chunk, with chunks of a few powers and with a
 chunk smaller than one matrix (every power its own chunk).  The pruned
 maximum ``max_matrix_norm`` must equal the maximum over the full stack
-bit for bit, and settle a decaying power stack from one block of SVDs.
+bit for bit, settle a decaying power stack from one block of SVDs, and a
+group check's stack of 2000 powers from at most 32 SVDs.
 """
 
 import numpy as np
@@ -59,6 +60,29 @@ def ref_rev_power_bound(r, tag, group_horizon):
         cur_m = r_inv @ cur_m
         worst = max(worst, _norm(cur_p, tag), _norm(cur_m, tag))
     return float(worst)
+
+
+def ref_group_bound_two_loops(r, tag, group_horizon):
+    """``rev_power_bound`` as it was before one stack held both directions:
+    a ``cur = g @ cur`` loop from ``g @ I`` for g = r and for g = r^-1, and
+    the maximum of each loop's full stack of norms."""
+    worst = 1.0
+    for g in (r, np.linalg.inv(r)):
+        cur = g @ np.eye(r.shape[0], dtype=np.complex128)
+        powers = [cur]
+        for _ in range(group_horizon - 1):
+            cur = g @ cur
+            powers.append(cur)
+        worst = max(worst, matrix_norm(np.stack(powers), tag).max())
+    return float(worst)
+
+
+def with_reversible_dim(rng, k, tag="euclidean"):
+    """A random power-bounded 10 x 10 matrix with exactly k unimodular eigenvalues."""
+    while True:
+        op, eigs, _ = random_power_bounded(rng, dim=10, norm_tag=tag, max_uni=k)
+        if np.count_nonzero(np.abs(np.abs(eigs) - 1) < 1e-12) == k:
+            return op
 
 
 def ref_cloud(op, x, horizon):
@@ -151,6 +175,16 @@ def test_jdlg_rev_power_bound_matches_loop(rng, chunk, tag):
             assert split.rev_power_bound == 0.0
             continue
         want = ref_rev_power_bound(split.rev_action.entries, tag, 150)
+        assert same_bits(split.rev_power_bound, want)
+
+
+@TAGS
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rev_power_bound_equals_two_loops_and_full_stack(rng, tag, k):
+    for _ in range(3):
+        split = jdlg_split(with_reversible_dim(rng, k, tag))
+        assert len(split.rev_basis) == k
+        want = ref_group_bound_two_loops(split.rev_action.entries, tag, 1000)
         assert same_bits(split.rev_power_bound, want)
 
 
@@ -327,7 +361,9 @@ def test_ktz_past_the_cesaro_stack_matches_loop(rng, chunk, tag, monkeypatch):
 
 
 def _stacks(draw_kind, rng, dim, count):
-    """A stack of ``count`` complex dim x dim matrices of the drawn kind."""
+    """A stack of ``count`` complex dim x dim matrices of the drawn kind; the
+    reversible kind is ``25 count`` powers of a k x k matrix ``V D V^-1``, D
+    unimodular, k = 2 or 3 by the parity of ``dim``."""
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if draw_kind == "random":
@@ -341,12 +377,18 @@ def _stacks(draw_kind, rng, dim, count):
             (v / np.linalg.norm(v, axis=2, keepdims=True))
     if draw_kind == "repeated":
         return np.repeat(gaussian(1, dim, dim), count, axis=0)
+    if draw_kind == "reversible":  # a group check's stack, which the Frobenius order cannot prune
+        k = 2 + dim % 2
+        v = gaussian(k, k)
+        a = v @ np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, k))) @ np.linalg.inv(v)
+        return np.concatenate(list(operators.power_chunks(a, a, 25 * count)))
     a = random_power_bounded(rng, dim=dim, max_uni=min(3, dim))[0].entries
     return np.concatenate(list(operators.power_chunks(a, a, count)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["random", "rank-one", "unit-rank-one", "repeated", "powers"]),
+@given(kind=st.sampled_from(["random", "rank-one", "unit-rank-one", "repeated", "powers",
+                             "reversible"]),
        seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 10),
        count=st.integers(1, 80), scale=st.sampled_from([1.0, 1e-170, 1e150, 1e160]))
 def test_max_matrix_norm_equals_full_stack_maximum(kind, seed, dim, count, scale):
@@ -368,3 +410,21 @@ def test_mean_ergodic_bound_takes_one_block_of_svds(rng, monkeypatch):
     dec = mean_ergodic_projection(random_power_bounded(rng, dim=10)[0])
     assert sum(svds) == 8
     assert dec.cesaro_constant > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_group_check_takes_few_svds(rng, monkeypatch, k):
+    # a deterministic work count: the matrices of r^1 .. r^1000 and r^-1 ..
+    # r^-1000 whose 2-norm SVD rev_power_bound reads (the full stacks are 2000)
+    svds, full = [], operators.matrix_norm
+
+    def counted(a, tag):
+        svds.append(len(a))
+        return full(a, tag)
+
+    monkeypatch.setattr(operators, "matrix_norm", counted)
+    for _ in range(5):
+        svds.clear()
+        split = jdlg_split(with_reversible_dim(rng, k))
+        assert len(split.rev_basis) == k
+        assert 8 <= sum(svds) <= 32
