@@ -29,9 +29,8 @@ import numpy as np
 from . import gallery, jdlg
 from .ergodic import diagonal_mean_ergodic_verdict, decomposition_check
 from .errors import ConfigError, HorizonExhaustedError, OrbitLabError
-from .gallery import (c0_witness, limit_one_operator,
-                      one_minus_symbol_vector, operator_from_spec, probe_for,
-                      probe_from_spec, root_limit_operator)
+from .gallery import (c0_witness, limit_one_operator, one_minus_symbol_vector,
+                      operator_from_spec, probe_from_spec, root_limit_operator)
 from .jdlg import half_sum, jdlg_split, ktz_check, spectrum_report
 from .operators import DiagonalOperator, MatrixOperator, difference
 from .orbits import (CHECK_HORIZONS, compactness_diagnostic,
@@ -191,7 +190,7 @@ def _demo_witness(seed: int, out_dir: str):
     probe_spec = {"kind": "one"}
     op = operator_from_spec(operator_spec)
     try:
-        audit = c0_witness(op, probe_from_spec(probe_spec), 20, 10_000, tol=1e-6)
+        audit = c0_witness(op, probe_from_spec(probe_spec, op), 20, 10_000, tol=1e-6)
     except HorizonExhaustedError as exc:
         audit = exc.audit
     cert_path = os.path.join(out_dir, "witness.certificate.json")
@@ -451,10 +450,13 @@ def cmd_run(config_path: str, out_dir: str | None, seed_override: int | None,
     t0 = time.perf_counter()
     try:
         op = operator_from_spec(cfg["operator"], base_dir)
-        probe = probe_for(probe_from_spec(_probe_spec(cfg.get("probe", {})), op), op)
+        probe = probe_from_spec(_probe_spec(cfg.get("probe", {})), op)
         results, assertions, tables = _run_diagnostic(cfg, op, probe, tol)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an input too large to allocate, such as a horizon
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # an unreadable matrix file
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -393,10 +393,11 @@ def operator_from_spec(spec: dict, base_dir: str = "."):
     return DiagonalOperator(symbol, space)
 
 
-def probe_from_spec(spec: dict, op=None):
-    """Probe of a spec dict: ``one`` (default), ``basis`` (index 1) or
-    ``prefix`` ([re, im] ``values``, ``limit`` [0, 0]).  For a matrix ``op``
-    it is the first ``dim`` coordinates of that sequence.  Bad specs raise
+def probe_from_spec(spec: dict, op):
+    """The probe for ``op`` of a spec dict: ``one`` (default), ``basis``
+    (index 1) or ``prefix`` ([re, im] ``values``, ``limit`` [0, 0]).  For a
+    matrix ``op`` it is the first ``dim`` coordinates of that sequence; on
+    c0 it is the sequence tagged c0, which needs limit 0.  Bad specs raise
     ConfigError."""
     kind = spec.get("kind", "one")
     dim = op.dim if isinstance(op, MatrixOperator) else None
@@ -422,17 +423,13 @@ def probe_from_spec(spec: dict, op=None):
             raise ConfigError(f"unknown probe kind {kind!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return x if dim is None else FiniteVector(head, op.norm_tag)
-
-
-def probe_for(x, op):
-    """``x`` as a probe for ``op``: on c0 a zero-limit probe is retagged c0,
-    any other raises ConfigError."""
-    if not isinstance(op, DiagonalOperator) or op.space_tag != "c0" or x.space_tag == "c0":
+    if dim is not None:
+        return FiniteVector(head, op.norm_tag)
+    if op.space_tag != "c0":
         return x
     if x.limit != 0:
         raise ConfigError("an operator on c0 needs a probe with limit 0")
-    return x.retag("c0")
+    return replace(x, space_tag="c0")
 
 
 def write_certificate(path, audit: WitnessAudit, operator_spec: dict,
@@ -486,7 +483,7 @@ def verify_certificate(path) -> dict:
         if doc["operator"].get("kind") == "matrix":
             raise CertificateError("certificates name diagonal operators, not matrix files")
         op = operator_from_spec(doc["operator"])
-        x = probe_for(probe_from_spec(doc["probe"]), op)
+        x = probe_from_spec(doc["probe"], op)
         pairs = [tuple(int(v) for v in p) for p in doc["pairs"]]
         ladder = [difference(x, power_apply(op, s - t, x)) for (s, t) in pairs]
         stored = doc["prefix_check"]["entries"]

@@ -217,16 +217,17 @@ def diagonal_jdlg(op: DiagonalOperator, cross_check: bool = True) -> DiagonalJdl
     For a unimodular symbol converging to a root of unity without
     attaining the limit, the almost periodic subspace coincides with the
     reversible one and equals c0, and the splitting projection acts as
-    the identity there.  Constant symbols are plain rotations: the whole
-    space is almost periodic.  Powers of a symbol are refused.
+    the identity there.  Constant symbols are plain rotations, and on c0
+    an orbit lies within eps of the torus of its first K coordinates: the
+    whole space is almost periodic.  Powers of a symbol are refused.
     """
     sym = op.symbol
     if sym.exponent != 1:
         raise UnsupportedSymbolError(
             f"the symbolic splitting covers the catalogued symbols, not their powers "
             f"(exponent {sym.exponent})")
-    if sym.kind == "constant":
-        return DiagonalJdlgReport("whole", True, True)  # a rotation: orbits lie on circles
+    if sym.kind == "constant" or op.space_tag == "c0":
+        return DiagonalJdlgReport("whole", True, True)
 
     m = sym.params[0] if sym.kind == "root_perturbed" else 1
     checks = None

@@ -20,7 +20,11 @@ one pass yields the whole horizon curve.  A net grows a member at a time:
 a joining member rules out each candidate after it that is not certified
 more than eps away, and the next member is the first candidate left.  A
 candidate meets a member exactly when it was apart from every earlier
-one, so the pairs decided are those of the point-by-point rule.
+one, so the pairs decided are those of the point-by-point rule.  A
+diagonal net decides its prefix once, before its first member joins:
+every difference below the horizon, or, for a net capped at ``cap``
+members, below the first of 2 cap, 4 cap, ... points whose net holds
+``cap`` members.
 
 Orbits of isometric diagonal operators are translation invariant and keep
 a net of their own, which decides each exponent difference d at most once
@@ -201,16 +205,16 @@ class _DiagOrbitCloud(OrbitCloud):
 
         A lead maximum or ``|limit|`` above eps proves the True exit,
         which ``exceeds_exit`` takes first; only the other differences
-        need their whole head, so only they are completed."""
+        need their whole head, so only they are completed, one block of
+        the phase range at a time."""
         sep = self._sep.setdefault(eps, np.zeros(len(self.labels), dtype=np.int8))
         done = self._screened.get(eps, 0)
-        if done < dmax:
-            self._bracket_to(dmax)
-            lo, hi = done + 1, self._headed + 1
-            lead, lim = self._brackets[:2, lo:hi]
+        while done < min(dmax, sep.size - 1):
+            lo, hi = done + 1, min(done + self._phases.block, sep.size - 1) + 1
+            lead, lim = self._bracket_to(hi - 1)[:2, lo:hi]
             brackets = self.complete(np.flatnonzero((lead <= eps) & (lim <= eps)) + lo)
             sep[lo:hi] = exceeds_exit(*brackets[:, lo:hi], eps, self.tol)
-            self._screened[eps] = self._headed
+            done = self._screened[eps] = hi - 1
         return sep
 
     def separated(self, l1, l2, eps: float) -> bool:
@@ -239,53 +243,45 @@ class _DiagOrbitCloud(OrbitCloud):
         return hit
 
     def greedy_net(self, eps: float, cap: int | None = None) -> list[int]:
-        """The point-by-point greedy net over the decision arrays: a joining
-        member marks every candidate at once and free candidates join in
-        batches, so the net does not take a loop step per member.  Open
-        differences are scanned in point-by-point order, up to the cap.
+        """The point-by-point greedy net, up to ``cap`` members.  Uncapped,
+        it nets the whole horizon; capped, it nets prefixes of 2 cap, 4 cap,
+        ... points until one holds ``cap`` members, so only the differences
+        below that prefix get decided.  Prefix clouds give prefix nets, so
+        each is the net's start."""
+        h = len(self.labels)
+        limit = h if cap is None else max(cap, 1)
+        top = min(2 * limit, h)
+        net = self._prefix_net(eps, top, limit)
+        while len(net) < limit and top < h:
+            top = min(2 * top, h)
+            net = self._prefix_net(eps, top, limit)
+        return net
+
+    def _prefix_net(self, eps: float, top: int, limit: int) -> list[int]:
+        """The greedy net of the points 1..``top``, up to ``limit`` members,
+        over the decision arrays, every difference below ``top`` decided in
+        bulk first.  A joining member marks every candidate at once and
+        free candidates join in batches, so the net does not take a loop
+        step per member.  Open differences are scanned in point-by-point
+        order.
 
         ``blocked[n]``: some member is a decided "no" away from candidate
         n; ``pending[n]``: some member was an open difference away when it
-        joined, so n gets the reference check.  Every member has marked
-        its differences 1..``done``, which settles each candidate up to
-        ``done + 1``.
+        joined, so n gets the reference check.  Differences below ``gap``
+        are separated, so candidates less than ``gap`` apart join together.
         """
-        h = len(self.labels)
-        limit = h if cap is None else max(cap, 1)
-        sep = self.states(eps)
-        blocked = np.zeros(h + 1, dtype=bool)
-        pending = np.zeros(h + 1, dtype=bool)
-        net = np.empty(h, dtype=np.int64)
-        size = 0
-        done = self._screened.get(eps, 0)
-
-        def gap_after(done):  # smallest difference that is not separated
-            rest = np.flatnonzero(sep[1:done + 1] != _SEPARATED)
-            return int(rest[0]) + 1 if rest.size else done + 1
-
-        def mark(m, lo, hi):  # member m's differences lo..hi
-            hi = min(hi, h - m)
-            if lo <= hi:
-                states = sep[lo:hi + 1]
-                blocked[m + lo:m + hi + 1] |= states == _NOT_SEPARATED
-                pending[m + lo:m + hi + 1] |= states == _UNKNOWN
-
-        gap = gap_after(done)
-        n = 1
-        while n <= h and size < limit:
+        sep = self.states(eps, top - 1)
+        rest = np.flatnonzero(sep[1:top] != _SEPARATED)
+        gap = int(rest[0]) + 1 if rest.size else top
+        blocked = np.zeros(top + 1, dtype=bool)
+        pending = np.zeros(top + 1, dtype=bool)
+        net = np.empty(top, dtype=np.int64)
+        size, n = 0, 1
+        while n <= top and size < limit:
             free = np.flatnonzero(~blocked[n:]) + n
             if not free.size:
                 break
             n = int(free[0])
-            if n - 1 > done:  # its difference to the first member is not decided yet
-                self.states(eps, n - 1)
-                new = self._screened[eps]
-                gap = gap_after(new)
-                if gap <= new:
-                    for m in net[:size].tolist():
-                        mark(m, max(done + 1, gap), new)
-                done = new
-                continue
             if pending[n]:
                 members = net[:size]
                 known = sep[n - members]
@@ -296,16 +292,19 @@ class _DiagOrbitCloud(OrbitCloud):
                     continue
                 joining = free[:1]
             else:
-                joining = free[(free <= done + 1) & (free < n + gap)]
+                joining = free[:np.searchsorted(free, n + gap)]
                 stop = np.flatnonzero(pending[joining])  # the first pending one gets its check
                 joining = joining[:stop[0] if stop.size else None][:limit - size]
             net[size:size + joining.size] = joining
             size += joining.size
-            if gap <= done:
-                for m in joining.tolist():
-                    mark(m, gap, done)
+            # each member marks its differences gap .. top - m
+            for m in joining[:np.searchsorted(joining, top - gap, "right")].tolist():
+                states = sep[gap:top - m + 1]
+                blocked[m + gap:top + 1] |= states == _NOT_SEPARATED
+                pending[m + gap:top + 1] |= states == _UNKNOWN
             n = int(joining[-1]) + 1
-        return (net[:size] - 1).tolist()
+        net[:size] -= 1  # labels to positions in place: the member list is the peak
+        return net[:size].tolist()
 
 
 class _MatrixOrbitCloud(OrbitCloud):

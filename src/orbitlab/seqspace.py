@@ -16,7 +16,7 @@ identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -140,11 +140,6 @@ class SeqVector:
     def prefix(self, n: int) -> np.ndarray:
         """First ``n`` coordinates as a complex array."""
         return self.coords(np.arange(1, n + 1))
-
-    def retag(self, space_tag: str) -> "SeqVector":
-        """The same vector, certificates included, tagged ``space_tag``;
-        retagging a vector with nonzero limit as c0 raises SpaceTagError."""
-        return replace(self, space_tag=space_tag)
 
 
 def checked_coords(v: SeqVector, ks: np.ndarray) -> np.ndarray:

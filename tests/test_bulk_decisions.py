@@ -180,7 +180,7 @@ def test_member_stepping_net_equals_the_reference(data):
     truth = [False] + [s == orbits._SEPARATED
                        or (s == orbits._UNKNOWN and data.draw(st.booleans()))
                        for s in states[1:]]
-    cap = data.draw(st.sampled_from([None, 1, 2, h + 3]), label="cap")
+    cap = data.draw(st.sampled_from([None, 1, 2, h // 4, h + 3]), label="cap")
     block = data.draw(st.sampled_from([1, 3, 7, 1024]), label="block")
     brackets = np.array([_BRACKETS[s] for s in states]).T
     # each lead maximum is its head maximum or a quarter of it, so heads
@@ -199,7 +199,13 @@ def test_member_stepping_net_equals_the_reference(data):
     cloud._lead_maxima = lambda lo, count: leads[lo:lo + count]
     cloud._completed = complete
     cloud._certificates = lambda ds: brackets[1:, ds]
-    cloud._diff_vector = lambda a, b: abs(a - b)
+    pairs = []  # (candidate, member) of each scan
+
+    def diff_vector(a, b):
+        pairs.append((a, b))
+        return abs(a - b)
+
+    cloud._diff_vector = diff_vector
     scanned = []
 
     def scan(d, eps, tol, head_max):
@@ -209,9 +215,16 @@ def test_member_stepping_net_equals_the_reference(data):
 
     with mock.patch.object(orbits, "norm_exceeds", scan):
         got = cloud.greedy_net(_EPS, cap)
-    assert got == ref_net(range(1, h + 1), lambda a, b: truth[abs(a - b)], cap)
+    asked = set()
+
+    def reference(a, b):
+        asked.add((a, b))
+        return truth[abs(a - b)]
+
+    assert got == ref_net(range(1, h + 1), reference, cap)
     assert len(scanned) == len(set(scanned))  # each open difference scanned once
     assert all(states[d] == orbits._UNKNOWN for d in scanned)
+    assert set(pairs) <= asked  # and only where the point-by-point net asks
     # a head is completed once, and only where its lead proves nothing
     assert len(completed) == len(set(completed))
     assert sorted(completed) == [d for d in range(1, cloud._headed + 1) if leads[d] <= _EPS]

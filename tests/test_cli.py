@@ -12,7 +12,7 @@ import pytest
 from orbitlab import cli
 from orbitlab.cli import _probe_spec, load_config, main, report_value
 from orbitlab.ergodic import MeanErgodicVerdict, SpectrumReport
-from orbitlab.errors import UnreachableToleranceError
+from orbitlab.errors import ConfigError, UnreachableToleranceError
 from orbitlab.gallery import BpReport, WitnessAudit, operator_from_spec, probe_from_spec
 from orbitlab.jdlg import DiagonalJdlgReport
 from orbitlab.operators import MatrixOperator, write_matrix_file
@@ -132,6 +132,35 @@ horizons = 50 100 200
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 0
         report = json.loads((out / "c0prefix.json").read_text())
         assert report["results"]["diagnostic"]["verdict"] == "saturating"
+
+    def test_jdlg_on_c0_is_the_whole_space(self, tmp_path, capsys):
+        # on c0 every vector is almost periodic: no cross-check, so no c probe
+        cfg = self._write(tmp_path, "[run]\nname = c0jdlg\n[operator]\nkind = harmonic\n"
+                                    "space = c0\n[probe]\nkind = basis\n"
+                                    "[diagnostic]\nop = jdlg\n")
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "c0jdlg.json").read_text())
+        assert report["results"]["diagonal_jdlg"] == {
+            "aap_space": "whole", "cross_check": None, "p_is_identity_on_aap": True,
+            "rev_equals_aap": True}
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 29.1 TiB"])
+    def test_input_too_large_to_allocate_is_one_line_usage_error(self, tmp_path, capsys,
+                                                                 monkeypatch, message):
+        # raised, not allocated: whether numpy refuses at once depends on
+        # the host's overcommit policy
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "compactness_diagnostic", refuse)
+        cfg = self._write(tmp_path, "[operator]\nkind = harmonic\n[diagnostic]\n"
+                                    "op = compactness\nepsilons = 1.0\n"
+                                    "horizons = 100 200 1000000000000\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 2
+        _assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_root_of_order_one_has_the_harmonic_verdict(self, tmp_path, capsys):
         # m = 1 is the harmonic symbol: the limit angle 2 pi reduces to 0, so
@@ -434,15 +463,21 @@ def test_ini_and_certificate_specs_build_the_same(tmp_path, op_ini, op_spec, pro
     assert op.space_tag == want_op.space_tag
     assert op.symbol == want_op.symbol
     assert np.array_equal(op.symbol.angles(ks), want_op.symbol.angles(ks))
-    probe = probe_from_spec(_probe_spec(cfg["probe"]), op)
-    want = probe_from_spec(probe_spec)
+    spec = _probe_spec(cfg["probe"])
+    # only the basis probe has limit 0, so only it is a c0 probe
+    if op.space_tag == "c0" and probe_spec["kind"] != "basis":
+        for sp, o in ((spec, op), (probe_spec, want_op)):
+            with pytest.raises(ConfigError, match="limit 0"):
+                probe_from_spec(sp, o)
+        op = want_op = operator_from_spec({**op_spec, "space": "c"})
+    probe = probe_from_spec(spec, op)
+    want = probe_from_spec(probe_spec, want_op)
     assert np.array_equal(probe.prefix(64), want.prefix(64))
-    assert probe.limit == want.limit
+    assert (probe.limit, probe.space_tag) == (want.limit, want.space_tag)
     # a matrix probe is the first dim coordinates of the sequence probe
     write_matrix_file(tmp_path / "m3.txt", MatrixOperator(np.eye(3)))
     mat = operator_from_spec({"kind": "matrix", "path": "m3.txt"}, str(tmp_path))
-    assert np.array_equal(probe_from_spec(_probe_spec(cfg["probe"]), mat).coords,
-                          want.prefix(3))
+    assert np.array_equal(probe_from_spec(spec, mat).coords, want.prefix(3))
 
 
 class TestVerify:

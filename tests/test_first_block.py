@@ -20,7 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import power_difference_rows, ref_net, scan_decisions, validate_certificate
 from orbitlab import operators, orbits
 from orbitlab.ergodic import cesaro
-from orbitlab.errors import SpaceTagError, UnreachableToleranceError
+from orbitlab.errors import ConfigError, UnreachableToleranceError
+from orbitlab.gallery import probe_from_spec
 from orbitlab.operators import (DiagonalOperator, constant_symbol, harmonic_symbol,
                                 power_apply, root_perturbed_symbol)
 from orbitlab.orbits import orbit
@@ -139,13 +140,14 @@ def test_cesaro_mean_of_one_closes_at_the_first_block():
     assert sum(scanned) == 64
 
 
-def test_retag_carries_certificates():
-    x = from_prefix([0.5, -0.25j], 0.0, TailCertificate(0.5, 2.0))
-    y = x.retag("c0")
-    assert (y.space_tag, y.tail, y.majorant) == ("c0", x.tail, x.majorant)
-    assert y.retag("c").space_tag == "c"
-    with pytest.raises(SpaceTagError):
-        constant_one().retag("c0")
+def test_c0_probe_carries_certificates():
+    spec = {"kind": "prefix", "values": [[0.5, 0.0], [0.0, -0.25]]}
+    x = probe_from_spec(spec, DiagonalOperator(harmonic_symbol(), "c"))
+    y = probe_from_spec(spec, DiagonalOperator(harmonic_symbol(), "c0"))
+    assert (y.space_tag, y.limit, y.tail, y.majorant) == ("c0", x.limit, x.tail, x.majorant)
+    assert np.array_equal(y.prefix(4), x.prefix(4))
+    with pytest.raises(ConfigError, match="limit 0"):
+        probe_from_spec({"kind": "one"}, DiagonalOperator(harmonic_symbol(), "c0"))
 
 
 # ---------------------------------------------------------------------------

@@ -248,10 +248,10 @@ class TestCertificates:
     def test_spec_builders(self):
         op = operator_from_spec({"kind": "root_perturbed", "m": 2, "rate": 1.0})
         assert abs(op.symbol.limit_value + 1) < 1e-14
-        v = probe_from_spec({"kind": "basis", "index": 3})
+        v = probe_from_spec({"kind": "basis", "index": 3}, op)
         assert v.coords([3])[0] == 1.0
         w = probe_from_spec({"kind": "prefix", "values": [[1.0, 0.0], [0.0, 0.5]],
-                             "limit": [0.0, 0.0]})
+                             "limit": [0.0, 0.0]}, op)
         assert w.coords([2])[0] == 0.5j
 
 
