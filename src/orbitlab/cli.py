@@ -480,11 +480,11 @@ def cmd_verify_certificate(path: str, out_dir: str | None) -> int:
     except OrbitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out_dir:
         try:
-            write_json_atomic(os.path.join(out_dir, "certificate.verify.json"), report)
+            _write_text_atomic(os.path.join(out_dir, "certificate.verify.json"), text + "\n")
         except OSError as exc:
             return _io_error(exc)
     return EXIT_OK

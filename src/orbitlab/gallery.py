@@ -43,7 +43,7 @@ from .operators import (SYMBOL_FAMILIES, DiagonalOperator, DiagonalSymbol,
                         read_matrix_file, root_perturbed_symbol)
 from .orbits import _NOT_SEPARATED, _SEPARATED, orbit, orbit_check
 from .seqspace import (FiniteVector, SeqVector, basis_vector, checked_coords, constant_one,
-                       from_prefix, lin_comb, sup_norm)
+                       from_prefix, lin_comb, norm_bracket, sup_norm)
 
 __all__ = [
     "WitnessAudit",
@@ -152,17 +152,34 @@ def _first_pair(cloud, clouds: Sequence, horizon: int, block: int, eps: float,
     every product cloud, or None.
 
     Each block of differences is first decided in bulk from the clouds'
-    states: a witness "no" or a product "yes" rules d out; only the
-    differences left go to the per-d decisions, in order."""
+    states: a product "yes" rules d out, and then, only where some d is
+    still open, a witness "no" (the witness states fill in block order, so
+    each decision is that of a full screen).  The differences left go to
+    the per-d decisions, in order."""
     for lo in range(1, horizon, block):
         hi = min(lo + block, horizon) - 1
-        open_ = cloud.states(eps, hi)[lo:hi + 1] != _NOT_SEPARATED
+        open_ = np.ones(hi - lo + 1, dtype=bool)
         for c in clouds:
             open_ &= c.states(tau, hi)[lo:hi + 1] != _SEPARATED
+        if open_.any():
+            open_ &= cloud.states(eps, hi)[lo:hi + 1] != _NOT_SEPARATED
         for d in (np.flatnonzero(open_) + lo).tolist():
             if d not in used and cloud.separated(1 + d, 1, eps) and _below(clouds, d, tau):
                 return d
     return None
+
+
+def _separation(cloud, net: np.ndarray) -> float:
+    """The smallest ``val - err`` of ``cloud.distance`` over the pairs of the
+    increasing positions ``net``, from one bracket pass over their distinct
+    differences; only a bracket wider than tol takes ``distance``'s scan."""
+    diffs = net[None, :] - net[:, None]
+    ds = np.flatnonzero(np.bincount(diffs[diffs > 0]))  # increasing, each once
+    lower, upper = norm_bracket(*cloud.complete(ds)[:, ds])
+    err = upper - lower
+    for i in np.flatnonzero(~(err <= cloud.tol)).tolist():
+        lower[i], err[i] = cloud.distance(1 + int(ds[i]), 1)
+    return float((lower - err).min())
 
 
 def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
@@ -179,16 +196,18 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     difference and accepts a pair only when its action on every logged
     subset product is certified below ``1 / (2^{m+1} M)``.  Each product
     ``P`` of a step gets its own orbit cloud at tolerance ``min(tol, tau /
-    8)``; the witness cloud and the product clouds decide a block of
-    differences at a time from their first-block states, and decide the
-    differences that block leaves open one by one, by the witness cloud's
-    certified ``separated`` and the product clouds' ``distance``
-    (``_first_pair``).  All of them read the operator's one range of
-    first-block phases (``op.phase_range``).  If the scan exhausts the horizon before
-    ``count`` entries are built, a HorizonExhaustedError carrying the
-    partial audit is raised.  A product log whose clouds at the next step
-    would hold more than about 64 MB of state (``_MAX_PRODUCT_DIFFERENCES``
-    products times horizon) raises ValueError before they are built.
+    8)``; the product clouds screen a block of differences at a time from
+    their first-block states, the witness cloud brackets it only where
+    some difference is still open, and the differences left are decided
+    one by one, by the witness cloud's certified ``separated`` and the
+    product clouds' ``distance`` (``_first_pair``).  All of them read the
+    operator's one range of first-block phases (``op.phase_range``).
+    ``delta`` comes from one bracket pass (``_separation``).  If the scan
+    exhausts the horizon before ``count`` entries are built, a
+    HorizonExhaustedError carrying the partial audit is raised.  A product
+    log whose clouds at the next step would hold more than about 64 MB of
+    state (``_MAX_PRODUCT_DIFFERENCES`` products times horizon) raises
+    ValueError before they are built.
 
     The partial sums of the ladder are certified over every subset at
     once: ``subset_sum_bound`` is the ladder's ``unconditional_constant``
@@ -228,16 +247,10 @@ def c0_witness(op: DiagonalOperator, x: SeqVector, count: int, horizon: int,
     # separated exponent family: greedy certified x_norm-separated subset
     cap = max(4 * count, 16)
     cloud = orbit(op, x, horizon, tol=fine)
-    members = [cloud.labels[i] for i in cloud.greedy_net(x_norm, cap)]
-    if len(members) < 2:
+    net = np.array(cloud.greedy_net(x_norm, cap))  # positions: they differ as labels do
+    if net.size < 2:
         raise NotApplicableError("fewer than two separated orbit points found")
-    # the metric depends on |n - m| only: one member pair per distinct
-    # difference, each read from its first-block bracket where that closes,
-    # their heads completed in one batch
-    pairs = {b - a: (a, b) for i, a in enumerate(members) for b in members[i + 1:]}
-    cloud.complete(list(pairs))
-    delta = min(val - err for val, err in (cloud.distance(a, b) for a, b in pairs.values()))
-    delta = max(delta, 0.0)
+    delta = max(_separation(cloud, net), 0.0)
 
     subset_bound = 1.0 + 2.0 * bound_m * x_norm
     ladder: list[SeqVector] = []
@@ -495,8 +508,9 @@ def verify_certificate(path) -> dict:
             raise CertificateError(f"a stored prefix does not hold length = {plen} values")
         for v, entry in zip(ladder, stored):
             want = np.array([complex(re, im) for re, im in entry["prefix"]])
-            if (np.max(np.abs(v.prefix(plen) - want)) > 1e-12
-                    or abs(v.limit - complex(*entry["limit"])) > 1e-12):
+            # "not within": a NaN deviation fails, as it compares below nothing
+            if not (np.max(np.abs(v.prefix(plen) - want)) <= 1e-12
+                    and abs(v.limit - complex(*entry["limit"])) <= 1e-12):
                 raise CertificateError("certificate prefixes do not match the reconstruction")
     except KeyError as exc:
         raise CertificateError(f"certificate field {exc} is missing") from exc

@@ -13,10 +13,13 @@ from orbitlab import cli
 from orbitlab.cli import _probe_spec, load_config, main, report_value
 from orbitlab.ergodic import MeanErgodicVerdict, SpectrumReport
 from orbitlab.errors import ConfigError, UnreachableToleranceError
-from orbitlab.gallery import BpReport, WitnessAudit, operator_from_spec, probe_from_spec
+from orbitlab.gallery import (BpReport, WitnessAudit, c0_witness, operator_from_spec,
+                              probe_from_spec, write_certificate)
 from orbitlab.jdlg import DiagonalJdlgReport
-from orbitlab.operators import MatrixOperator, write_matrix_file
+from orbitlab.operators import (DiagonalOperator, MatrixOperator, harmonic_symbol,
+                                write_matrix_file)
 from orbitlab.orbits import CompactnessReport
+from orbitlab.seqspace import constant_one
 
 
 def run_cli(*args):
@@ -498,6 +501,16 @@ class TestVerify:
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_report_file_holds_the_printed_bytes(self, tmp_path, capsys):
+        audit = c0_witness(DiagonalOperator(harmonic_symbol(2.0), "c"), constant_one(), 2,
+                           3000, tol=1e-6)
+        cert = tmp_path / "cert.json"
+        write_certificate(cert, audit, {"kind": "harmonic", "rate": 2.0}, {"kind": "one"})
+        assert run_cli("verify-certificate", str(cert), "--out-dir", str(tmp_path / "v")) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["ladder_detected"] is True
+        assert (tmp_path / "v" / "certificate.verify.json").read_text() == out
 
 
     def test_backward_pair_is_one_line_error(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,37 @@ class TestCertificates:
                 doc[field] = value
             path.write_text(json.dumps(doc))
         with pytest.raises(CertificateError):
+            verify_certificate(path)
+        capsys.readouterr()
+        assert main(["verify-certificate", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("prefix, limit", [
+        ([math.nan, 0.0], [math.nan, 0.0]),
+        ([math.nan, 0.0], None),
+        (None, [0.0, math.nan]),
+        ([math.inf, 0.0], None),
+        (None, [-math.inf, 0.0]),
+    ], ids=["nan-both", "nan-prefix", "nan-limit", "inf-prefix", "inf-limit"])
+    def test_non_finite_prefix_data_is_rejected(self, tmp_path, capsys, prefix, limit):
+        # json writes and reads NaN and Infinity; a NaN deviation from the
+        # reconstruction compares below no bound, so it must not pass as a match
+        import json
+        from orbitlab.cli import main
+        audit = c0_witness(limit_one_operator(), constant_one(), 1, 2000, tol=1e-6)
+        path = tmp_path / "cert.json"
+        write_certificate(path, audit, {"kind": "harmonic", "rate": 1.0, "space": "c"},
+                          {"kind": "one"})
+        doc = json.loads(path.read_text())
+        entry = doc["prefix_check"]["entries"][0]
+        if prefix is not None:
+            entry["prefix"][0] = prefix
+        if limit is not None:
+            entry["limit"] = limit
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CertificateError, match="prefixes do not match"):
             verify_certificate(path)
         capsys.readouterr()
         assert main(["verify-certificate", str(path)]) == 1

@@ -8,6 +8,8 @@ then the upper end of ``sup_norm``.  An unreachable tolerance rejects, and
 the product log is capped by products times horizon.  ``c0_witness`` must
 select the same pairs whatever the block size; the expected selection
 logs were computed by the per-candidate pair search of closure vectors.
+The separation ``delta`` from one bracket pass must equal the smallest
+``val - err`` of ``distance`` over every member pair.
 """
 
 import functools
@@ -108,20 +110,39 @@ def test_root_perturbed_still_not_applicable(monkeypatch, block):
 
 
 def test_demo_size_call_makes_few_norm_scans(monkeypatch):
-    # the per-candidate search made 20,498 norm_exceeds calls here
-    calls = []
-    real = orbits.norm_exceeds
+    # the per-candidate search made 20,498 norm_exceeds calls here.  The only
+    # product cloud, of (T^2 - T) x, rules out every difference, so the
+    # witness cloud brackets no block past its net's: screening both clouds
+    # over the horizon took 22 lead blocks, and delta one distance call per
+    # member difference (79)
+    calls, leads, witness_distances = [], [], []
+    real, cloud_type = orbits.norm_exceeds, orbits._DiagOrbitCloud
+    real_lead, real_distance = cloud_type._lead_maxima, cloud_type.distance
+    x = constant_one()
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def lead(self, lo, count):
+        leads.append(lo)
+        return real_lead(self, lo, count)
+
+    def distance(self, l1, l2):
+        witness_distances.append(self._x is x)
+        return real_distance(self, l1, l2)
+
     monkeypatch.setattr(orbits, "norm_exceeds", counting)  # every cloud scans through it
+    monkeypatch.setattr(cloud_type, "_lead_maxima", lead)
+    monkeypatch.setattr(cloud_type, "distance", distance)
     op = DiagonalOperator(harmonic_symbol(1.0), "c")
     with pytest.raises(HorizonExhaustedError) as info:
-        c0_witness(op, constant_one(), 20, 10_000, tol=1e-6)
+        c0_witness(op, x, 20, 10_000, tol=1e-6)
     assert info.value.audit.selection_log == ((2, 1),)
+    assert info.value.audit.delta == 2.0
     assert len(calls) <= 600
+    assert len(leads) <= 13
+    assert not any(witness_distances)
 
 
 # the witness's limit-one family and constants.  Under a root-of-unity
@@ -285,3 +306,42 @@ def test_the_product_cap_raises_before_the_next_step_builds(monkeypatch):
     # step 1 has no product cloud (the log holds only the empty product),
     # and step 2's cloud of (T^2 - T) x is never built
     assert probes and all(probes)
+
+
+def _pairwise_separation(cloud, net):
+    """The reference: ``val - err`` of ``distance`` over every member pair."""
+    return min(val - err for i, a in enumerate(net) for b in net[i + 1:]
+               for val, err in [cloud.distance(cloud.labels[a], cloud.labels[b])])
+
+
+# prefix probes whose tail certificate is loose: their first-block brackets
+# can be wider than the cloud's tol, and distance then scans on, to k of
+# about constant / tol
+_LOOSE = st.builds(lambda values, c: from_prefix(values, 0.0, TailCertificate(c, 1.0, 2)),
+                   st.lists(_SMALL, min_size=2, max_size=6), st.floats(5.0, 200.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sym=_SYMBOLS, probe=st.one_of(st.tuples(_PROBES, st.sampled_from([1e-8, 1e-6])),
+                                     st.tuples(_LOOSE, st.sampled_from([0.05, 0.2]))),
+       h=st.integers(3, 400), cap=st.integers(2, 40), eps=st.floats(0.05, 2.0))
+def test_separation_equals_the_pairwise_distances(sym, probe, h, cap, eps):
+    x, tol = probe
+    op = DiagonalOperator(sym, "c")
+    cloud = orbit(op, x, h, tol=tol)
+    net = cloud.greedy_net(eps, cap)
+    if len(net) < 2:
+        return
+    got = gallery._separation(cloud, np.array(net))
+    assert got == _pairwise_separation(orbit(op, x, h, tol=tol), net)
+
+
+def test_separation_scans_on_where_a_bracket_is_wider_than_tol():
+    # a loose tail certificate leaves the first-block brackets of (T^d - I) p
+    # wider than tol, so delta's bracket pass hands them to distance
+    op = DiagonalOperator(harmonic_symbol(1.0), "c")
+    p = from_prefix([0.0, 1.0], 0.0, TailCertificate(200.0, 1.0, 2))
+    cloud, net = orbit(op, p, 40, tol=0.05), [0, 5, 17, 30]
+    got = gallery._separation(cloud, np.array(net))
+    assert cloud._values  # the full scans distance made
+    assert got == _pairwise_separation(orbit(op, p, 40, tol=0.05), net)
